@@ -2,7 +2,8 @@
 
 The package provides a small 64-bit reverse-mode tensor core, the routing and
 token-allocation machinery (Random / GBPR / Img-GBPR with optional reject
-redistribution), the duplicate-and-freeze stage-3 layer surgery, a packed
+redistribution; one ``allocate`` call returns the final plan together with its
+stability margin), the duplicate-and-freeze stage-3 layer surgery, a packed
 multimodal micro-transformer with a synthetic key-permutation task, and an
 experiment CLI (``evf``).
 """
@@ -30,7 +31,6 @@ from .allocator import (
     allocation_stats,
     compute_capacity,
     priority_scores,
-    redistribute,
 )
 from .layer import (
     EvfLayerParams,
@@ -127,7 +127,6 @@ __all__ = [
     "load_model",
     "parameter_digests",
     "priority_scores",
-    "redistribute",
     "regressive_loss",
     "route",
     "save_model",

@@ -10,6 +10,11 @@ strategies decide which candidates survive when a side is over capacity:
   (0, 1) prior and text tokens (1, 0), so each modality is steered to its own
   FFN, and rejected tokens may be redistributed to the other FFN's free slots.
 
+:func:`allocate` is the whole decision: selection, then (on by default only
+for img_gbpr) the redistribution of rejects, and it returns the final plan.
+The plan also records its stability ``margin``: the smallest score gap that
+a perturbation would have to close to change the plan.
+
 Candidate grouping follows the priority scores where they exist: under
 ``img_gbpr`` the prior dominates the routing probability, so image tokens
 are candidates for the vision FFN and text tokens for the language FFN.
@@ -42,9 +47,6 @@ _REDISTRIBUTION_DOMAIN = 1
 IMAGE_PRIOR = (0.0, 1.0)
 TEXT_PRIOR = (1.0, 0.0)
 
-# Instrumentation: counts plans ever constructed (see router.DECISIONS_CREATED).
-PLANS_CREATED = 0
-
 
 class Strategy(str, Enum):
     RANDOM = "random"
@@ -70,6 +72,8 @@ class CapacityConfig:
             raise ConfigError(
                 f"redistribution_fraction must lie in [0, 1], got {self.redistribution_fraction}"
             )
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,11 +125,13 @@ class PriorityScores:
 
 @dataclass(eq=False)
 class AllocationPlan:
-    """Final or intermediate token-to-FFN assignment for one batch.
+    """Final token-to-FFN assignment for one batch.
 
-    Token index lists are ascending. ``pending_rejects`` is None once the
-    plan is final; it holds per-FFN reject lists awaiting redistribution
-    when the allocation ran with the redistribution switch on.
+    Token index lists are ascending. ``margin`` is the smallest
+    |vision - language| score gap over the tokens (routing probabilities
+    under random) and, for score-ranked selection, the gap at each
+    over-capacity boundary; it is diagnostic only, so it stays out of
+    :meth:`signature` and :meth:`to_json_dict`.
     """
 
     strategy: Strategy
@@ -134,11 +140,7 @@ class AllocationPlan:
     accepted: tuple[np.ndarray, np.ndarray]
     dropped: np.ndarray
     redistributed: tuple[tuple[int, int, int], ...] = ()
-    pending_rejects: tuple[np.ndarray, np.ndarray] | None = None
-
-    def __post_init__(self) -> None:
-        global PLANS_CREATED
-        PLANS_CREATED += 1
+    margin: float = math.inf
 
     @property
     def loads(self) -> tuple[int, int]:
@@ -147,10 +149,6 @@ class AllocationPlan:
     @property
     def accepted_total(self) -> int:
         return sum(self.loads)
-
-    @property
-    def is_final(self) -> bool:
-        return self.pending_rejects is None
 
     def accepted_mask(self) -> np.ndarray:
         mask = np.zeros(self.n_tokens, dtype=bool)
@@ -170,7 +168,7 @@ class AllocationPlan:
         )
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "strategy": self.strategy.value,
             "n_tokens": int(self.n_tokens),
             "capacity": int(self.capacity),
@@ -185,12 +183,6 @@ class AllocationPlan:
             ],
             "loads": {"language": self.loads[0], "vision": self.loads[1]},
         }
-        if self.pending_rejects is not None:
-            out["pending_rejects"] = {
-                "language": [int(i) for i in self.pending_rejects[LANGUAGE_FFN]],
-                "vision": [int(i) for i in self.pending_rejects[VISION_FFN]],
-            }
-        return out
 
 
 @dataclass(frozen=True)
@@ -257,13 +249,6 @@ def priority_scores(decision: RoutingDecision, tags: ModalityTags, strategy: Str
     return PriorityScores(values)
 
 
-def _candidate_ffn(decision: RoutingDecision, scores: PriorityScores, strategy: Strategy) -> np.ndarray:
-    if strategy is Strategy.RANDOM:
-        return decision.preferred_ffn
-    s = scores.values
-    return np.where(s[:, VISION_FFN] > s[:, LANGUAGE_FFN], VISION_FFN, LANGUAGE_FFN).astype(np.int64)
-
-
 def _rank_by_score(candidates: np.ndarray, column_scores: np.ndarray) -> np.ndarray:
     """Candidates ordered by descending score, ties broken by lower index."""
     order = np.lexsort((candidates, -column_scores))
@@ -280,12 +265,13 @@ def allocate(
     rng: RngKey | None = None,
     redistribution: bool | None = None,
 ) -> AllocationPlan:
-    """Assign each token to one FFN's accepted list, or reject it.
+    """Assign each token to one FFN's accepted list, or drop it.
 
-    With ``redistribution`` left at None, rejects go straight to ``dropped``
-    except under img_gbpr, where they are parked in ``pending_rejects`` for
-    a subsequent :func:`redistribute` pass. Passing an explicit boolean
-    overrides that per-strategy default.
+    Each token is a candidate for the FFN its scores prefer (the router
+    argmax under random). An over-capacity side keeps a seeded subset
+    (random) or its top scores (gbpr, img_gbpr). With ``redistribution``
+    the rejects are then offered to the opposite FFN (see
+    :func:`_redistribute`); left at None it is on only for img_gbpr.
     """
     n = decision.n
     if tags.n != n:
@@ -298,7 +284,13 @@ def allocate(
     if redistribution is None:
         redistribution = strategy is Strategy.IMG_GBPR
 
-    candidates = _candidate_ffn(decision, scores, strategy)
+    if strategy is Strategy.RANDOM:
+        s = decision.probabilities.data
+        candidates = decision.preferred_ffn
+    else:
+        s = scores.values
+        candidates = np.where(s[:, VISION_FFN] > s[:, LANGUAGE_FFN], VISION_FFN, LANGUAGE_FFN)
+    margin = float(np.abs(s[:, VISION_FFN] - s[:, LANGUAGE_FFN]).min())
     accepted: list[np.ndarray] = []
     rejected: list[np.ndarray] = []
     for ffn in (LANGUAGE_FFN, VISION_FFN):
@@ -306,107 +298,76 @@ def allocate(
         if pool.size <= capacity:
             accepted.append(pool)
             rejected.append(np.empty(0, dtype=np.int64))
-            continue
-        if strategy is Strategy.RANDOM:
+        elif strategy is Strategy.RANDOM:
             gen = rng.child(_SELECTION_DOMAIN, ffn).generator()
             keep = np.sort(gen.choice(pool, size=capacity, replace=False))
+            accepted.append(keep)
+            rejected.append(np.setdiff1d(pool, keep))
         else:
-            ranked = _rank_by_score(pool, scores.values[pool, ffn])
-            keep = np.sort(ranked[:capacity])
-        accepted.append(keep)
-        rejected.append(np.setdiff1d(pool, keep))
+            ranked = _rank_by_score(pool, s[pool, ffn])
+            margin = min(margin, float(s[ranked[capacity - 1], ffn] - s[ranked[capacity], ffn]))
+            accepted.append(np.sort(ranked[:capacity]))
+            rejected.append(np.sort(ranked[capacity:]))
 
+    moved: tuple[tuple[int, int, int], ...] = ()
     if redistribution:
-        return AllocationPlan(
-            strategy=strategy,
-            n_tokens=n,
-            capacity=capacity,
-            accepted=(accepted[0], accepted[1]),
-            dropped=np.empty(0, dtype=np.int64),
-            pending_rejects=(rejected[0], rejected[1]),
-        )
+        moved = _redistribute(accepted, rejected, scores, capacity, cfg.redistribution_fraction, rng)
+    mask = np.ones(n, dtype=bool)
+    mask[accepted[LANGUAGE_FFN]] = False
+    mask[accepted[VISION_FFN]] = False
     return AllocationPlan(
         strategy=strategy,
         n_tokens=n,
         capacity=capacity,
-        accepted=(accepted[0], accepted[1]),
-        dropped=np.sort(np.concatenate(rejected)).astype(np.int64),
-        pending_rejects=None,
+        accepted=(accepted[LANGUAGE_FFN], accepted[VISION_FFN]),
+        dropped=np.flatnonzero(mask),
+        redistributed=moved,
+        margin=margin,
     )
 
 
-def redistribute(
-    plan: AllocationPlan,
-    decision: RoutingDecision,
+def _redistribute(
+    accepted: list[np.ndarray],
+    rejected: list[np.ndarray],
     scores: PriorityScores,
-    cfg: CapacityConfig,
-    *,
-    rng: RngKey | None = None,
-) -> AllocationPlan:
-    """Offer a seeded fraction of the rejects to the opposite FFN.
+    capacity: int,
+    fraction: float,
+    rng: RngKey,
+) -> tuple[tuple[int, int, int], ...]:
+    """Offer a seeded fraction of the rejects to the opposite FFN, in place.
 
     The combined pool lists the language-side rejects then the vision-side
     rejects, each in ascending token order; the seeded draw picks positions
     in that pool. Offers are accepted by the opposite FFN in descending
     score for the receiving column (ties toward lower token index) until
-    its remaining capacity is used. Everything not placed is dropped. The
-    input plan must still carry pending rejects.
+    its remaining capacity is used. ``accepted`` is updated; the sorted
+    (token, from, to) moves are returned.
     """
-    if plan.pending_rejects is None:
-        raise ContractError("redistribute: plan has no pending rejects (was allocation run with redistribution?)")
-    if decision.n != plan.n_tokens:
-        raise ContractError(f"redistribute: decision covers {decision.n} tokens, plan covers {plan.n_tokens}")
-    if rng is None:
-        rng = RngKey(cfg.seed)
-
-    pool_tokens = np.concatenate(plan.pending_rejects).astype(np.int64)
-    pool_sources = np.concatenate(
-        [np.full(plan.pending_rejects[ffn].size, ffn, dtype=np.int64) for ffn in (LANGUAGE_FFN, VISION_FFN)]
-    )
-    offered_count = int(math.floor(cfg.redistribution_fraction * pool_tokens.size + 0.5))
-    if offered_count >= pool_tokens.size:
-        offered_positions = np.arange(pool_tokens.size)
-    elif offered_count == 0:
-        offered_positions = np.empty(0, dtype=np.int64)
-    else:
+    pool = np.concatenate(rejected)
+    offered_count = int(math.floor(fraction * pool.size + 0.5))
+    offered = np.zeros(pool.size, dtype=bool)
+    if offered_count >= pool.size:
+        offered[:] = True
+    elif offered_count > 0:
         gen = rng.child(_REDISTRIBUTION_DOMAIN).generator()
-        offered_positions = np.sort(gen.choice(pool_tokens.size, size=offered_count, replace=False))
+        offered[gen.choice(pool.size, size=offered_count, replace=False)] = True
+    split = rejected[LANGUAGE_FFN].size
+    offers_from = (rejected[LANGUAGE_FFN][offered[:split]], rejected[VISION_FFN][offered[split:]])
 
-    offered_mask = np.zeros(pool_tokens.size, dtype=bool)
-    offered_mask[offered_positions] = True
-
-    new_accepted = [plan.accepted[0].copy(), plan.accepted[1].copy()]
-    moved: list[tuple[int, int, int]] = []
-    dropped = [int(t) for t in plan.dropped]
+    moves = [np.empty((0, 3), dtype=np.int64)]
     for receiver in (LANGUAGE_FFN, VISION_FFN):
-        source = 1 - receiver
-        offers = pool_tokens[offered_mask & (pool_sources == source)]
-        slots = plan.capacity - new_accepted[receiver].size
+        offers = offers_from[1 - receiver]
+        slots = capacity - accepted[receiver].size
         if offers.size and slots > 0:
-            ranked = _rank_by_score(offers, scores.values[offers, receiver])
-            placed = ranked[:slots]
-            new_accepted[receiver] = np.sort(np.concatenate([new_accepted[receiver], placed]))
-            moved.extend((int(t), source, receiver) for t in placed)
-            dropped.extend(int(t) for t in ranked[slots:])
-        else:
-            dropped.extend(int(t) for t in offers)
-    dropped.extend(int(t) for t in pool_tokens[~offered_mask])
-
-    return AllocationPlan(
-        strategy=plan.strategy,
-        n_tokens=plan.n_tokens,
-        capacity=plan.capacity,
-        accepted=(new_accepted[0], new_accepted[1]),
-        dropped=np.sort(np.asarray(dropped, dtype=np.int64)),
-        redistributed=tuple(sorted(moved)),
-        pending_rejects=None,
-    )
+            placed = _rank_by_score(offers, scores.values[offers, receiver])[:slots]
+            accepted[receiver] = np.sort(np.concatenate([accepted[receiver], placed]))
+            moves.append(np.column_stack([placed, np.full((placed.size, 2), (1 - receiver, receiver))]))
+    table = np.concatenate(moves)
+    return tuple(map(tuple, table[np.argsort(table[:, 0])].tolist()))
 
 
 def allocation_stats(plan: AllocationPlan, tags: ModalityTags) -> AllocationStats:
-    """Success/drop accounting for a final plan."""
-    if not plan.is_final:
-        raise ContractError("allocation_stats: plan still has pending rejects")
+    """Success/drop accounting for a plan."""
     if tags.n != plan.n_tokens:
         raise ContractError(f"allocation_stats: {tags.n} tags for {plan.n_tokens} tokens")
     mask = plan.accepted_mask()

@@ -27,7 +27,6 @@ from .allocator import (
     allocate,
     allocation_stats,
     priority_scores,
-    redistribute,
 )
 from .errors import ShapeError
 from .router import LANGUAGE_FFN, VISION_FFN, RouterParams, RoutingDecision, route
@@ -101,18 +100,13 @@ def ffn_forward(p: FfnParams, x: T.Tensor) -> T.Tensor:
 
 @dataclass(eq=False)
 class EvfLayerParams:
-    """Router plus the language/vision FFN pair and allocation settings.
-
-    ``redistribution`` of None defers to the strategy default (on only for
-    img_gbpr).
-    """
+    """Router plus the language/vision FFN pair and allocation settings."""
 
     router: RouterParams
     language_ffn: FfnParams
     vision_ffn: FfnParams
     capacity: CapacityConfig = field(default_factory=CapacityConfig)
     strategy: Strategy = Strategy.IMG_GBPR
-    redistribution: bool | None = None
 
     def __post_init__(self) -> None:
         if self.language_ffn.width != self.vision_ffn.width:
@@ -195,17 +189,7 @@ def forward_multimodal(
     n = tokens.data.shape[0]
     decision = route(layer.router, tokens)
     scores = priority_scores(decision, tags, layer.strategy)
-    plan = allocate(
-        decision,
-        scores,
-        tags,
-        layer.capacity,
-        layer.strategy,
-        rng=rng,
-        redistribution=layer.redistribution,
-    )
-    if plan.pending_rejects is not None:
-        plan = redistribute(plan, decision, scores, layer.capacity, rng=rng)
+    plan = allocate(decision, scores, tags, layer.capacity, layer.strategy, rng=rng)
 
     out = T.Tensor(np.zeros((n, layer.width)))
     for ffn_index, ffn in ((LANGUAGE_FFN, layer.language_ffn), (VISION_FFN, layer.vision_ffn)):

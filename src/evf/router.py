@@ -18,10 +18,6 @@ LANGUAGE_FFN = 0
 VISION_FFN = 1
 FFN_NAMES = ("language", "vision")
 
-# Instrumentation: counts decisions ever constructed. Language-only forward
-# paths must leave this untouched.
-DECISIONS_CREATED = 0
-
 
 @dataclass(eq=False)
 class RouterParams:
@@ -54,10 +50,6 @@ class RoutingDecision:
     probabilities: T.Tensor
     preferred_ffn: np.ndarray
 
-    def __post_init__(self) -> None:
-        global DECISIONS_CREATED
-        DECISIONS_CREATED += 1
-
     @property
     def n(self) -> int:
         return self.logits.data.shape[0]
@@ -71,7 +63,11 @@ def route(router: RouterParams, tokens: T.Tensor) -> RoutingDecision:
         raise ShapeError(
             f"route: token width {tokens.data.shape[1]} does not match router width {router.width}"
         )
-    logits = T.matmul(tokens, router.weight)
+    return decision_from_logits(T.matmul(tokens, router.weight))
+
+
+def decision_from_logits(logits: T.Tensor) -> RoutingDecision:
+    """Softmax (n, 2) logits and take each token's argmax, ties to language."""
     probabilities = T.softmax_rows(logits)
     p = probabilities.data
     preferred = np.where(p[:, VISION_FFN] > p[:, LANGUAGE_FFN], VISION_FFN, LANGUAGE_FFN)

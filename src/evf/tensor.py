@@ -88,12 +88,6 @@ class Tensor:
     def __add__(self, other: "Tensor") -> "Tensor":
         return add(self, other)
 
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return neg(self)
-
     def __mul__(self, other):
         if isinstance(other, Tensor):
             return mul(self, other)
@@ -157,15 +151,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(a.data + b.data, (a, b), (lambda g: g, lambda g: g))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape("sub", a, b)
-    return Tensor._from_op(a.data - b.data, (a, b), (lambda g: g, lambda g: -g))
-
-
-def neg(a: Tensor) -> Tensor:
-    return Tensor._from_op(-a.data, (a,), (lambda g: -g,))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of same-shape tensors."""
     _check_same_shape("mul", a, b)
@@ -177,13 +162,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     if not np.isfinite(c):
         raise NumericError("scale: non-finite scalar")
     return Tensor._from_op(a.data * c, (a,), (lambda g: g * c,))
-
-
-def add_scalar(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    if not np.isfinite(c):
-        raise NumericError("add_scalar: non-finite scalar")
-    return Tensor._from_op(a.data + c, (a,), (lambda g: g,))
 
 
 def add_constant(a: Tensor, const: Array) -> Tensor:
@@ -215,17 +193,6 @@ def sum_all(a: Tensor) -> Tensor:
         np.asarray(a.data.sum()),
         (a,),
         (lambda g: np.full(a.data.shape, float(g)),),
-    )
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-    if n == 0:
-        raise ContractError("mean_all: empty tensor")
-    return Tensor._from_op(
-        np.asarray(a.data.mean()),
-        (a,),
-        (lambda g: np.full(a.data.shape, float(g) / n),),
     )
 
 

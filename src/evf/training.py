@@ -72,8 +72,6 @@ def aux_loss(
     acc: T.Tensor | None = None
     per_layer: list[LayerLoadStats] = []
     for plan, decision in zip(plans, decisions):
-        if not plan.is_final:
-            raise ContractError("aux_loss: plan still has pending rejects")
         if plan.n_tokens != decision.n:
             raise ContractError(f"aux_loss: plan covers {plan.n_tokens} tokens, decision {decision.n}")
         n = plan.n_tokens

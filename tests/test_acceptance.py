@@ -13,8 +13,6 @@ import numpy as np
 import pytest
 
 import oracles
-from evf import allocator
-from evf import router as router_mod
 from evf import tensor as T
 from evf.allocator import (
     CapacityConfig,
@@ -23,7 +21,6 @@ from evf.allocator import (
     allocate,
     allocation_stats,
     priority_scores,
-    redistribute,
 )
 from evf.cli import main as cli_main
 from evf.model import (
@@ -64,10 +61,7 @@ def _decision(probabilities: np.ndarray) -> RoutingDecision:
 
 def _run_strategy(decision, tags, strategy, cfg, redistribution=None):
     scores = priority_scores(decision, tags, strategy)
-    plan = allocate(decision, scores, tags, cfg, strategy, redistribution=redistribution)
-    if plan.pending_rejects is not None:
-        plan = redistribute(plan, decision, scores, cfg)
-    return plan
+    return allocate(decision, scores, tags, cfg, strategy, redistribution=redistribution)
 
 
 @pytest.fixture(scope="module")
@@ -87,11 +81,10 @@ def stage3_run():
     }
 
 
-def test_a1_language_only_path_is_bit_exact_after_training(stage3_run, verdict):
+def test_a1_language_only_path_is_bit_exact_after_training(stage3_run, verdict, routing_objects_built):
     cfg = stage3_run["cfg"]
     task = SyntheticTask(cfg)
-    decisions_before = router_mod.DECISIONS_CREATED
-    plans_before = allocator.PLANS_CREATED
+    built_before = dict(routing_objects_built)
     matched = 0
     batches = 1000
     for i in range(batches):
@@ -99,10 +92,7 @@ def test_a1_language_only_path_is_bit_exact_after_training(stage3_run, verdict):
         before = forward(stage3_run["baseline"], batch, LANGUAGE_ONLY).logits.data
         after = forward(stage3_run["trained"], batch, LANGUAGE_ONLY).logits.data
         matched += before.tobytes() == after.tobytes()
-    quiet = (
-        router_mod.DECISIONS_CREATED == decisions_before
-        and allocator.PLANS_CREATED == plans_before
-    )
+    quiet = routing_objects_built == built_before
     verdict(
         "[A1] language-only bypass",
         matched == batches and quiet,

@@ -1,6 +1,6 @@
 """Allocation: capacity arithmetic, priority scores, strategy selection,
-redistribution, stats, and full-plan equivalence against the straight-line
-oracle. Hypothesis drives the structural invariants."""
+redistribution, stability margins, stats, and full-plan equivalence against
+the straight-line oracle. Hypothesis drives the structural invariants."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import oracles
 from evf import tensor as T
 from evf.allocator import (
-    AllocationPlan,
     CapacityConfig,
     ModalityTags,
     Strategy,
@@ -18,7 +17,6 @@ from evf.allocator import (
     allocation_stats,
     compute_capacity,
     priority_scores,
-    redistribute,
 )
 from evf.errors import ConfigError, ContractError
 from evf.router import LANGUAGE_FFN, VISION_FFN, RoutingDecision
@@ -46,10 +44,7 @@ def tags_of(pattern):
 
 def run_full(decision, tags, strategy, cfg, redistribution=None):
     scores = priority_scores(decision, tags, strategy)
-    plan = allocate(decision, scores, tags, cfg, strategy, redistribution=redistribution)
-    if plan.pending_rejects is not None:
-        plan = redistribute(plan, decision, scores, cfg)
-    return plan
+    return allocate(decision, scores, tags, cfg, strategy, redistribution=redistribution)
 
 
 def assert_plan_matches_oracle(plan, want):
@@ -97,6 +92,9 @@ def test_capacity_config_validation():
         CapacityConfig(num_ffns=4)
     with pytest.raises(ConfigError):
         CapacityConfig(redistribution_fraction=1.5)
+    for seed in (-1, 1.0, "3", True):
+        with pytest.raises(ConfigError, match="seed"):
+            CapacityConfig(seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +162,6 @@ def test_under_capacity_accepts_everyone():
     plan = run_full(decision, tags_of("iiittttttt"), Strategy.IMG_GBPR, CapacityConfig())
     assert plan.accepted_total == 10
     assert plan.dropped.size == 0
-    assert plan.is_final
 
 
 def test_random_selection_matches_seeded_oracle():
@@ -235,25 +232,12 @@ def test_partial_fraction_rounds_half_up():
     decision = make_decision(p)
     tags = tags_of("iiiiiiiii")
     cfg = CapacityConfig(capacity_factor=0.8, redistribution_fraction=0.5, seed=9)
-    scores = priority_scores(decision, tags, Strategy.IMG_GBPR)
-    plan = allocate(decision, scores, tags, cfg, Strategy.IMG_GBPR)
-    assert plan.pending_rejects is not None
-    assert plan.pending_rejects[VISION_FFN].size == 5
-    final = redistribute(plan, decision, scores, cfg)
+    plan = run_full(decision, tags, Strategy.IMG_GBPR, cfg)
+    # vision keeps 4 of its 9 candidates: 5 rejects
+    assert plan.capacity == 4 and plan.loads[VISION_FFN] == 4
     # 3 of 5 offered, language side has capacity 4, all 3 land there
-    assert len(final.redistributed) == 3
-    assert final.dropped.size == 2
-
-
-def test_redistribute_requires_pending_rejects():
-    decision = make_decision([[0.9, 0.1]])
-    tags = tags_of("t")
-    cfg = CapacityConfig()
-    scores = priority_scores(decision, tags, Strategy.GBPR)
-    plan = allocate(decision, scores, tags, cfg, Strategy.GBPR)
-    assert plan.is_final
-    with pytest.raises(ContractError, match="pending"):
-        redistribute(plan, decision, scores, cfg)
+    assert len(plan.redistributed) == 3
+    assert plan.dropped.size == 2
 
 
 def test_redistribution_switch_overrides_strategy_default():
@@ -263,11 +247,9 @@ def test_redistribution_switch_overrides_strategy_default():
     cfg = CapacityConfig(capacity_factor=0.5)
     gbpr_with = run_full(decision, tags, Strategy.GBPR, cfg, redistribution=True)
     gbpr_without = run_full(decision, tags, Strategy.GBPR, cfg, redistribution=False)
-    img_off = allocate(
-        decision, priority_scores(decision, tags, Strategy.IMG_GBPR), tags, cfg,
-        Strategy.IMG_GBPR, redistribution=False,
-    )
-    assert img_off.is_final  # no pending pool when the switch is forced off
+    img_off = run_full(decision, tags, Strategy.IMG_GBPR, cfg, redistribution=False)
+    assert img_off.redistributed == ()  # rejects drop when the switch is forced off
+    assert img_off.dropped.size == 16 - img_off.accepted_total
     assert gbpr_without.redistributed == ()
     assert gbpr_with.accepted_total >= gbpr_without.accepted_total
 
@@ -330,7 +312,6 @@ def test_plan_invariants(n, seed, factor, strategy):
     cfg = CapacityConfig(capacity_factor=factor, seed=seed)
     plan = run_full(decision, tags, strategy, cfg)
 
-    assert plan.is_final
     assert plan.loads[0] <= plan.capacity and plan.loads[1] <= plan.capacity
     buckets = np.concatenate([plan.accepted[0], plan.accepted[1], plan.dropped])
     assert buckets.size == n
@@ -340,6 +321,62 @@ def test_plan_invariants(n, seed, factor, strategy):
 
     again = run_full(decision, tags, strategy, cfg)
     assert again.signature() == plan.signature()
+
+
+# ---------------------------------------------------------------------------
+# stability margin
+
+
+def reference_margin(probabilities, is_image, strategy, capacity):
+    """Straight-line stability margin: the smallest |vision - language| score
+    gap over the tokens and, for score-ranked strategies, the gap between the
+    last kept and the first rejected score of each over-capacity column.
+    Random ranks nothing, so only its probability gaps count."""
+    rows = []
+    for (lang, vis), image in zip(probabilities.tolist(), is_image.tolist()):
+        if strategy is Strategy.IMG_GBPR:
+            lang, vis = (lang, vis + 1.0) if image else (lang + 1.0, vis)
+        rows.append((lang, vis))
+    margin = min(abs(vis - lang) for lang, vis in rows)
+    if strategy is not Strategy.RANDOM:
+        for ffn in (LANGUAGE_FFN, VISION_FFN):
+            column = sorted(
+                (row[ffn] for row in rows if (VISION_FFN if row[1] > row[0] else LANGUAGE_FFN) == ffn),
+                reverse=True,
+            )
+            if len(column) > capacity:
+                margin = min(margin, column[capacity - 1] - column[capacity])
+    return margin
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 64),
+    seed=st.integers(0, 2**31 - 1),
+    factor=st.floats(0.1, 0.9),
+    fraction=st.sampled_from([0.0, 0.5, 1.0]),
+    strategy=st.sampled_from(list(Strategy)),
+)
+def test_plan_margin_equals_straight_line_reference(n, seed, factor, fraction, strategy):
+    rng = np.random.default_rng(seed)
+    decision = random_decision(rng, n)
+    tags = ModalityTags(rng.integers(2, size=n).astype(bool))
+    cfg = CapacityConfig(capacity_factor=factor, redistribution_fraction=fraction, seed=seed)
+    plan = run_full(decision, tags, strategy, cfg)
+    want = reference_margin(decision.probabilities.data, tags.is_image, strategy, plan.capacity)
+    assert plan.margin == want
+
+
+def test_margin_reads_the_capacity_boundary_gap():
+    # three vision candidates at 0.9 / 0.85 / 0.7 against capacity 2: the
+    # boundary gap 0.15 is below every per-token gap (0.8, 0.7, 0.4, 0.6)
+    decision = make_decision([[0.1, 0.9], [0.15, 0.85], [0.3, 0.7], [0.8, 0.2]])
+    cfg = CapacityConfig(capacity_factor=1.0)
+    plan = run_full(decision, tags_of("tttt"), Strategy.GBPR, cfg)
+    assert list(plan.dropped) == [2]
+    assert plan.margin == 0.85 - 0.7
+    # random selection has no score boundary, only the per-token gaps
+    assert run_full(decision, tags_of("tttt"), Strategy.RANDOM, cfg).margin == 0.7 - 0.3
 
 
 # ---------------------------------------------------------------------------
@@ -364,16 +401,6 @@ def test_allocation_stats_accounting():
     assert doc["accepted_language"] == 2 and doc["accepted_vision"] == 3
 
 
-def test_stats_reject_non_final_plan():
-    decision = make_decision(np.tile([[0.5, 0.5]], (6, 1)))
-    tags = tags_of("iiiiii")
-    cfg = CapacityConfig(capacity_factor=0.5)
-    scores = priority_scores(decision, tags, Strategy.IMG_GBPR)
-    pending = allocate(decision, scores, tags, cfg, Strategy.IMG_GBPR)
-    with pytest.raises(ContractError):
-        allocation_stats(pending, tags)
-
-
 def test_plan_json_round_trip_field_names():
     decision = make_decision(np.tile([[0.5, 0.5]], (4, 1)))
     plan = run_full(decision, tags_of("iiii"), Strategy.IMG_GBPR, CapacityConfig(capacity_factor=1.0))
@@ -386,11 +413,3 @@ def test_plan_json_round_trip_field_names():
     for move in doc["redistributed"]:
         assert move["from"] == "vision" and move["to"] == "language"
 
-
-def test_instrumentation_counter_increments():
-    from evf import allocator
-
-    before = allocator.PLANS_CREATED
-    decision = make_decision([[0.5, 0.5]])
-    run_full(decision, tags_of("t"), Strategy.GBPR, CapacityConfig())
-    assert allocator.PLANS_CREATED > before

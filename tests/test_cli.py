@@ -125,6 +125,26 @@ def test_allocate_trace_reports_parse_errors_with_line_numbers(tmp_path, capsys)
     assert "line 3" in err
 
 
+@pytest.mark.parametrize(
+    "fields, overrides",
+    [
+        ({"capacity_factor": "abc"}, []),
+        ({"seed": "x"}, []),
+        ({"redistribution_fraction": None}, []),
+        ({"seed": -1, "capacity_factor": 0.5}, []),
+        ({"capacity_factor": 0.5}, ["--set", "model.capacity.seed=-1"]),
+    ],
+)
+def test_allocate_trace_rejects_bad_capacity_fields(tmp_path, capsys, fields, overrides):
+    tokens = [{"modality": "text", "logits": [1.0, 0.0]} for _ in range(6)]
+    fixture = write_fixture(tmp_path / "f.json", tokens, **fields)
+    rc = main(["allocate-trace", "--fixture", fixture, *overrides, "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_allocate_trace_validates_token_fields(tmp_path, capsys):
     fixture = write_fixture(tmp_path / "f.json", [{"modality": "audio", "logits": [0, 1]}])
     assert main(["allocate-trace", "--fixture", fixture, "--out", str(tmp_path / "r")]) == 2

@@ -113,19 +113,17 @@ def test_layer_output_matches_token_by_token_oracle(strategy):
     np.testing.assert_allclose(out.data, want, rtol=1e-10, atol=1e-11)
 
 
-def test_language_only_path_is_bitwise_dense_and_builds_no_routing_objects():
-    from evf import allocator, router as router_mod
-
+def test_language_only_path_is_bitwise_dense_and_builds_no_routing_objects(routing_objects_built):
     dense = dense_ffn(9)
     layer = init_stage3_from_dense(dense)
     x = np.random.default_rng(4).normal(size=(7, WIDTH))
-    decisions_before = router_mod.DECISIONS_CREATED
-    plans_before = allocator.PLANS_CREATED
     out = forward_language_only(layer, T.Tensor(x))
-    assert router_mod.DECISIONS_CREATED == decisions_before
-    assert allocator.PLANS_CREATED == plans_before
+    assert routing_objects_built == {"decisions": 0, "plans": 0}
     dense_out = ffn_forward(dense, T.Tensor(x)).data
     assert out.data.tobytes() == dense_out.tobytes()
+    # the counter sees the multimodal path, so the zero above is not vacuous
+    forward_multimodal(layer, T.Tensor(x), tags_of("iiitttt"), RngKey(0))
+    assert routing_objects_built == {"decisions": 1, "plans": 1}
 
 
 def test_language_only_zero_input_gives_constant_rows():

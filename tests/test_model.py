@@ -152,22 +152,18 @@ def test_stage3_with_slack_capacity_equals_half_gated_dense_reference():
     np.testing.assert_allclose(result.logits.data, want, rtol=1e-10, atol=1e-10)
 
 
-def test_language_only_is_bitwise_identical_before_and_is_dense():
+def test_language_only_is_bitwise_identical_before_and_is_dense(routing_objects_built):
     cfg = tiny_cfg()
     dense = build_model(cfg)
     task = SyntheticTask(cfg)
     batch = task.sample_text_batch(RngKey(5), sequences=3)
     dense_logits = forward(dense, batch, MULTIMODAL).logits.data
 
-    from evf import allocator, router as router_mod
-
     elastic = build_model(cfg)
     enter_stage3(elastic)
-    d_before = router_mod.DECISIONS_CREATED
-    p_before = allocator.PLANS_CREATED
+    built_before = dict(routing_objects_built)
     got = forward(elastic, batch, LANGUAGE_ONLY).logits.data
-    assert router_mod.DECISIONS_CREATED == d_before
-    assert allocator.PLANS_CREATED == p_before
+    assert routing_objects_built == built_before
     assert got.tobytes() == dense_logits.tobytes()
 
 

@@ -130,15 +130,6 @@ def test_aux_contract_errors():
     plan = plan_for(d, "t")
     with pytest.raises(ContractError):
         aux_loss([plan], [])
-    pending = allocate(
-        decision_of(np.tile([[0.5, 0.5]], (4, 1))),
-        priority_scores(decision_of(np.tile([[0.5, 0.5]], (4, 1))), ModalityTags(np.zeros(4, bool)), Strategy.IMG_GBPR),
-        ModalityTags(np.zeros(4, bool)),
-        CapacityConfig(capacity_factor=0.5),
-        Strategy.IMG_GBPR,
-    )
-    with pytest.raises(ContractError):
-        aux_loss([pending], [d])
 
 
 # ---------------------------------------------------------------------------
