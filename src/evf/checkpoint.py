@@ -3,22 +3,44 @@
 Layout: 4-byte magic, little-endian uint32 manifest length, the manifest
 JSON (sorted keys), then each tensor's C-order ``<f8`` bytes at the offset
 the manifest records. Writing the same model twice produces byte-identical
-files.
+files. Loading validates the layout and the manifest before reading any
+tensor, so a truncated or corrupt file raises :class:`ContractError`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError
+from .config import decode
+from .errors import ConfigError, ContractError
 from .model import MicroModel, ModelConfig, apply_stage, build_model, enter_stage3
 
 MAGIC = b"EVFC"
 FORMAT_VERSION = 1
+
+
+@dataclass
+class _TensorEntry:
+    name: str
+    shape: tuple[int, ...]
+    trainable: bool
+    offset: int
+    nbytes: int
+
+
+@dataclass
+class _Manifest:
+    format_version: int
+    stage: int
+    config: ModelConfig
+    dtype: str
+    tensors: tuple[_TensorEntry, ...]
 
 
 def save_model(model: MicroModel, path: Path | str) -> None:
@@ -27,25 +49,11 @@ def save_model(model: MicroModel, path: Path | str) -> None:
     offset = 0
     for name, param, _ in model.named_parameters():
         data = np.ascontiguousarray(param.data, dtype=np.float64).tobytes()
-        entries.append(
-            {
-                "name": name,
-                "shape": list(param.data.shape),
-                "trainable": bool(param.trainable),
-                "offset": offset,
-                "nbytes": len(data),
-            }
-        )
+        entries.append(_TensorEntry(name, param.data.shape, bool(param.trainable), offset, len(data)))
         blobs.append(data)
         offset += len(data)
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "stage": model.stage,
-        "config": model.cfg.to_json_dict(),
-        "dtype": "<f8",
-        "tensors": entries,
-    }
-    header = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    manifest = _Manifest(FORMAT_VERSION, model.stage, model.cfg, "<f8", tuple(entries))
+    header = json.dumps(manifest, default=vars, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header)))
@@ -58,34 +66,44 @@ def load_model(path: Path | str) -> MicroModel:
     """Rebuild a model bit-exactly from a checkpoint file."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:4] != MAGIC:
-        raise ContractError(f"{path}: not a checkpoint file (bad magic)")
+    if len(raw) < 8 or raw[:4] != MAGIC:
+        raise ContractError(f"{path}: not a checkpoint file (bad magic or shorter than 8 bytes)")
     (header_len,) = struct.unpack("<I", raw[4:8])
-    manifest = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise ContractError(f"{path}: unsupported checkpoint format version {manifest.get('format_version')}")
-    cfg = ModelConfig.from_json_dict(manifest["config"])
-    model = build_model(cfg)
-    stage = manifest["stage"]
-    if stage == 3:
+    data_start = 8 + header_len
+    if data_start > len(raw):
+        raise ContractError(f"{path}: manifest length {header_len} runs past the end of the {len(raw)}-byte file")
+    try:
+        doc = json.loads(raw[8:data_start].decode("utf-8"))
+    except ValueError as exc:
+        raise ContractError(f"{path}: manifest is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ContractError(f"{path}: manifest must be a JSON object")
+    if doc.get("format_version") != FORMAT_VERSION:
+        raise ContractError(f"{path}: unsupported checkpoint format version {doc.get('format_version')}")
+    try:
+        manifest = decode(_Manifest, doc, "manifest")
+    except ConfigError as exc:
+        raise ContractError(f"{path}: {exc}") from exc
+    model = build_model(manifest.config)
+    if manifest.stage == 3:
         enter_stage3(model)
     else:
-        apply_stage(model, stage)
+        apply_stage(model, manifest.stage)
 
     params = {name: p for name, p, _ in model.named_parameters()}
-    data_start = 8 + header_len
+    data_len = len(raw) - data_start
     seen = set()
-    for entry in manifest["tensors"]:
-        name = entry["name"]
-        if name not in params:
-            raise ContractError(f"{path}: checkpoint tensor {name!r} not present in model structure")
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = data_start + entry["offset"]
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=start).reshape(shape)
-        params[name].assign(arr.copy())
-        params[name].set_trainable(entry["trainable"])
-        seen.add(name)
+    for entry in manifest.tensors:
+        count = math.prod(entry.shape)
+        fits = entry.nbytes == 8 * count and 0 <= entry.offset <= data_len - entry.nbytes
+        if min(entry.shape, default=0) < 0 or not fits:
+            raise ContractError(f"{path}: tensor {entry.name!r} does not match its shape or the {data_len}-byte data")
+        if entry.name not in params:
+            raise ContractError(f"{path}: checkpoint tensor {entry.name!r} not present in model structure")
+        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=data_start + entry.offset).reshape(entry.shape)
+        params[entry.name].assign(arr.copy())
+        params[entry.name].set_trainable(entry.trainable)
+        seen.add(entry.name)
     missing = set(params) - seen
     if missing:
         raise ContractError(f"{path}: checkpoint is missing tensors {sorted(missing)}")

@@ -7,10 +7,10 @@ Subcommands:
 * ``train``            - one curriculum stage on the synthetic task
 * ``telemetry-report`` - aggregate metrics streams into a per-layer CSV
 
-Configuration is one JSON document (defaults, optionally overlaid with
-``--config FILE``, then ``--set dotted.key=value`` overrides). Every run
-writes its resolved configuration next to its outputs, and identical
-configurations produce byte-identical outputs.
+Configuration is one JSON document (defaults, then ``--config FILE``, then
+``--set dotted.key=value``), decoded into the typed :class:`RunConfig`
+before anything is written; every run writes the document next to its
+outputs, and identical configurations give byte-identical outputs.
 
 Exit codes: 0 success, 2 validation failure, 3 numeric-check failure,
 4 I/O failure. The environment variable ``EVF_OUTPUT_ROOT`` prefixes any
@@ -25,67 +25,64 @@ import json
 import os
 import statistics
 import sys
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
 from .allocator import CapacityConfig, ModalityTags, Strategy, allocate, allocation_stats, priority_scores
-from .checkpoint import load_model, save_model
+from .checkpoint import load_model
+from .config import decode
 from .errors import ConfigError, ContractError, EvfError, FixtureError, NumericError, UnstableInstanceError
-from .model import (
-    ModelConfig,
-    SyntheticTask,
-    TrainConfig,
-    build_model,
-    compute_loss,
-    enter_stage3,
-    train,
-)
+from .model import ModelConfig, SyntheticTask, TrainConfig, build_model, compute_loss, enter_stage3, train
 from .router import decision_from_logits
 from .seeds import RngKey
 from .training import OptimizerConfig, grad_check
 
 OUTPUT_ROOT_ENV = "EVF_OUTPUT_ROOT"
 
-DEFAULT_CONFIG: dict = {
-    "output_dir": None,
-    # evf_layer_indices stays null here so a depth override re-resolves the
-    # default "every even block" placement instead of keeping stale indices.
-    "model": {**ModelConfig().to_json_dict(), "evf_layer_indices": None},
-    "optimizer": {
-        "learning_rate": 3e-3,
-        "beta1": 0.9,
-        "beta2": 0.95,
-        "weight_decay": 0.0,
-        "warmup_ratio": 0.03,
-        "epsilon": 1e-8,
-    },
-    "train": {
-        "stage": 3,
-        "steps": 200,
-        "aux_weight": 0.001,
-        "init_checkpoint": None,
-    },
-    "grad_check": {
-        "instances": 10,
-        "epsilon": 1e-5,
-        "tolerance": 1e-4,
-        "max_tries": 100,
-        "seed": 0,
-        "batch_sequences": 1,
-        "text_len": 4,
-        "stability_margin": 1e-3,
-        # Partition the trainable scalars across the instances: instance k
-        # checks scalars with flat index congruent to k mod instances, so a
-        # full run still covers every scalar exactly once.
-        "partition_scalars": True,
-        "corrupt_gradient": False,
-    },
-    "allocate_trace": {
-        "strategies": ["random", "gbpr", "img_gbpr"],
-    },
-}
+
+@dataclass(frozen=True)
+class TrainSection:
+    stage: int = 3
+    steps: int = 200
+    aux_weight: float = 0.001
+    init_checkpoint: str | None = None
+
+
+@dataclass(frozen=True)
+class GradCheckSection:
+    instances: int = 10
+    epsilon: float = 1e-5
+    tolerance: float = 1e-4
+    max_tries: int = 100
+    seed: int = 0
+    batch_sequences: int = 1
+    text_len: int = 4
+    stability_margin: float = 1e-3
+    # Partition the trainable scalars across the instances: instance k
+    # checks scalars with flat index congruent to k mod instances, so a
+    # full run still covers every scalar exactly once.
+    partition_scalars: bool = True
+    corrupt_gradient: bool = False
+
+
+@dataclass(frozen=True)
+class AllocateTraceSection:
+    strategies: tuple[Strategy, ...] = tuple(Strategy)
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """The whole run configuration; its JSON form is the config document."""
+
+    output_dir: str | None = None
+    model: ModelConfig = field(default_factory=ModelConfig)
+    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    train: TrainSection = field(default_factory=TrainSection)
+    grad_check: GradCheckSection = field(default_factory=GradCheckSection)
+    allocate_trace: AllocateTraceSection = field(default_factory=AllocateTraceSection)
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -98,8 +95,12 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _load_config(path: str | None, overrides: list[str]) -> dict:
-    cfg = DEFAULT_CONFIG
+def _load_config(path: str | None, overrides: list[str]) -> tuple[dict, RunConfig]:
+    """The merged config document and the RunConfig decoded from it."""
+    cfg = json.loads(json.dumps(asdict(RunConfig())))
+    # evf_layer_indices stays null here so a depth override re-resolves the
+    # default "every even block" placement instead of keeping stale indices.
+    cfg["model"]["evf_layer_indices"] = None
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -109,17 +110,12 @@ def _load_config(path: str | None, overrides: list[str]) -> dict:
             raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"{path}: config root must be an object")
-        for key in file_cfg:
-            if key not in DEFAULT_CONFIG:
-                raise ConfigError(f"{path}: unknown config section {key!r}")
         cfg = _deep_merge(cfg, file_cfg)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         dotted, raw = item.split("=", 1)
         parts = dotted.split(".")
-        if parts[0] not in cfg:
-            raise ConfigError(f"--set: unknown config section {parts[0]!r}")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
@@ -131,11 +127,11 @@ def _load_config(path: str | None, overrides: list[str]) -> dict:
             node[part] = child
             node = child
         node[parts[-1]] = value
-    return cfg
+    return cfg, decode(RunConfig, cfg, "")
 
 
-def _resolve_out_dir(cli_out: str | None, cfg: dict, command: str) -> Path:
-    base = cli_out or cfg.get("output_dir") or os.path.join("evf-runs", command)
+def _resolve_out_dir(cli_out: str | None, run: RunConfig, command: str) -> Path:
+    base = cli_out or run.output_dir or os.path.join("evf-runs", command)
     root = os.environ.get(OUTPUT_ROOT_ENV)
     if root and not os.path.isabs(base):
         base = os.path.join(root, base)
@@ -154,49 +150,44 @@ def _write_run_config(out: Path, cfg: dict, command: str) -> None:
     _write_json(out / "run_config.json", {"command": command, **cfg})
 
 
-def cmd_grad_check(cfg: dict, out: Path) -> int:
-    gc = cfg["grad_check"]
-    model_cfg = ModelConfig.from_json_dict(cfg["model"])
-    model = build_model(model_cfg)
+def cmd_grad_check(run: RunConfig, out: Path) -> int:
+    gc = run.grad_check
+    model = build_model(run.model)
     enter_stage3(model)
-    task = SyntheticTask(model_cfg)
+    task = SyntheticTask(run.model)
     named = [(name, p) for name, p in model.trainable_parameters()]
 
     reports = []
     instance_seeds = []
     attempts = 0
-    base = RngKey(int(gc["seed"]))
-    while len(reports) < int(gc["instances"]) and named:
-        if attempts >= int(gc["max_tries"]):
+    base = RngKey(gc.seed)
+    while len(reports) < gc.instances and named:
+        if attempts >= gc.max_tries:
             raise ContractError(
-                f"grad-check: could not find {gc['instances']} stable instances in {gc['max_tries']} tries"
+                f"grad-check: could not find {gc.instances} stable instances in {gc.max_tries} tries"
             )
         attempt_key = base.child(attempts)
         attempts += 1
-        batch = task.sample_batch(
-            attempt_key.child(0),
-            sequences=int(gc["batch_sequences"]),
-            text_len=int(gc["text_len"]),
-        )
+        batch = task.sample_batch(attempt_key.child(0), sequences=gc.batch_sequences, text_len=gc.text_len)
         alloc_key = attempt_key.child(1)
 
         def loss_fn():
-            result = compute_loss(model, batch, alloc_key, cfg["train"]["aux_weight"])
+            result = compute_loss(model, batch, alloc_key, run.train.aux_weight)
             return result.total, result.forward.allocation_signature()
 
         # Skip instances a finite-difference step could flip: random subsets
         # are pinned by the seed, so only score gaps count (AllocationPlan.margin).
-        probe = compute_loss(model, batch, alloc_key, cfg["train"]["aux_weight"])
-        if min((p.margin for p in probe.forward.plans), default=np.inf) < float(gc["stability_margin"]):
+        probe = compute_loss(model, batch, alloc_key, run.train.aux_weight)
+        if min((p.margin for p in probe.forward.plans), default=np.inf) < gc.stability_margin:
             continue
-        subset = (len(reports), int(gc["instances"])) if gc.get("partition_scalars") else None
+        subset = (len(reports), gc.instances) if gc.partition_scalars else None
         try:
             report = grad_check(
                 loss_fn,
                 named,
-                epsilon=float(gc["epsilon"]),
+                epsilon=gc.epsilon,
                 subset=subset,
-                _corrupt_first_gradient=1e-2 if gc.get("corrupt_gradient") else 0.0,
+                _corrupt_first_gradient=1e-2 if gc.corrupt_gradient else 0.0,
             )
         except UnstableInstanceError:
             continue
@@ -206,24 +197,25 @@ def cmd_grad_check(cfg: dict, out: Path) -> int:
     max_rel = max((r.max_rel_err for r in reports), default=0.0)
     doc = {
         "instances": [
-            {"instance_seed": seed, **report.to_json_dict()}
+            {"instance_seed": seed, **asdict(report)}
             for seed, report in zip(instance_seeds, reports)
         ],
         "checked_scalars": sum(r.checked for r in reports),
         "max_rel_err": max_rel,
-        "tolerance": gc["tolerance"],
-        "passed": bool(max_rel < float(gc["tolerance"])),
+        "tolerance": gc.tolerance,
+        "passed": bool(max_rel < gc.tolerance),
     }
     _write_json(out / "grad_check_report.json", doc)
     status = "PASS" if doc["passed"] else "FAIL"
     print(
         f"grad-check {status}: {len(reports)} instances, {doc['checked_scalars']} scalars, "
-        f"max rel err {max_rel:.3e} (tolerance {gc['tolerance']:g})"
+        f"max rel err {max_rel:.3e} (tolerance {gc.tolerance:g})"
     )
     return 0 if doc["passed"] else 3
 
 
-def _parse_fixture(path: str) -> tuple[dict, list[str], np.ndarray]:
+def _parse_fixture(path: str, capacity: CapacityConfig) -> tuple[CapacityConfig, list[str], np.ndarray]:
+    """The fixture's tokens, with its capacity fields overlaid on ``capacity``."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -232,13 +224,11 @@ def _parse_fixture(path: str) -> tuple[dict, list[str], np.ndarray]:
         raise FixtureError(f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise FixtureError(f"{path}: fixture root must be an object")
-    for key, kind, expected in (
-        ("capacity_factor", (int, float), "a number"),
-        ("redistribution_fraction", (int, float), "a number"),
-        ("seed", int, "an integer"),
-    ):
-        if key in doc and (isinstance(doc[key], bool) or not isinstance(doc[key], kind)):
-            raise FixtureError(f"{path}: field {key!r} must be {expected}, got {doc[key]!r}")
+    overlay = {key: doc[key] for key in ("capacity_factor", "redistribution_fraction", "seed") if key in doc}
+    try:
+        capacity = decode(CapacityConfig, {**asdict(capacity), **overlay}, "")
+    except ConfigError as exc:
+        raise FixtureError(f"{path}: {exc}") from exc
     tokens = doc.get("tokens")
     if not isinstance(tokens, list) or not tokens:
         raise FixtureError(f"{path}: field 'tokens' must be a non-empty list")
@@ -259,31 +249,16 @@ def _parse_fixture(path: str) -> tuple[dict, list[str], np.ndarray]:
             raise FixtureError(f"{path}: tokens[{i}].logits must be a [language, vision] number pair")
         labels.append(modality)
         logits.append([float(pair[0]), float(pair[1])])
-    return doc, labels, np.asarray(logits, dtype=np.float64)
+    return capacity, labels, np.asarray(logits, dtype=np.float64)
 
 
-def cmd_allocate_trace(cfg: dict, fixture_path: str, out: Path) -> int:
-    doc, labels, logits = _parse_fixture(fixture_path)
-    capacity_cfg = CapacityConfig(
-        capacity_factor=float(doc.get("capacity_factor", cfg["model"]["capacity"]["capacity_factor"])),
-        redistribution_fraction=float(
-            doc.get("redistribution_fraction", cfg["model"]["capacity"]["redistribution_fraction"])
-        ),
-        seed=int(doc.get("seed", cfg["model"]["capacity"]["seed"])),
-    )
+def cmd_allocate_trace(run: RunConfig, fixture_path: str, out: Path) -> int:
+    capacity_cfg, labels, logits = _parse_fixture(fixture_path, run.model.capacity)
     tags = ModalityTags.from_labels(labels)
     decision = decision_from_logits(T.Tensor(logits))
 
-    names = cfg["allocate_trace"]["strategies"]
-    strategies = []
-    for name in names:
-        try:
-            strategies.append(Strategy(name))
-        except ValueError as exc:
-            raise ConfigError(f"allocate_trace.strategies: unknown strategy {name!r}") from exc
-
     per_strategy = {}
-    for strategy in strategies:
+    for strategy in run.allocate_trace.strategies:
         scores = priority_scores(decision, tags, strategy)
         plan = allocate(decision, scores, tags, capacity_cfg, strategy)
         stats = allocation_stats(plan, tags)
@@ -304,19 +279,14 @@ def cmd_allocate_trace(cfg: dict, fixture_path: str, out: Path) -> int:
     return 0
 
 
-def cmd_train(cfg: dict, out: Path) -> int:
-    section = cfg["train"]
-    opt = OptimizerConfig(**cfg["optimizer"])
+def cmd_train(run: RunConfig, out: Path) -> int:
     tcfg = TrainConfig(
-        stage=int(section["stage"]),
-        steps=int(section["steps"]),
-        optimizer=opt,
-        aux_weight=float(section["aux_weight"]),
+        stage=run.train.stage, steps=run.train.steps, optimizer=run.optimizer, aux_weight=run.train.aux_weight
     )
-    if section.get("init_checkpoint"):
-        model = load_model(section["init_checkpoint"])
+    if run.train.init_checkpoint:
+        model = load_model(run.train.init_checkpoint)
     else:
-        model = build_model(ModelConfig.from_json_dict(cfg["model"]))
+        model = build_model(run.model)
     task = SyntheticTask(model.cfg)
     result = train(model, task, tcfg, out_dir=out)
     first, last = result.metrics[0], result.metrics[-1]
@@ -328,7 +298,22 @@ def cmd_train(cfg: dict, out: Path) -> int:
     return 0
 
 
-def _layer_records(paths: list[str]) -> list[dict]:
+@dataclass(frozen=True)
+class _LayerRecord:
+    layer: int
+    strategy: str
+    success_rate: float
+    drop_rate: float
+
+
+def _layer_record(entry, where: str) -> _LayerRecord:
+    """Decode the fields the report reads; the entry's other telemetry keys are ignored."""
+    if isinstance(entry, dict):
+        entry = {key: value for key, value in entry.items() if key in _LayerRecord.__dataclass_fields__}
+    return decode(_LayerRecord, entry, where)
+
+
+def _layer_records(paths: list[str]) -> list[_LayerRecord]:
     records = []
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
@@ -340,10 +325,15 @@ def _layer_records(paths: list[str]) -> list[dict]:
                     row = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise FixtureError(f"{path}: parse error at line {line_no}: {exc.msg}") from exc
-                if "layers" in row:
-                    records.extend(row["layers"])
-                elif "layer" in row:
-                    records.append(row)
+                try:
+                    if isinstance(row, dict) and "layers" in row:
+                        if not isinstance(row["layers"], list):
+                            raise ConfigError(f"layers must be a list, got {row['layers']!r}")
+                        records.extend(_layer_record(e, f"layers[{i}]") for i, e in enumerate(row["layers"]))
+                    elif not isinstance(row, dict) or "layer" in row:
+                        records.append(_layer_record(row, "row"))
+                except ConfigError as exc:
+                    raise FixtureError(f"{path}: line {line_no}: {exc}") from exc
     return records
 
 
@@ -351,14 +341,14 @@ def cmd_telemetry_report(metrics_paths: list[str], out: Path) -> int:
     records = _layer_records(metrics_paths)
     if not records:
         raise ContractError("telemetry-report: no layer telemetry records found in the given metrics files")
-    grouped: dict[tuple[int, str], list[dict]] = {}
+    grouped: dict[tuple[int, str], list[_LayerRecord]] = {}
     for rec in records:
-        grouped.setdefault((int(rec["layer"]), str(rec["strategy"])), []).append(rec)
+        grouped.setdefault((rec.layer, rec.strategy), []).append(rec)
 
     rows = []
     for (layer, strategy), recs in sorted(grouped.items()):
-        success = [float(r["success_rate"]) for r in recs]
-        drops = [float(r["drop_rate"]) for r in recs]
+        success = [r.success_rate for r in recs]
+        drops = [r.drop_rate for r in recs]
         rows.append(
             {
                 "layer": layer,
@@ -379,19 +369,9 @@ def cmd_telemetry_report(metrics_paths: list[str], out: Path) -> int:
             row["rank_within_layer"] = rank
             row["layer_ordering"] = ordering
 
-    fieldnames = [
-        "layer",
-        "strategy",
-        "records",
-        "mean_success_rate",
-        "median_success_rate",
-        "mean_drop_rate",
-        "rank_within_layer",
-        "layer_ordering",
-    ]
     report_path = out / "telemetry_report.csv"
     with open(report_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         for row in sorted(rows, key=lambda r: (r["layer"], r["rank_within_layer"])):
             writer.writerow(row)
@@ -426,24 +406,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config, args.overrides)
-        out = _resolve_out_dir(args.out, cfg, args.command)
+        cfg, run = _load_config(args.config, args.overrides)
+        out = _resolve_out_dir(args.out, run, args.command)
         _write_run_config(out, cfg, args.command)
         if args.command == "grad-check":
-            return cmd_grad_check(cfg, out)
+            return cmd_grad_check(run, out)
         if args.command == "allocate-trace":
-            return cmd_allocate_trace(cfg, args.fixture, out)
+            return cmd_allocate_trace(run, args.fixture, out)
         if args.command == "train":
-            return cmd_train(cfg, out)
+            return cmd_train(run, out)
         if args.command == "telemetry-report":
             return cmd_telemetry_report(args.metrics, out)
         raise ContractError(f"unknown command {args.command!r}")
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ContractError, FixtureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except EvfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

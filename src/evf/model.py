@@ -14,7 +14,7 @@ the image pathway.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -100,51 +100,6 @@ class ModelConfig:
             object.__setattr__(self, "evf_layer_indices", indices)
         if not isinstance(self.strategy, Strategy):
             object.__setattr__(self, "strategy", Strategy(self.strategy))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "width": self.width,
-            "heads": self.heads,
-            "hidden": self.hidden,
-            "vocab": self.vocab,
-            "evf_layer_indices": list(self.evf_layer_indices),
-            "capacity": {
-                "capacity_factor": self.capacity.capacity_factor,
-                "num_ffns": self.capacity.num_ffns,
-                "redistribution_fraction": self.capacity.redistribution_fraction,
-                "seed": self.capacity.seed,
-            },
-            "strategy": self.strategy.value,
-            "seed": self.seed,
-            "image_feature_dim": self.image_feature_dim,
-            "image_tokens": self.image_tokens,
-            "image_noise": self.image_noise,
-            "num_keys": self.num_keys,
-            "text_len": self.text_len,
-            "batch_sequences": self.batch_sequences,
-            "max_seq_len": self.max_seq_len,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ModelConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError(f"model config must be an object, got {type(doc).__name__}")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown model config field(s): {sorted(unknown)}")
-        kwargs = dict(doc)
-        if "capacity" in kwargs and isinstance(kwargs["capacity"], dict):
-            kwargs["capacity"] = CapacityConfig(**kwargs["capacity"])
-        if "evf_layer_indices" in kwargs and kwargs["evf_layer_indices"] is not None:
-            kwargs["evf_layer_indices"] = tuple(kwargs["evf_layer_indices"])
-        if "strategy" in kwargs:
-            try:
-                kwargs["strategy"] = Strategy(kwargs["strategy"])
-            except ValueError as exc:
-                raise ConfigError(f"unknown strategy {kwargs['strategy']!r}") from exc
-        return cls(**kwargs)
 
 
 @dataclass(eq=False)
@@ -608,7 +563,7 @@ class TrainResult:
 def _metrics_row(step: int, lr: float, result: LossResult) -> dict:
     layers = []
     for tele, loads in zip(result.forward.telemetry, result.breakdown.per_layer):
-        layers.append({**tele.to_json_dict(), **loads.to_json_dict()})
+        layers.append({**tele.to_json_dict(), **asdict(loads)})
     return {
         "step": step,
         "lr": lr,

@@ -33,15 +33,6 @@ class LayerLoadStats:
     g_language: float
     aux: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "f_vision": self.f_vision,
-            "f_language": self.f_language,
-            "g_vision": self.g_vision,
-            "g_language": self.g_language,
-            "aux": self.aux,
-        }
-
 
 @dataclass(frozen=True)
 class LossBreakdown:
@@ -244,14 +235,6 @@ class GradCheckReport:
     max_rel_err: float
     worst: str
     per_param: dict[str, float]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "checked": self.checked,
-            "max_rel_err": self.max_rel_err,
-            "worst": self.worst,
-            "per_param": self.per_param,
-        }
 
 
 def grad_check(

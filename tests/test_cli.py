@@ -4,10 +4,14 @@ placement, exit codes, and byte-stable artifacts."""
 import csv
 import json
 import os
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evf.cli import main
+from evf.cli import RunConfig, _load_config, main
+from evf.errors import ConfigError
 
 TINY_MODEL = [
     "--set", "model.depth=2",
@@ -219,6 +223,74 @@ def test_config_validation_failures_exit_2(tmp_path, capsys):
     assert main(["train", *TINY_MODEL, "--set", "model.strategy=\"greedy\"", "--out", str(tmp_path / "e")]) == 2
 
 
+def assert_one_error_line(err):
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, override",
+    [
+        ("train", "train.steps=abc"),
+        ("train", "optimizer.bogus=1"),
+        ("train", "model.capacity.capacity_factor=abc"),
+        ("train", 'train.aux_weight="x"'),
+        ("grad-check", 'grad_check.instances="two"'),
+        ("train", 'model.depth="2"'),
+        ("train", "model.depth=2.5"),
+        ("train", "model.capacity=5"),
+        ("train", "model.evf_layer_indices=5"),
+        ("train", 'model.image_noise="a"'),
+        ("train", 'optimizer.learning_rate="x"'),
+        ("train", "train.bogus=1"),
+        ("grad-check", "grad_check.bogus=1"),
+        ("train", "train.steps=true"),
+        ("train", 'train.stage="3"'),
+        ("allocate-trace", 'allocate_trace.strategies="gbpr"'),
+    ],
+)
+def test_mistyped_config_values_exit_2_and_write_nothing(tmp_path, capsys, command, override):
+    fixture = write_fixture(tmp_path / "f.json", [{"modality": "text", "logits": [1.0, 0.0]}])
+    extra = ["--fixture", fixture] if command == "allocate-trace" else []
+    rc = main([command, *extra, *TINY_MODEL, "--set", override, "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert_one_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "run" / "run_config.json").exists()
+
+
+def _leaf_paths(doc, prefix=""):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _leaf_paths(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}"
+
+
+LEAF_PATHS = sorted(_leaf_paths(_load_config(None, [])[0]))
+SECTION_PREFIXES = ["", "model.", "model.capacity.", "optimizer.", "train.", "grad_check.", "allocate_trace."]
+json_scalars = (
+    st.none() | st.booleans() | st.integers(0, 8) | st.integers() | st.floats(0, 1) | st.floats() | st.text(max_size=6)
+)
+json_values = (
+    json_scalars | st.lists(json_scalars, max_size=3) | st.dictionaries(st.text(max_size=4), json_scalars, max_size=2)
+)
+unknown_paths = st.builds(str.__add__, st.sampled_from(SECTION_PREFIXES), st.text("abcdefgh_", min_size=1, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(LEAF_PATHS), json_values), min_size=1, max_size=3),
+    st.lists(st.tuples(unknown_paths, json_values), max_size=1),
+)
+def test_config_loader_returns_a_run_config_or_raises_config_error(leaves, unknown):
+    overrides = [f"{path}={json.dumps(value)}" for path, value in leaves + unknown]
+    try:
+        _, run = _load_config(None, overrides)
+    except ConfigError:
+        return
+    assert isinstance(run, RunConfig)
+
+
 def test_output_root_env_prefixes_relative_dirs(tmp_path, monkeypatch):
     monkeypatch.setenv("EVF_OUTPUT_ROOT", str(tmp_path))
     monkeypatch.chdir(tmp_path)
@@ -230,6 +302,48 @@ def test_output_root_env_prefixes_relative_dirs(tmp_path, monkeypatch):
     # default directory also lands under the root
     assert main(["allocate-trace", "--fixture", fixture]) == 0
     assert (tmp_path / "evf-runs" / "allocate-trace" / "allocate_trace.json").exists()
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    out = tmp_path_factory.mktemp("ckpt")
+    assert main(["train", *TINY_MODEL, "--set", "train.steps=1", "--out", str(out)]) == 0
+    return (out / "model_final.ckpt").read_bytes()
+
+
+def _with_header(raw, header):
+    (old_len,) = struct.unpack("<I", raw[4:8])
+    return raw[:4] + struct.pack("<I", len(header)) + header + raw[8 + old_len:]
+
+
+def _with_tensor_entry(raw, index, key, delta):
+    (old_len,) = struct.unpack("<I", raw[4:8])
+    manifest = json.loads(raw[8 : 8 + old_len])
+    manifest["tensors"][index][key] += delta
+    return _with_header(raw, json.dumps(manifest).encode())
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda raw: raw[:6],
+        lambda raw: raw[:40],
+        lambda raw: raw[:4] + struct.pack("<I", 0x7FFFFFFF) + raw[8:],
+        lambda raw: raw[:-16],
+        lambda raw: _with_header(raw, b"[]"),
+        lambda raw: _with_header(raw, b'{"format_version":1}'),
+        lambda raw: _with_tensor_entry(raw, 0, "nbytes", 8),
+        lambda raw: _with_tensor_entry(raw, -1, "offset", 8),
+    ],
+    ids=["6-bytes", "40-bytes", "huge-header-length", "last-16-bytes-cut", "array-manifest",
+         "manifest-without-keys", "wrong-nbytes", "offset-past-end"],
+)
+def test_corrupt_checkpoint_exits_2(tmp_path, capsys, tiny_checkpoint, corrupt):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(corrupt(tiny_checkpoint))
+    rc = main(["train", *TINY_MODEL, "--set", f'train.init_checkpoint="{bad}"', "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert_one_error_line(capsys.readouterr().err)
 
 
 # ---------------------------------------------------------------------------
@@ -279,3 +393,30 @@ def test_telemetry_report_rejects_empty_input(tmp_path, capsys):
     rc = main(["telemetry-report", "--metrics", str(empty), "--out", str(tmp_path / "rep")])
     assert rc == 2
     assert "no layer telemetry" in capsys.readouterr().err
+
+
+GOOD_ROW = {"layer": 0, "strategy": "gbpr", "success_rate": 1, "drop_rate": 0}
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        {"layer": 0, "success_rate": 1, "drop_rate": 0},
+        {"layers": [{**GOOD_ROW, "layer": "x"}]},
+        [GOOD_ROW],
+        {"layers": [5]},
+        {"layers": 5},
+        {**GOOD_ROW, "layer": True},
+        {**GOOD_ROW, "strategy": 3},
+        {**GOOD_ROW, "success_rate": "high"},
+        {**GOOD_ROW, "drop_rate": None},
+    ],
+)
+def test_telemetry_report_rejects_malformed_rows(tmp_path, capsys, row):
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text(json.dumps(GOOD_ROW) + "\n" + json.dumps(row) + "\n")
+    rc = main(["telemetry-report", "--metrics", str(stream), "--out", str(tmp_path / "rep")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert_one_error_line(err)
+    assert f"{stream}: line 2" in err

@@ -3,6 +3,7 @@ the plain-numpy reference, stage-3 surgery, language preservation, the
 synthetic task, training loop artifacts, and the checkpoint container."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import oracles
 from evf import tensor as T
 from evf.allocator import CapacityConfig, Strategy
 from evf.checkpoint import load_model, save_model
+from evf.config import decode
 from evf.errors import ConfigError, ContractError
 from evf.model import (
     LANGUAGE_ONLY,
@@ -89,12 +91,12 @@ def test_model_config_validation_and_round_trip():
     with pytest.raises(ConfigError):
         tiny_cfg(evf_layer_indices=(5,))
     with pytest.raises(ConfigError):
-        ModelConfig.from_json_dict({"depht": 4})
+        decode(ModelConfig, {"depht": 4}, "model")
     with pytest.raises(ConfigError):
-        ModelConfig.from_json_dict({"strategy": "greedy"})
+        decode(ModelConfig, {"strategy": "greedy"}, "model")
     cfg = tiny_cfg(strategy="gbpr")
     assert cfg.strategy is Strategy.GBPR
-    again = ModelConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
+    again = decode(ModelConfig, json.loads(json.dumps(asdict(cfg))), "model")
     assert again == cfg
 
 
