@@ -50,6 +50,9 @@ class TrainSection:
     aux_weight: float = 0.001
     init_checkpoint: str | None = None
 
+    def __post_init__(self) -> None:
+        TrainConfig(stage=self.stage, steps=self.steps)  # its range checks, before anything is written
+
 
 @dataclass(frozen=True)
 class GradCheckSection:
@@ -66,6 +69,13 @@ class GradCheckSection:
     # full run still covers every scalar exactly once.
     partition_scalars: bool = True
     corrupt_gradient: bool = False
+
+    def __post_init__(self) -> None:
+        for name, low in (("instances", 1), ("batch_sequences", 1), ("text_len", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        if not self.epsilon > 0:
+            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -106,8 +116,8 @@ def _load_config(path: str | None, overrides: list[str]) -> tuple[dict, RunConfi
             text = fh.read()
         try:
             file_cfg = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+        except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"{path}: config root must be an object")
         cfg = _deep_merge(cfg, file_cfg)
@@ -118,7 +128,7 @@ def _load_config(path: str | None, overrides: list[str]) -> tuple[dict, RunConfi
         parts = dotted.split(".")
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:
             value = raw
         node = cfg = dict(cfg)
         for part in parts[:-1]:
@@ -220,8 +230,8 @@ def _parse_fixture(path: str, capacity: CapacityConfig) -> tuple[CapacityConfig,
         text = fh.read()
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FixtureError(f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:
+        raise FixtureError(f"{path}: parse error: {exc}") from exc
     if not isinstance(doc, dict):
         raise FixtureError(f"{path}: fixture root must be an object")
     overlay = {key: doc[key] for key in ("capacity_factor", "redistribution_fraction", "seed") if key in doc}
@@ -323,8 +333,8 @@ def _layer_records(paths: list[str]) -> list[_LayerRecord]:
                     continue
                 try:
                     row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise FixtureError(f"{path}: parse error at line {line_no}: {exc.msg}") from exc
+                except ValueError as exc:
+                    raise FixtureError(f"{path}: parse error at line {line_no}: {exc}") from exc
                 try:
                     if isinstance(row, dict) and "layers" in row:
                         if not isinstance(row["layers"], list):

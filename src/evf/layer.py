@@ -58,16 +58,8 @@ class FfnParams:
         return self.w_up.data.shape[0]
 
     @property
-    def hidden(self) -> int:
-        return self.w_up.data.shape[1]
-
-    @property
     def trainable(self) -> bool:
         return self.w_up.trainable
-
-    def set_trainable(self, flag: bool) -> None:
-        for p in (self.w_up, self.b_up, self.w_down, self.b_down):
-            p.set_trainable(flag)
 
     def parameters(self) -> list[tuple[str, T.Parameter]]:
         return [("w_up", self.w_up), ("b_up", self.b_up), ("w_down", self.w_down), ("b_down", self.b_down)]
@@ -121,12 +113,6 @@ class EvfLayerParams:
     @property
     def width(self) -> int:
         return self.language_ffn.width
-
-    def parameters(self) -> list[tuple[str, T.Parameter]]:
-        named = [("router.weight", self.router.weight)]
-        named += [(f"language_ffn.{k}", p) for k, p in self.language_ffn.parameters()]
-        named += [(f"vision_ffn.{k}", p) for k, p in self.vision_ffn.parameters()]
-        return named
 
 
 @dataclass

@@ -80,8 +80,9 @@ class ModelConfig:
         for name in ("depth", "width", "heads", "hidden", "vocab", "image_feature_dim", "num_keys", "text_len", "batch_sequences", "max_seq_len"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.image_tokens < 0:
-            raise ConfigError(f"image_tokens must be non-negative, got {self.image_tokens}")
+        for name in ("image_tokens", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.width % self.heads != 0:
             raise ConfigError(f"width {self.width} is not divisible by heads {self.heads}")
         if self.image_tokens + self.text_len > self.max_seq_len:
@@ -355,21 +356,10 @@ def _packed_mask(seq_ids: np.ndarray) -> np.ndarray:
 
 
 def _attention(attn: AttentionParams, x: T.Tensor, mask: np.ndarray) -> T.Tensor:
-    d = x.data.shape[1]
-    head_dim = d // attn.heads
     q = T.add_bias(T.matmul(x, attn.wq), attn.bq)
     k = T.add_bias(T.matmul(x, attn.wk), attn.bk)
     v = T.add_bias(T.matmul(x, attn.wv), attn.bv)
-    outs = []
-    for hd in range(attn.heads):
-        lo, hi = hd * head_dim, (hd + 1) * head_dim
-        qh = T.slice_cols(q, lo, hi)
-        kh = T.slice_cols(k, lo, hi)
-        vh = T.slice_cols(v, lo, hi)
-        scores = T.scale(T.matmul(qh, T.transpose(kh)), 1.0 / np.sqrt(head_dim))
-        weights = T.softmax_rows(T.add_constant(scores, mask))
-        outs.append(T.matmul(weights, vh))
-    return T.add_bias(T.matmul(T.concat_cols(outs), attn.wo), attn.bo)
+    return T.add_bias(T.matmul(T.attention(q, k, v, mask, attn.heads), attn.wo), attn.bo)
 
 
 def forward(

@@ -70,10 +70,6 @@ class Tensor:
         return out
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
     def size(self) -> int:
         return self.data.size
 
@@ -94,9 +90,6 @@ class Tensor:
         return scale(self, float(other))
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 class Parameter(Tensor):
@@ -164,14 +157,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return Tensor._from_op(a.data * c, (a,), (lambda g: g * c,))
 
 
-def add_constant(a: Tensor, const: Array) -> Tensor:
-    """Add a non-differentiable constant array (e.g. an attention mask)."""
-    const = np.asarray(const, dtype=np.float64)
-    if const.shape != a.data.shape:
-        raise ShapeError(f"add_constant: shapes {a.data.shape} and {const.shape} differ")
-    return Tensor._from_op(a.data + const, (a,), (lambda g: g,))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check_2d("matmul", a, b)
     if a.data.shape[1] != b.data.shape[0]:
@@ -181,11 +166,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         (a, b),
         (lambda g: g @ b.data.T, lambda g: a.data.T @ g),
     )
-
-
-def transpose(a: Tensor) -> Tensor:
-    _check_2d("transpose", a)
-    return Tensor._from_op(np.ascontiguousarray(a.data.T), (a,), (lambda g: g.T,))
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -241,25 +221,6 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
         return out
 
     return Tensor._from_op(np.ascontiguousarray(x.data[:, start:stop]), (x,), (vjp,))
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    parts = list(parts)
-    if not parts:
-        raise ContractError("concat_cols: no tensors given")
-    _check_2d("concat_cols", *parts)
-    rows = parts[0].data.shape[0]
-    for p in parts:
-        if p.data.shape[0] != rows:
-            raise ShapeError(f"concat_cols: row counts differ ({p.data.shape} vs {parts[0].data.shape})")
-    data = np.concatenate([p.data for p in parts], axis=1)
-    vjps = []
-    start = 0
-    for p in parts:
-        stop = start + p.data.shape[1]
-        vjps.append(lambda g, a=start, b=stop: g[:, a:b])
-        start = stop
-    return Tensor._from_op(data, tuple(parts), tuple(vjps))
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -340,6 +301,58 @@ def softmax_rows(x: Tensor) -> Tensor:
         return p * (g - inner)
 
     return Tensor._from_op(p, (x,), (vjp,))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: Array, heads: int) -> Tensor:
+    """Multi-head masked attention, softmax(q kᵀ / sqrt(hd) + mask) v.
+
+    Column block h, of width hd = d / heads, of the (n, d) inputs and of the
+    output is head h; the constant (n, n) mask is added to every head's
+    scores. All heads run as one batched op with the closed-form VJP.
+    """
+    _check_2d("attention", q)
+    _check_same_shape("attention", q, k)
+    _check_same_shape("attention", q, v)
+    n, d = q.data.shape
+    if np.shape(mask) != (n, n):
+        raise ShapeError(f"attention: mask shape {np.shape(mask)} does not match inputs {q.data.shape}")
+    if heads < 1 or d % heads:
+        raise ShapeError(f"attention: width {d} of {q.data.shape} does not split into {heads} heads")
+    hd = d // heads
+    c = float(1.0 / np.sqrt(hd))
+
+    # Contiguous per-head copies in and contiguous (n, d) arrays out, so the
+    # batched products make the same BLAS calls, bit for bit, as 2-d ones.
+    def split(a: Array) -> Array:
+        return np.ascontiguousarray(a.reshape(n, heads, hd).transpose(1, 0, 2))
+
+    def merge(a: Array) -> Array:
+        return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(n, d)
+
+    qh, vh = split(q.data), split(v.data)
+    kt = np.ascontiguousarray(k.data.reshape(n, heads, hd).transpose(1, 2, 0))
+    s = (qh @ kt) * c + mask
+    e = np.exp(s - s.max(axis=2, keepdims=True))
+    p = e / e.sum(axis=2, keepdims=True)
+    memo: list = []
+
+    def d_scores(g: Array) -> Array:
+        # Shared by the q and k closures. The memo holds g itself, so no
+        # later gradient can match it by a reused id.
+        if not memo or memo[0] is not g:
+            dp = split(g) @ vh.transpose(0, 2, 1)
+            memo[:] = (g, p * (dp - (dp * p).sum(axis=2, keepdims=True)) * c)
+        return memo[1]
+
+    return Tensor._from_op(
+        merge(p @ vh),
+        (q, k, v),
+        (
+            lambda g: merge(d_scores(g) @ kt.transpose(0, 2, 1)),
+            lambda g: merge((qh.transpose(0, 2, 1) @ d_scores(g)).transpose(0, 2, 1)),
+            lambda g: merge(p.transpose(0, 2, 1) @ split(g)),
+        ),
+    )
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

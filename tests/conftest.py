@@ -4,6 +4,7 @@ import pytest
 
 from evf.allocator import AllocationPlan
 from evf.router import RoutingDecision
+from evf.tensor import Tensor
 
 
 @pytest.fixture
@@ -22,4 +23,24 @@ def routing_objects_built(monkeypatch):
             _original(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counting)
+    return counts
+
+
+@pytest.fixture
+def tensor_ops_built(monkeypatch):
+    """Live counts of tensor op results and of those that are graph nodes.
+
+    ``Tensor._from_op`` is wrapped for the duration of one test; a result is
+    a graph node when it needs a gradient.
+    """
+    counts = {"ops": 0, "graph_nodes": 0}
+    original = Tensor._from_op
+
+    def counting(data, parents, vjps):
+        out = original(data, parents, vjps)
+        counts["ops"] += 1
+        counts["graph_nodes"] += out.requires_grad
+        return out
+
+    monkeypatch.setattr(Tensor, "_from_op", staticmethod(counting))
     return counts

@@ -247,6 +247,15 @@ def assert_one_error_line(err):
         ("train", "train.steps=true"),
         ("train", 'train.stage="3"'),
         ("allocate-trace", 'allocate_trace.strategies="gbpr"'),
+        ("train", "model.seed=-1"),
+        ("grad-check", "grad_check.seed=-1"),
+        ("train", "train.steps=-1"),
+        ("train", "train.stage=4"),
+        ("grad-check", "grad_check.instances=0"),
+        ("grad-check", "grad_check.instances=-1"),
+        ("grad-check", "grad_check.epsilon=0"),
+        ("grad-check", "grad_check.batch_sequences=0"),
+        ("grad-check", "grad_check.text_len=0"),
     ],
 )
 def test_mistyped_config_values_exit_2_and_write_nothing(tmp_path, capsys, command, override):
@@ -256,6 +265,28 @@ def test_mistyped_config_values_exit_2_and_write_nothing(tmp_path, capsys, comma
     assert rc == 2
     assert_one_error_line(capsys.readouterr().err)
     assert not (tmp_path / "run" / "run_config.json").exists()
+
+
+BIG_INT = "7" * 5000  # over the interpreter's 4300-digit limit for int()
+
+
+@pytest.mark.parametrize(
+    "command, flag, text",
+    [
+        ("train", "--set", f"train.steps={BIG_INT}"),
+        ("train", "--config", f'{{"train": {{"steps": {BIG_INT}}}}}'),
+        ("allocate-trace", "--fixture", f'{{"seed": {BIG_INT}, "tokens": []}}'),
+        ("telemetry-report", "--metrics", f'{{"layer": {BIG_INT}}}\n'),
+    ],
+    ids=["set", "config", "fixture", "telemetry"],
+)
+def test_integer_literal_over_the_digit_limit_exits_2(tmp_path, capsys, command, flag, text):
+    if flag != "--set":
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        text = str(path)
+    assert main([command, flag, text, "--out", str(tmp_path / "run")]) == 2
+    assert_one_error_line(capsys.readouterr().err)
 
 
 def _leaf_paths(doc, prefix=""):

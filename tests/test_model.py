@@ -169,6 +169,18 @@ def test_language_only_is_bitwise_identical_before_and_is_dense(routing_objects_
     assert got.tobytes() == dense_logits.tobytes()
 
 
+def test_default_stage3_loss_graph_size(tensor_ops_built):
+    model = build_model(ModelConfig())
+    enter_stage3(model)
+    batch = SyntheticTask(model.cfg).sample_batch(RngKey(0))
+    before = dict(tensor_ops_built)
+    compute_loss(model, batch, RngKey(1))
+    # Ops below the first trainable parameter (block 0's attention and
+    # everything before it at stage 3) are not graph nodes.
+    assert tensor_ops_built["ops"] - before["ops"] == 134
+    assert tensor_ops_built["graph_nodes"] - before["graph_nodes"] == 106
+
+
 def test_multimodal_without_images_routes_all_text_to_language():
     cfg = tiny_cfg(capacity=CapacityConfig(capacity_factor=2.0))
     model = build_model(cfg)
