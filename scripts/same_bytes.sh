@@ -1,0 +1,58 @@
+#!/usr/bin/env bash
+# Check that the working tree writes the same deterministic artifacts as a
+# git revision, byte for byte.
+#
+# Usage: scripts/same_bytes.sh REV
+#
+# Unpacks `git archive REV` into a temporary directory, then runs in that
+# tree and in the working tree, with one BLAS thread:
+#   evf train
+#   evf train --set model.batch_sequences=32 --set train.steps=10
+#   evf grad-check
+# and compares run_config.json, metrics.jsonl, telemetry.jsonl,
+# model_final.ckpt and grad_check_report.json with cmp. Exits 0 when every
+# file is identical, 1 on any difference and 2 on a usage or run error.
+set -euo pipefail
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 REV" >&2
+    exit 2
+fi
+rev=$1
+repo=$(git rev-parse --show-toplevel)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+mkdir "$work/base"
+git -C "$repo" archive "$rev" | tar -x -C "$work/base"
+
+export OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1
+unset EVF_OUTPUT_ROOT
+
+run_all() {  # run_all SRC_TREE OUT_DIR
+    local evf=(env PYTHONPATH="$1/src" python3 -m evf)
+    "${evf[@]}" train --out "$2/train" >/dev/null
+    "${evf[@]}" train --set model.batch_sequences=32 --set train.steps=10 --out "$2/train_s32" >/dev/null
+    "${evf[@]}" grad-check --out "$2/grad_check" >/dev/null
+}
+
+run_all "$work/base" "$work/out_base" || { echo "run failed in $rev" >&2; exit 2; }
+run_all "$repo" "$work/out_work" || { echo "run failed in the working tree" >&2; exit 2; }
+
+status=0
+for run in train train_s32 grad_check; do
+    if [ "$run" = grad_check ]; then
+        files="run_config.json grad_check_report.json"
+    else
+        files="run_config.json metrics.jsonl telemetry.jsonl model_final.ckpt"
+    fi
+    for f in $files; do
+        if cmp -s "$work/out_base/$run/$f" "$work/out_work/$run/$f"; then
+            echo "same     $run/$f"
+        else
+            echo "DIFFERS  $run/$f"
+            status=1
+        fi
+    done
+done
+exit $status

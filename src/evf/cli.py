@@ -35,7 +35,7 @@ from .allocator import CapacityConfig, ModalityTags, Strategy, allocate, allocat
 from .checkpoint import load_model
 from .config import decode
 from .errors import ConfigError, ContractError, EvfError, FixtureError, NumericError, UnstableInstanceError
-from .model import ModelConfig, SyntheticTask, TrainConfig, build_model, compute_loss, enter_stage3, train
+from .model import MicroModel, ModelConfig, SyntheticTask, TrainConfig, build_model, compute_loss, enter_stage3, train
 from .router import decision_from_logits
 from .seeds import RngKey
 from .training import OptimizerConfig, grad_check
@@ -74,8 +74,8 @@ class GradCheckSection:
         for name, low in (("instances", 1), ("batch_sequences", 1), ("text_len", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be at least {low}, got {getattr(self, name)}")
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon <= 1e-2:
+            raise ConfigError(f"epsilon must lie in (0, 1e-2], got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -160,11 +160,19 @@ def _write_run_config(out: Path, cfg: dict, command: str) -> None:
     _write_json(out / "run_config.json", {"command": command, **cfg})
 
 
+def _initial_model(run: RunConfig) -> MicroModel:
+    """The train.init_checkpoint model when set (run.model is then ignored), else a fresh one."""
+    if run.train.init_checkpoint:
+        return load_model(run.train.init_checkpoint)
+    return build_model(run.model)
+
+
 def cmd_grad_check(run: RunConfig, out: Path) -> int:
     gc = run.grad_check
-    model = build_model(run.model)
-    enter_stage3(model)
-    task = SyntheticTask(run.model)
+    model = _initial_model(run)
+    if model.stage != 3:
+        enter_stage3(model)
+    task = SyntheticTask(model.cfg)
     named = [(name, p) for name, p in model.trainable_parameters()]
 
     reports = []
@@ -293,10 +301,7 @@ def cmd_train(run: RunConfig, out: Path) -> int:
     tcfg = TrainConfig(
         stage=run.train.stage, steps=run.train.steps, optimizer=run.optimizer, aux_weight=run.train.aux_weight
     )
-    if run.train.init_checkpoint:
-        model = load_model(run.train.init_checkpoint)
-    else:
-        model = build_model(run.model)
+    model = _initial_model(run)
     task = SyntheticTask(model.cfg)
     result = train(model, task, tcfg, out_dir=out)
     first, last = result.metrics[0], result.metrics[-1]

@@ -26,7 +26,7 @@ def decode(cls, doc, where: str):
     """Build the dataclass ``cls`` from the JSON object ``doc`` found at ``where``."""
     here = where or "config"
     if not isinstance(doc, dict):
-        raise ConfigError(f"{here} must be an object, got {doc!r}")
+        raise ConfigError(f"{here} must be an object, got {_quote(doc)}")
     fields = {f.name: f for f in dataclasses.fields(cls)}
     unknown = sorted(set(doc) - set(fields))
     if unknown:
@@ -42,6 +42,12 @@ def decode(cls, doc, where: str):
         raise ConfigError(f"{where}: {exc}" if where else str(exc)) from exc
 
 
+def _quote(value) -> str:
+    """repr of value, cut to its first 60 characters when longer."""
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
+
+
 def _value(tp, value, where: str):
     origin = typing.get_origin(tp)
     if origin in (typing.Union, types.UnionType):  # X | None
@@ -49,7 +55,7 @@ def _value(tp, value, where: str):
         return None if value is None else _value(inner, value, where)
     if origin is tuple:
         if not isinstance(value, list):
-            raise ConfigError(f"{where} must be a list, got {value!r}")
+            raise ConfigError(f"{where} must be a list, got {_quote(value)}")
         item = typing.get_args(tp)[0]
         return tuple(_value(item, v, f"{where}[{i}]") for i, v in enumerate(value))
     if dataclasses.is_dataclass(tp):
@@ -57,10 +63,10 @@ def _value(tp, value, where: str):
     if issubclass(tp, enum.Enum):
         if value in [member.value for member in tp]:
             return tp(value)
-        raise ConfigError(f"{where} must be one of {[m.value for m in tp]}, got {value!r}")
+        raise ConfigError(f"{where} must be one of {[m.value for m in tp]}, got {_quote(value)}")
     if tp is bool or not isinstance(value, bool):
         if tp is float and isinstance(value, int) and abs(value) < 2**1023:
             return float(value)
         if isinstance(value, tp):
             return value
-    raise ConfigError(f"{where} must be {tp.__name__}, got {value!r}")
+    raise ConfigError(f"{where} must be {tp.__name__}, got {_quote(value)}")

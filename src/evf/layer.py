@@ -84,10 +84,7 @@ class FfnParams:
 
 def ffn_forward(p: FfnParams, x: T.Tensor) -> T.Tensor:
     """gelu(x @ w_up + b_up) @ w_down + b_down."""
-    if x.data.ndim != 2 or x.data.shape[1] != p.width:
-        raise ShapeError(f"ffn_forward: input shape {x.data.shape} does not match width {p.width}")
-    h = T.gelu(T.add_bias(T.matmul(x, p.w_up), p.b_up))
-    return T.add_bias(T.matmul(h, p.w_down), p.b_down)
+    return T.linear(T.gelu(T.linear(x, p.w_up, p.b_up)), p.w_down, p.b_down)
 
 
 @dataclass(eq=False)
@@ -109,10 +106,6 @@ class EvfLayerParams:
             raise ShapeError(
                 f"evf layer: router width {self.router.width} does not match FFN width {self.language_ffn.width}"
             )
-
-    @property
-    def width(self) -> int:
-        return self.language_ffn.width
 
 
 @dataclass
@@ -170,22 +163,14 @@ def forward_multimodal(
     factor keeps the router differentiable even though the assignment
     itself is discrete. Dropped tokens emit a zero row.
     """
-    if tokens.data.ndim != 2 or tokens.data.shape[1] != layer.width:
-        raise ShapeError(f"forward_multimodal: input shape {tokens.data.shape} does not match width {layer.width}")
-    n = tokens.data.shape[0]
     decision = route(layer.router, tokens)
     scores = priority_scores(decision, tags, layer.strategy)
     plan = allocate(decision, scores, tags, layer.capacity, layer.strategy, rng=rng)
 
-    out = T.Tensor(np.zeros((n, layer.width)))
-    for ffn_index, ffn in ((LANGUAGE_FFN, layer.language_ffn), (VISION_FFN, layer.vision_ffn)):
-        idx = plan.accepted[ffn_index]
-        if idx.size == 0:
-            continue
-        x_e = T.take_rows(tokens, idx)
-        y_e = ffn_forward(ffn, x_e)
-        gate = T.take_rows(T.slice_cols(decision.probabilities, ffn_index, ffn_index + 1), idx)
-        out = out + T.scatter_rows(T.scale_rows(y_e, gate), idx, n)
+    # An expert with no accepted tokens runs on a (0, width) input.
+    language = ffn_forward(layer.language_ffn, T.take_rows(tokens, plan.accepted[LANGUAGE_FFN]))
+    vision = ffn_forward(layer.vision_ffn, T.take_rows(tokens, plan.accepted[VISION_FFN]))
+    out = T.combine(decision.probabilities, [language, vision], plan.accepted)
 
     stats = allocation_stats(plan, tags)
     hist, _ = np.histogram(decision.probabilities.data[:, VISION_FFN], bins=_HISTOGRAM_BINS, range=(0.0, 1.0))

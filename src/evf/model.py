@@ -172,7 +172,7 @@ class VisionAdapter:
         return self.weight.data.shape[0]
 
     def project(self, features: T.Tensor) -> T.Tensor:
-        return T.add_bias(T.matmul(features, self.weight), self.bias)
+        return T.linear(features, self.weight, self.bias)
 
 
 @dataclass(eq=False)
@@ -356,10 +356,10 @@ def _packed_mask(seq_ids: np.ndarray) -> np.ndarray:
 
 
 def _attention(attn: AttentionParams, x: T.Tensor, mask: np.ndarray) -> T.Tensor:
-    q = T.add_bias(T.matmul(x, attn.wq), attn.bq)
-    k = T.add_bias(T.matmul(x, attn.wk), attn.bk)
-    v = T.add_bias(T.matmul(x, attn.wv), attn.bv)
-    return T.add_bias(T.matmul(T.attention(q, k, v, mask, attn.heads), attn.wo), attn.bo)
+    q = T.linear(x, attn.wq, attn.bq)
+    k = T.linear(x, attn.wk, attn.bk)
+    v = T.linear(x, attn.wv, attn.bv)
+    return T.linear(T.attention(q, k, v, mask, attn.heads), attn.wo, attn.bo)
 
 
 def forward(
@@ -439,7 +439,7 @@ def forward(
         x = x + ffn_out
 
     final = T.layer_norm(x, model.ln_final.gain, model.ln_final.bias)
-    logits = T.add_bias(T.matmul(final, model.head_weight), model.head_bias)
+    logits = T.linear(final, model.head_weight, model.head_bias)
     return ForwardResult(
         logits=logits,
         telemetry=telemetry,

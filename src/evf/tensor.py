@@ -189,38 +189,18 @@ def col_mean(a: Tensor) -> Tensor:
     )
 
 
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a 1-d bias vector to every row of a 2-d tensor."""
-    _check_2d("add_bias", x)
-    if b.data.ndim != 1 or b.data.shape[0] != x.data.shape[1]:
-        raise ShapeError(f"add_bias: bias shape {b.data.shape} does not match rows of {x.data.shape}")
-    return Tensor._from_op(x.data + b.data, (x, b), (lambda g: g, lambda g: g.sum(axis=0)))
-
-
-def scale_rows(x: Tensor, s: Tensor) -> Tensor:
-    """Multiply row i of x by scalar s[i]; s has shape (n, 1)."""
-    _check_2d("scale_rows", x, s)
-    if s.data.shape != (x.data.shape[0], 1):
-        raise ShapeError(f"scale_rows: scale shape {s.data.shape} does not match rows of {x.data.shape}")
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The affine map x @ w + b, with b a 1-d vector added to every row."""
+    _check_2d("linear", x, w)
+    if x.data.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"linear: inner dimensions disagree for {x.data.shape} @ {w.data.shape}")
+    if b.data.shape != (w.data.shape[1],):
+        raise ShapeError(f"linear: bias shape {b.data.shape} does not match weight {w.data.shape}")
     return Tensor._from_op(
-        x.data * s.data,
-        (x, s),
-        (lambda g: g * s.data, lambda g: (g * x.data).sum(axis=1, keepdims=True)),
+        x.data @ w.data + b.data,
+        (x, w, b),
+        (lambda g: g @ w.data.T, lambda g: x.data.T @ g, lambda g: g.sum(axis=0)),
     )
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    _check_2d("slice_cols", x)
-    d = x.data.shape[1]
-    if not (0 <= start < stop <= d):
-        raise ContractError(f"slice_cols: bounds [{start}, {stop}) invalid for width {d}")
-
-    def vjp(g: Array) -> Array:
-        out = np.zeros_like(x.data)
-        out[:, start:stop] = g
-        return out
-
-    return Tensor._from_op(np.ascontiguousarray(x.data[:, start:stop]), (x,), (vjp,))
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -264,17 +244,38 @@ def take_rows(x: Tensor, idx) -> Tensor:
     return Tensor._from_op(x.data[idx], (x,), (vjp,))
 
 
-def scatter_rows(x: Tensor, idx, n_rows: int) -> Tensor:
-    """Place rows of x at positions idx of an otherwise-zero (n_rows, d) tensor."""
-    _check_2d("scatter_rows", x)
-    idx = _check_row_index("scatter_rows", idx, n_rows)
-    if idx.size != x.data.shape[0]:
-        raise ContractError(f"scatter_rows: {idx.size} indices for {x.data.shape[0]} rows")
-    if np.unique(idx).size != idx.size:
-        raise ContractError("scatter_rows: duplicate row indices")
-    data = np.zeros((n_rows, x.data.shape[1]), dtype=np.float64)
-    data[idx] = x.data
-    return Tensor._from_op(data, (x,), (lambda g: g[idx],))
+def combine(gates: Tensor, outputs: Sequence[Tensor], rows) -> Tensor:
+    """The mixture-of-experts combine: gated expert rows placed in one (n, d) tensor.
+
+    Row ``rows[e][j]`` of the result is ``gates[rows[e][j], e] * outputs[e][j]``.
+    The index lists must be disjoint; rows in none of them are zero.
+    """
+    _check_2d("combine", gates, *outputs)
+    if not 0 < len(outputs) == len(rows) == gates.data.shape[1]:
+        raise ShapeError(f"combine: gates {gates.data.shape} for {len(outputs)} outputs and {len(rows)} index lists")
+    n, d = gates.data.shape[0], outputs[0].data.shape[1]
+    rows = [_check_row_index("combine", idx, n) for idx in rows]
+    if np.unique(np.concatenate(rows)).size != sum(idx.size for idx in rows):
+        raise ContractError("combine: a row is in more than one index list")
+    for y, idx in zip(outputs, rows):
+        if y.data.shape != (idx.size, d):
+            raise ShapeError(f"combine: output shape {y.data.shape} for {idx.size} rows of width {d}")
+    cols = [gates.data[idx, e][:, None] for e, idx in enumerate(rows)]
+    data = np.zeros((n, d))  # added into, so a -0.0 product lands as +0.0, as in a sum
+    for y, idx, col in zip(outputs, rows, cols):
+        data[idx] += y.data * col
+
+    def vjp_gates(g: Array) -> Array:
+        out = np.zeros_like(gates.data)
+        for e, (y, idx) in enumerate(zip(outputs, rows)):
+            out[idx, e] += (g[idx] * y.data).sum(axis=1)
+        return out
+
+    return Tensor._from_op(
+        data,
+        (gates, *outputs),
+        (vjp_gates, *[lambda g, idx=idx, col=col: g[idx] * col for idx, col in zip(rows, cols)]),
+    )
 
 
 def gelu(x: Tensor) -> Tensor:

@@ -10,8 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evf.checkpoint import load_model
 from evf.cli import RunConfig, _load_config, main
 from evf.errors import ConfigError
+from evf.model import SyntheticTask, compute_loss
+from evf.seeds import RngKey
 
 TINY_MODEL = [
     "--set", "model.depth=2",
@@ -70,6 +73,48 @@ def test_grad_check_with_nothing_trainable_is_an_empty_pass(tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "grad_check_report.json").read_text())
     assert report["checked_scalars"] == 0 and report["instances"] == []
+
+
+@pytest.mark.parametrize(
+    "strategy, capacity_factor, fraction",
+    [("gbpr", 0.6, 1.0), ("random", 0.6, 1.0), ("img_gbpr", 0.6, 0.0), ("img_gbpr", 0.9, 1.0), ("img_gbpr", 0.9, 0.0)],
+)
+def test_grad_check_from_a_trained_checkpoint_covers_dropped_and_moved_tokens(
+    tmp_path, strategy, capacity_factor, fraction
+):
+    # A fresh router ties every token at (0.5, 0.5), so every plan margin is
+    # 0; a few training steps give the probes stable over-capacity plans.
+    routing = [
+        "--set", f'model.strategy="{strategy}"',
+        "--set", f"model.capacity.capacity_factor={capacity_factor}",
+        "--set", f"model.capacity.redistribution_fraction={fraction}",
+    ]
+    assert main(["train", *TINY_MODEL, *routing, "--set", "train.steps=5", "--out", str(tmp_path / "train")]) == 0
+    ckpt = tmp_path / "train" / "model_final.ckpt"
+    # grad-check gets the same model section as train: a fresh model built
+    # from it has tied margins and exits 2, so passing means it loaded the
+    # trained checkpoint.
+    overrides = [f'train.init_checkpoint="{ckpt}"', "grad_check.instances=2"]
+    checkpoint_args = ["--set", overrides[0], "--set", overrides[1]]
+    assert main(["grad-check", *TINY_MODEL, *routing, *checkpoint_args, "--out", str(tmp_path / "check")]) == 0
+    report = json.loads((tmp_path / "check" / "grad_check_report.json").read_text())
+    assert report["max_rel_err"] < 1e-4 and len(report["instances"]) == 2
+
+    # Rerun each checked instance's forward: the check is vacuous unless its
+    # plans dropped or moved a token.
+    gc = _load_config(None, overrides)[1].grad_check
+    model = load_model(ckpt)
+    task = SyntheticTask(model.cfg)
+    dropped = moved = 0
+    for instance in report["instances"]:
+        key = RngKey(gc.seed).child(instance["instance_seed"])
+        batch = task.sample_batch(key.child(0), sequences=gc.batch_sequences, text_len=gc.text_len)
+        plans = compute_loss(model, batch, key.child(1)).forward.plans
+        dropped += sum(p.dropped.size for p in plans)
+        moved += sum(len(p.redistributed) for p in plans)
+    assert dropped + moved > 0
+    if (capacity_factor, fraction) == (0.9, 1.0):
+        assert moved > 0
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +299,8 @@ def assert_one_error_line(err):
         ("grad-check", "grad_check.instances=0"),
         ("grad-check", "grad_check.instances=-1"),
         ("grad-check", "grad_check.epsilon=0"),
+        ("grad-check", "grad_check.epsilon=1e308"),
+        ("grad-check", "grad_check.epsilon=Infinity"),
         ("grad-check", "grad_check.batch_sequences=0"),
         ("grad-check", "grad_check.text_len=0"),
     ],
@@ -274,11 +321,12 @@ BIG_INT = "7" * 5000  # over the interpreter's 4300-digit limit for int()
     "command, flag, text",
     [
         ("train", "--set", f"train.steps={BIG_INT}"),
+        ("train", "--set", f'model.strategy="{"x" * 5000}"'),
         ("train", "--config", f'{{"train": {{"steps": {BIG_INT}}}}}'),
         ("allocate-trace", "--fixture", f'{{"seed": {BIG_INT}, "tokens": []}}'),
         ("telemetry-report", "--metrics", f'{{"layer": {BIG_INT}}}\n'),
     ],
-    ids=["set", "config", "fixture", "telemetry"],
+    ids=["set", "set-string", "config", "fixture", "telemetry"],
 )
 def test_integer_literal_over_the_digit_limit_exits_2(tmp_path, capsys, command, flag, text):
     if flag != "--set":
@@ -286,7 +334,10 @@ def test_integer_literal_over_the_digit_limit_exits_2(tmp_path, capsys, command,
         path.write_text(text)
         text = str(path)
     assert main([command, flag, text, "--out", str(tmp_path / "run")]) == 2
-    assert_one_error_line(capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    # The line does not grow with the value; an input file's path is not counted.
+    assert len(err.replace(text, "<path>").encode()) < 200, err
 
 
 def _leaf_paths(doc, prefix=""):

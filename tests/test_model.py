@@ -177,8 +177,8 @@ def test_default_stage3_loss_graph_size(tensor_ops_built):
     compute_loss(model, batch, RngKey(1))
     # Ops below the first trainable parameter (block 0's attention and
     # everything before it at stage 3) are not graph nodes.
-    assert tensor_ops_built["ops"] - before["ops"] == 134
-    assert tensor_ops_built["graph_nodes"] - before["graph_nodes"] == 106
+    assert tensor_ops_built["ops"] - before["ops"] == 85
+    assert tensor_ops_built["graph_nodes"] - before["graph_nodes"] == 65
 
 
 def test_multimodal_without_images_routes_all_text_to_language():

@@ -67,10 +67,7 @@ def test_cross_entropy_uniform_logits_is_log_vocab():
 def test_ffn_composition_matches_scalar_oracle():
     x = rand(4, 6)
     w1, b1, w2, b2 = rand(6, 10), rand(10), rand(10, 6), rand(6)
-    got = T.add_bias(
-        T.matmul(T.gelu(T.add_bias(T.matmul(T.Tensor(x), T.Tensor(w1)), T.Tensor(b1))), T.Tensor(w2)),
-        T.Tensor(b2),
-    ).data
+    got = T.linear(T.gelu(T.linear(T.Tensor(x), T.Tensor(w1), T.Tensor(b1))), T.Tensor(w2), T.Tensor(b2)).data
     np.testing.assert_allclose(got, oracles.ffn_scalar(x, w1, b1, w2, b2), rtol=1e-11, atol=1e-12)
 
 
@@ -119,22 +116,39 @@ def test_grad_arithmetic_mix():
     )
 
 
-def test_grad_add_bias():
+def test_grad_linear():
     w = T.Tensor(rand(4, 3))
-    check_grads(lambda x, b: T.sum_all(T.mul(T.add_bias(x, b), w)), [rand(4, 3), rand(3)])
+    check_grads(lambda x, a, b: T.sum_all(T.mul(T.linear(x, a, b), w)), [rand(4, 5), rand(5, 3), rand(3)])
 
 
-def test_grad_scale_rows():
+def test_grad_combine_with_an_empty_expert_and_a_dropped_row():
+    # Row 2 is in no list, so it stays zero; expert 1 has no rows at all.
+    rows = [np.array([4, 0]), np.array([], dtype=np.int64), np.array([1, 3])]
     w = T.Tensor(rand(5, 3))
-    check_grads(lambda x, s: T.sum_all(T.mul(T.scale_rows(x, s), w)), [rand(5, 3), rand(5, 1)])
-
-
-def test_grad_overlapping_slice_cols():
-    w1, w2 = T.Tensor(rand(4, 2)), T.Tensor(rand(4, 2))
     check_grads(
-        lambda x: T.sum_all(T.mul(T.slice_cols(x, 0, 2), w1) + T.mul(T.slice_cols(x, 1, 3), w2)),
-        [rand(4, 5)],
+        lambda gates, y0, y1, y2: T.sum_all(T.mul(T.combine(gates, [y0, y1, y2], rows), w)),
+        [rand(5, 3), rand(2, 3), rand(0, 3), rand(2, 3)],
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(-1, 2), min_size=n, max_size=n), st.permutations(range(n)),
+)))
+def test_combine_matches_a_plain_loop(case):
+    # Each row goes to one of 3 experts or (-1) to none; rows within an
+    # expert come in a shuffled order.
+    n, owner, order = case
+    rng = np.random.default_rng(n)
+    rows = [np.array([i for i in order if owner[i] == e], dtype=np.int64) for e in range(3)]
+    gates = rng.normal(size=(n, 3))
+    outputs = [rng.normal(size=(idx.size, 4)) for idx in rows]
+    got = T.combine(T.Tensor(gates), [T.Tensor(y) for y in outputs], rows).data
+    want = np.zeros((n, 4))
+    for e, idx in enumerate(rows):
+        for j, i in enumerate(idx):
+            want[i] = gates[i, e] * outputs[e][j]
+    np.testing.assert_array_equal(got, want)
 
 
 def test_grad_concat_rows():
@@ -146,12 +160,6 @@ def test_grad_take_rows_with_repeats():
     idx = np.array([0, 2, 2, 1])
     w = T.Tensor(rand(4, 3))
     check_grads(lambda x: T.sum_all(T.mul(T.take_rows(x, idx), w)), [rand(3, 3)])
-
-
-def test_grad_scatter_rows():
-    idx = np.array([4, 0, 2])
-    w = T.Tensor(rand(6, 3))
-    check_grads(lambda x: T.sum_all(T.mul(T.scatter_rows(x, idx, 6), w)), [rand(3, 3)])
 
 
 def test_grad_gelu():
@@ -230,7 +238,7 @@ def test_grad_cross_entropy():
 def test_grad_full_ffn_block():
     check_grads(
         lambda x, w1, b1, w2, b2: T.sum_all(
-            T.add_bias(T.matmul(T.gelu(T.add_bias(T.matmul(x, w1), b1)), w2), b2)
+            T.linear(T.gelu(T.linear(x, w1, b1)), w2, b2)
         ),
         [rand(3, 4), rand(4, 6), rand(6), rand(6, 4), rand(4)],
         tol=1e-5,
@@ -311,10 +319,12 @@ def test_shape_errors_name_both_shapes():
         T.add(T.Tensor(rand(2, 3)), T.Tensor(rand(3, 3)))
     with pytest.raises(ShapeError, match=r"\(2, 3\) @ \(2, 3\)"):
         T.matmul(T.Tensor(rand(2, 3)), T.Tensor(rand(2, 3)))
-    with pytest.raises(ShapeError):
-        T.add_bias(T.Tensor(rand(2, 3)), T.Tensor(rand(4)))
-    with pytest.raises(ShapeError):
-        T.scale_rows(T.Tensor(rand(2, 3)), T.Tensor(rand(3, 1)))
+    with pytest.raises(ShapeError, match=r"\(2, 3\) @ \(2, 4\)"):
+        T.linear(T.Tensor(rand(2, 3)), T.Tensor(rand(2, 4)), T.Tensor(rand(4)))
+    with pytest.raises(ShapeError, match=r"\(3,\).*\(3, 4\)"):
+        T.linear(T.Tensor(rand(2, 3)), T.Tensor(rand(3, 4)), T.Tensor(rand(3)))
+    with pytest.raises(ShapeError, match=r"\(3, 2\) for 2 rows"):
+        T.combine(T.Tensor(rand(4, 2)), [T.Tensor(rand(3, 2)), T.Tensor(rand(1, 2))], [[0, 1], [2]])
     q = T.Tensor(rand(3, 4))
     with pytest.raises(ShapeError, match=r"\(3, 4\).*\(3, 2\)"):
         T.attention(q, T.Tensor(rand(3, 2)), q, np.zeros((3, 3)), 2)
@@ -330,10 +340,11 @@ def test_index_contracts():
     x = T.Tensor(rand(3, 2))
     with pytest.raises(ContractError):
         T.take_rows(x, [0, 3])
-    with pytest.raises(ContractError):
-        T.scatter_rows(x, [0, 0, 1], 5)
-    with pytest.raises(ContractError):
-        T.slice_cols(x, 1, 4)
+    gates, y = T.Tensor(rand(3, 2)), T.Tensor(rand(1, 2))
+    with pytest.raises(ContractError, match="more than one"):
+        T.combine(gates, [y, y], [[1], [1]])
+    with pytest.raises(ContractError, match="out of range"):
+        T.combine(gates, [y, y], [[0], [3]])
 
 
 def test_non_finite_values_are_rejected():
