@@ -8,6 +8,8 @@
 # tree and in the working tree, with one BLAS thread:
 #   evf train
 #   evf train --set model.batch_sequences=32 --set train.steps=10
+#   evf train --set model.capacity.capacity_factor=0.6 --set train.steps=30
+#     --set model.strategy=S, for S in gbpr, img_gbpr and random
 #   evf grad-check
 # and compares run_config.json, metrics.jsonl, telemetry.jsonl,
 # model_final.ckpt and grad_check_report.json with cmp. Exits 0 when every
@@ -29,10 +31,16 @@ git -C "$repo" archive "$rev" | tar -x -C "$work/base"
 export OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1
 unset EVF_OUTPUT_ROOT
 
+drop_strategies="gbpr img_gbpr random"
+
 run_all() {  # run_all SRC_TREE OUT_DIR
     local evf=(env PYTHONPATH="$1/src" python3 -m evf)
     "${evf[@]}" train --out "$2/train" >/dev/null
     "${evf[@]}" train --set model.batch_sequences=32 --set train.steps=10 --out "$2/train_s32" >/dev/null
+    for s in $drop_strategies; do  # capacity 0.6 drops tokens; img_gbpr also moves some
+        "${evf[@]}" train --set model.capacity.capacity_factor=0.6 --set train.steps=30 \
+            --set model.strategy=$s --out "$2/train_c06_$s" >/dev/null
+    done
     "${evf[@]}" grad-check --out "$2/grad_check" >/dev/null
 }
 
@@ -40,7 +48,7 @@ run_all "$work/base" "$work/out_base" || { echo "run failed in $rev" >&2; exit 2
 run_all "$repo" "$work/out_work" || { echo "run failed in the working tree" >&2; exit 2; }
 
 status=0
-for run in train train_s32 grad_check; do
+for run in train train_s32 $(printf 'train_c06_%s ' $drop_strategies) grad_check; do
     if [ "$run" = grad_check ]; then
         files="run_config.json grad_check_report.json"
     else

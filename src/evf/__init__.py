@@ -35,7 +35,6 @@ from .allocator import (
 from .layer import (
     EvfLayerParams,
     FfnParams,
-    LayerTelemetry,
     ffn_forward,
     forward_language_only,
     forward_multimodal,
@@ -44,7 +43,6 @@ from .layer import (
 from .training import (
     AdamW,
     GradCheckReport,
-    LossBreakdown,
     OptimizerConfig,
     StageSchedule,
     aux_loss,
@@ -52,9 +50,7 @@ from .training import (
     grad_check,
     learning_rate_at,
     parameter_digests,
-    regressive_loss,
     tensor_digest,
-    total_loss,
 )
 from .model import (
     MicroModel,
@@ -86,8 +82,6 @@ __all__ = [
     "FixtureError",
     "GradCheckReport",
     "LANGUAGE_FFN",
-    "LayerTelemetry",
-    "LossBreakdown",
     "MicroModel",
     "ModalityTags",
     "ModelConfig",
@@ -127,11 +121,9 @@ __all__ = [
     "load_model",
     "parameter_digests",
     "priority_scores",
-    "regressive_loss",
     "route",
     "save_model",
     "tensor_digest",
-    "total_loss",
     "train",
     "zero_grads",
 ]

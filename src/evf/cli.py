@@ -51,7 +51,8 @@ class TrainSection:
     init_checkpoint: str | None = None
 
     def __post_init__(self) -> None:
-        TrainConfig(stage=self.stage, steps=self.steps)  # its range checks, before anything is written
+        # TrainConfig's checks, before anything is written
+        TrainConfig(stage=self.stage, steps=self.steps, aux_weight=self.aux_weight)
 
 
 @dataclass(frozen=True)
@@ -167,9 +168,8 @@ def _initial_model(run: RunConfig) -> MicroModel:
     return build_model(run.model)
 
 
-def cmd_grad_check(run: RunConfig, out: Path) -> int:
+def cmd_grad_check(run: RunConfig, model: MicroModel, out: Path) -> int:
     gc = run.grad_check
-    model = _initial_model(run)
     if model.stage != 3:
         enter_stage3(model)
     task = SyntheticTask(model.cfg)
@@ -297,11 +297,10 @@ def cmd_allocate_trace(run: RunConfig, fixture_path: str, out: Path) -> int:
     return 0
 
 
-def cmd_train(run: RunConfig, out: Path) -> int:
+def cmd_train(run: RunConfig, model: MicroModel, out: Path) -> int:
     tcfg = TrainConfig(
         stage=run.train.stage, steps=run.train.steps, optimizer=run.optimizer, aux_weight=run.train.aux_weight
     )
-    model = _initial_model(run)
     task = SyntheticTask(model.cfg)
     result = train(model, task, tcfg, out_dir=out)
     first, last = result.metrics[0], result.metrics[-1]
@@ -422,14 +421,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg, run = _load_config(args.config, args.overrides)
+        model = None
+        if args.command in ("grad-check", "train"):
+            model = _initial_model(run)  # a checkpoint that fails to load writes nothing
+            if run.train.init_checkpoint:  # record the model that runs, not the ignored section
+                cfg = {**cfg, "model": asdict(model.cfg)}
         out = _resolve_out_dir(args.out, run, args.command)
         _write_run_config(out, cfg, args.command)
         if args.command == "grad-check":
-            return cmd_grad_check(run, out)
+            return cmd_grad_check(run, model, out)
         if args.command == "allocate-trace":
             return cmd_allocate_trace(run, args.fixture, out)
         if args.command == "train":
-            return cmd_train(run, out)
+            return cmd_train(run, model, out)
         if args.command == "telemetry-report":
             return cmd_telemetry_report(args.metrics, out)
         raise ContractError(f"unknown command {args.command!r}")

@@ -18,21 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .allocator import (
-    AllocationPlan,
-    AllocationStats,
-    CapacityConfig,
-    ModalityTags,
-    Strategy,
-    allocate,
-    allocation_stats,
-    priority_scores,
-)
+from .allocator import AllocationPlan, CapacityConfig, ModalityTags, Strategy, allocate, priority_scores
 from .errors import ShapeError
 from .router import LANGUAGE_FFN, VISION_FFN, RouterParams, RoutingDecision, route
 from .seeds import RngKey
-
-_HISTOGRAM_BINS = 10
 
 
 @dataclass(eq=False)
@@ -64,10 +53,10 @@ class FfnParams:
     def parameters(self) -> list[tuple[str, T.Parameter]]:
         return [("w_up", self.w_up), ("b_up", self.b_up), ("w_down", self.w_down), ("b_down", self.b_down)]
 
-    def copy(self, trainable: bool | None = None) -> "FfnParams":
-        """Bit-exact duplicate; optionally with a different freeze flag."""
+    def copy(self, trainable: bool) -> "FfnParams":
+        """Bit-exact duplicate with the given freeze flag."""
         def dup(p: T.Parameter) -> T.Parameter:
-            return T.Parameter(p.data.copy(), trainable=p.trainable if trainable is None else trainable)
+            return T.Parameter(p.data.copy(), trainable=trainable)
 
         return FfnParams(dup(self.w_up), dup(self.b_up), dup(self.w_down), dup(self.b_down))
 
@@ -108,43 +97,21 @@ class EvfLayerParams:
             )
 
 
-@dataclass
-class LayerTelemetry:
-    """One JSON-serializable record per layer per step."""
-
-    layer_index: int
-    strategy: str
-    stats: AllocationStats
-    vision_probability_histogram: list[int]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "layer": self.layer_index,
-            "strategy": self.strategy,
-            "vision_probability_histogram": self.vision_probability_histogram,
-            **self.stats.to_json_dict(),
-        }
-
-
 def init_stage3_from_dense(
     dense: FfnParams,
     capacity: CapacityConfig | None = None,
     strategy: Strategy = Strategy.IMG_GBPR,
-    *,
-    train_vision: bool = True,
-    train_language: bool = False,
 ) -> EvfLayerParams:
     """Duplicate a dense FFN into an EVF layer.
 
     Both FFNs start as bit-exact copies of the dense block; the router is
     zero-initialized, so the first forward routes every token at (0.5, 0.5).
-    By default the language copy is frozen and the vision copy and router
-    train.
+    The language copy is frozen; the vision copy and the router train.
     """
     return EvfLayerParams(
         router=RouterParams.zeros(dense.width, trainable=True),
-        language_ffn=dense.copy(trainable=train_language),
-        vision_ffn=dense.copy(trainable=train_vision),
+        language_ffn=dense.copy(trainable=False),
+        vision_ffn=dense.copy(trainable=True),
         capacity=capacity if capacity is not None else CapacityConfig(),
         strategy=strategy,
     )
@@ -155,8 +122,7 @@ def forward_multimodal(
     tokens: T.Tensor,
     tags: ModalityTags,
     rng: RngKey,
-    layer_index: int = -1,
-) -> tuple[T.Tensor, LayerTelemetry, RoutingDecision, AllocationPlan]:
+) -> tuple[T.Tensor, RoutingDecision, AllocationPlan]:
     """Route, allocate and apply the FFN pair to one flattened batch.
 
     Accepted tokens emit ``P(assigned FFN) * ffn(token)``; the probability
@@ -171,16 +137,7 @@ def forward_multimodal(
     language = ffn_forward(layer.language_ffn, T.take_rows(tokens, plan.accepted[LANGUAGE_FFN]))
     vision = ffn_forward(layer.vision_ffn, T.take_rows(tokens, plan.accepted[VISION_FFN]))
     out = T.combine(decision.probabilities, [language, vision], plan.accepted)
-
-    stats = allocation_stats(plan, tags)
-    hist, _ = np.histogram(decision.probabilities.data[:, VISION_FFN], bins=_HISTOGRAM_BINS, range=(0.0, 1.0))
-    telemetry = LayerTelemetry(
-        layer_index=layer_index,
-        strategy=layer.strategy.value,
-        stats=stats,
-        vision_probability_histogram=[int(c) for c in hist],
-    )
-    return out, telemetry, decision, plan
+    return out, decision, plan
 
 
 def forward_language_only(layer: EvfLayerParams, tokens: T.Tensor) -> T.Tensor:

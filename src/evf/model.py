@@ -14,34 +14,28 @@ the image pathway.
 
 from __future__ import annotations
 
+import json
+import math
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
 from . import tensor as T
-from .allocator import AllocationPlan, CapacityConfig, ModalityTags, Strategy
-from .errors import ConfigError, ContractError
-from .layer import EvfLayerParams, FfnParams, LayerTelemetry, ffn_forward, forward_language_only, forward_multimodal, init_stage3_from_dense
-from .router import RoutingDecision
+from .allocator import AllocationPlan, CapacityConfig, ModalityTags, Strategy, allocation_stats
+from .errors import ConfigError, ContractError, NumericError
+from .layer import EvfLayerParams, FfnParams, ffn_forward, forward_language_only, forward_multimodal, init_stage3_from_dense
+from .router import VISION_FFN, RoutingDecision
 from .seeds import RngKey
-from .training import (
-    AdamW,
-    LayerLoadStats,
-    LossBreakdown,
-    OptimizerConfig,
-    StageSchedule,
-    aux_loss,
-    learning_rate_at,
-    regressive_loss,
-    total_loss,
-)
+from .training import AdamW, LayerLoadStats, OptimizerConfig, StageSchedule, aux_loss, learning_rate_at
 
 MULTIMODAL = "multimodal"
 LANGUAGE_ONLY = "language_only"
 
 _MASKED = -1e30
+_HISTOGRAM_BINS = 10
 
 # RngKey domains under a model's seed.
 _INIT_DOMAIN = 0
@@ -337,7 +331,6 @@ def enter_stage3(model: MicroModel) -> MicroModel:
 @dataclass(eq=False)
 class ForwardResult:
     logits: T.Tensor
-    telemetry: list[LayerTelemetry]
     plans: list[AllocationPlan]
     decisions: list[RoutingDecision]
     tags: ModalityTags
@@ -417,7 +410,6 @@ def forward(
     mask = _packed_mask(np.asarray(seq_ids, dtype=np.int64))
     tags = batch.tags()
 
-    telemetry: list[LayerTelemetry] = []
     plans: list[AllocationPlan] = []
     decisions: list[RoutingDecision] = []
     for block in model.blocks:
@@ -428,10 +420,7 @@ def forward(
             if mode == LANGUAGE_ONLY:
                 ffn_out = forward_language_only(block.evf, pre_ffn)
             else:
-                ffn_out, tele, decision, plan = forward_multimodal(
-                    block.evf, pre_ffn, tags, rng.child(block.index), layer_index=block.index
-                )
-                telemetry.append(tele)
+                ffn_out, decision, plan = forward_multimodal(block.evf, pre_ffn, tags, rng.child(block.index))
                 decisions.append(decision)
                 plans.append(plan)
         else:
@@ -442,7 +431,6 @@ def forward(
     logits = T.linear(final, model.head_weight, model.head_bias)
     return ForwardResult(
         logits=logits,
-        telemetry=telemetry,
         plans=plans,
         decisions=decisions,
         tags=tags,
@@ -453,8 +441,12 @@ def forward(
 
 @dataclass(eq=False)
 class LossResult:
+    """The differentiable total plus the float values of its two terms."""
+
     total: T.Tensor
-    breakdown: LossBreakdown
+    regressive: float
+    aux: float
+    per_layer: tuple[LayerLoadStats, ...]
     forward: ForwardResult
 
 
@@ -464,20 +456,23 @@ def compute_loss(
     rng: RngKey | None = None,
     aux_weight: float = 0.001,
 ) -> LossResult:
-    """Forward pass plus the composed training loss on the text positions."""
+    """Forward pass plus ``regressive + aux_weight * aux`` on the text positions.
+
+    Raises :class:`NumericError` when any of the three values is not finite.
+    """
     fwd = forward(model, batch, MULTIMODAL, rng)
     if fwd.targets is None:
         raise ContractError("compute_loss requires targets on every sequence")
-    text_logits = T.take_rows(fwd.logits, fwd.text_rows)
-    reg = regressive_loss(text_logits, fwd.targets)
+    reg = T.cross_entropy(T.take_rows(fwd.logits, fwd.text_rows), fwd.targets)
     if fwd.plans:
         aux, per_layer = aux_loss(fwd.plans, fwd.decisions)
-        total = reg + T.scale(aux, aux_weight)
-        breakdown = total_loss(reg.item(), aux.item(), aux_weight, per_layer)
+        total, aux_value = reg + T.scale(aux, aux_weight), aux.item()
     else:
-        total = reg
-        breakdown = total_loss(reg.item(), 0.0, aux_weight)
-    return LossResult(total=total, breakdown=breakdown, forward=fwd)
+        total, aux_value, per_layer = reg, 0.0, ()
+    values = (reg.item(), aux_value, total.item())
+    if not all(math.isfinite(v) for v in values):
+        raise NumericError(f"compute_loss: non-finite (regressive, aux, total) {values}")
+    return LossResult(total, reg.item(), aux_value, per_layer, fwd)
 
 
 class SyntheticTask:
@@ -540,6 +535,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.steps < 0:
             raise ConfigError(f"steps must be non-negative, got {self.steps}")
+        if not 0.0 <= self.aux_weight < math.inf:
+            raise ConfigError(f"aux_weight must be finite and non-negative, got {self.aux_weight}")
         StageSchedule(self.stage)
 
 
@@ -550,16 +547,25 @@ class TrainResult:
     checkpoint_path: Path | None
 
 
-def _metrics_row(step: int, lr: float, result: LossResult) -> dict:
+def _metrics_row(cfg: ModelConfig, step: int, lr: float, result: LossResult) -> dict:
+    """One metrics row: the loss values and one telemetry record per elastic layer."""
+    fwd = result.forward
     layers = []
-    for tele, loads in zip(result.forward.telemetry, result.breakdown.per_layer):
-        layers.append({**tele.to_json_dict(), **asdict(loads)})
+    for index, plan, decision, loads in zip(cfg.evf_layer_indices, fwd.plans, fwd.decisions, result.per_layer):
+        hist, _ = np.histogram(decision.probabilities.data[:, VISION_FFN], bins=_HISTOGRAM_BINS, range=(0.0, 1.0))
+        layers.append({
+            "layer": index,
+            "strategy": plan.strategy.value,
+            "vision_probability_histogram": [int(c) for c in hist],
+            **allocation_stats(plan, fwd.tags).to_json_dict(),
+            **asdict(loads),
+        })
     return {
         "step": step,
         "lr": lr,
-        "loss_regressive": result.breakdown.regressive,
-        "loss_aux": result.breakdown.aux,
-        "loss_total": result.breakdown.total,
+        "loss_regressive": result.regressive,
+        "loss_aux": result.aux,
+        "loss_total": result.total.item(),
         "layers": layers,
     }
 
@@ -573,9 +579,10 @@ def train(
     """Run one curriculum stage for tcfg.steps updates.
 
     Emits one metrics row per step (loss measured before the update) plus a
-    final evaluation row at index tcfg.steps. When out_dir is given, writes
-    metrics.jsonl, telemetry.jsonl (one line per elastic layer per step)
-    and a final checkpoint.
+    final evaluation row at index tcfg.steps. When out_dir is given, each row
+    is appended to metrics.jsonl and telemetry.jsonl (one line per elastic
+    layer per step) as soon as it is produced, and a final checkpoint is
+    written at the end.
     """
     from . import checkpoint as ckpt
 
@@ -593,35 +600,43 @@ def train(
     params = model.parameters()
     optimizer = AdamW(params, tcfg.optimizer, max(1, tcfg.steps))
     rows: list[dict] = []
-    for step in range(tcfg.steps):
-        batch = task.sample_batch(base.child(_DATA_DOMAIN, step))
-        result = compute_loss(model, batch, base.child(_ALLOC_DOMAIN, step), tcfg.aux_weight)
-        T.zero_grads(params)
-        T.backward(result.total)
-        lr = optimizer.step(step)
-        rows.append(_metrics_row(step, lr, result))
+    with ExitStack() as stack:
+        streams: list[TextIO] = []
+        if out_dir is not None:
+            out = Path(out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            streams = [stack.enter_context(open(out / name, "w", encoding="utf-8"))
+                       for name in ("metrics.jsonl", "telemetry.jsonl")]
 
-    final_batch = task.sample_batch(base.child(_DATA_DOMAIN, tcfg.steps))
-    final = compute_loss(model, final_batch, base.child(_ALLOC_DOMAIN, tcfg.steps), tcfg.aux_weight)
-    rows.append(_metrics_row(tcfg.steps, learning_rate_at(tcfg.optimizer, tcfg.steps, max(1, tcfg.steps)), final))
+        def record(step: int, lr: float, result: LossResult) -> None:
+            row = _metrics_row(model.cfg, step, lr, result)
+            rows.append(row)
+            if streams:
+                metrics, telemetry = streams
+                _write_jsonl(metrics, [row])
+                _write_jsonl(telemetry, [{"step": step, **layer} for layer in row["layers"]])
+
+        for step in range(tcfg.steps):
+            batch = task.sample_batch(base.child(_DATA_DOMAIN, step))
+            result = compute_loss(model, batch, base.child(_ALLOC_DOMAIN, step), tcfg.aux_weight)
+            T.zero_grads(params)
+            T.backward(result.total)
+            lr = optimizer.step(step)
+            record(step, lr, result)
+
+        final_batch = task.sample_batch(base.child(_DATA_DOMAIN, tcfg.steps))
+        final = compute_loss(model, final_batch, base.child(_ALLOC_DOMAIN, tcfg.steps), tcfg.aux_weight)
+        record(tcfg.steps, learning_rate_at(tcfg.optimizer, tcfg.steps, max(1, tcfg.steps)), final)
 
     checkpoint_path: Path | None = None
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_jsonl(out / "metrics.jsonl", rows)
-        _write_jsonl(
-            out / "telemetry.jsonl",
-            [{"step": row["step"], **layer} for row in rows for layer in row["layers"]],
-        )
         checkpoint_path = out / "model_final.ckpt"
         ckpt.save_model(model, checkpoint_path)
     return TrainResult(metrics=rows, model=model, checkpoint_path=checkpoint_path)
 
 
-def _write_jsonl(path: Path, rows: Sequence[dict]) -> None:
-    import json
-
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
+def _write_jsonl(fh: TextIO, rows: Sequence[dict]) -> None:
+    """Append one line per row and flush, so the rows are on disk as soon as they exist."""
+    for row in rows:
+        fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
+    fh.flush()

@@ -1,6 +1,7 @@
 """Losses, optimizer, stage freezing and gradient verification.
 
-The training objective is ``L_total = L_regressive + aux_weight * L_aux``.
+The training objective, composed by :func:`evf.model.compute_loss`, is
+``L_total = L_regressive + aux_weight * L_aux``.
 L_regressive is mean next-token cross-entropy. L_aux is the balance term
 ``F_lang * G_lang + F_vis * G_vis`` per elastic layer, averaged across those
 layers, where F is the discrete fraction of tokens each FFN accepted and G
@@ -12,14 +13,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import tensor as T
 from .allocator import AllocationPlan
-from .errors import ConfigError, ContractError, NumericError, UnstableInstanceError
+from .errors import ConfigError, ContractError, UnstableInstanceError
 from .router import LANGUAGE_FFN, VISION_FFN, RoutingDecision
 
 
@@ -32,20 +33,6 @@ class LayerLoadStats:
     g_vision: float
     g_language: float
     aux: float
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    regressive: float
-    aux: float
-    aux_weight: float
-    total: float
-    per_layer: tuple[LayerLoadStats, ...] = ()
-
-
-def regressive_loss(logits: T.Tensor, targets) -> T.Tensor:
-    """Mean negative log-likelihood of the target ids (scalar tensor)."""
-    return T.cross_entropy(logits, targets)
 
 
 def aux_loss(
@@ -82,29 +69,6 @@ def aux_loss(
         )
     total = T.scale(acc, 1.0 / len(plans))
     return total, tuple(per_layer)
-
-
-def total_loss(
-    regressive: float,
-    aux: float,
-    aux_weight: float = 0.001,
-    per_layer: Sequence[LayerLoadStats] = (),
-) -> LossBreakdown:
-    """Combine the loss terms into a breakdown record.
-
-    Pure bookkeeping over floats; the differentiable composition lives in
-    the training step, and the two must agree to rounding.
-    """
-    values = (regressive, aux, aux_weight)
-    if not all(math.isfinite(v) for v in values):
-        raise NumericError(f"total_loss: non-finite inputs {values}")
-    return LossBreakdown(
-        regressive=regressive,
-        aux=aux,
-        aux_weight=aux_weight,
-        total=regressive + aux_weight * aux,
-        per_layer=tuple(per_layer),
-    )
 
 
 @dataclass(frozen=True)

@@ -284,7 +284,7 @@ def test_a6_loss_arithmetic_and_balanced_auxiliary(stage3_run, verdict):
     model = build_model(cfg)
     enter_stage3(model)
     result = compute_loss(model, SyntheticTask(cfg).sample_batch(RngKey(5)), RngKey(6))
-    aux_gap = abs(result.breakdown.aux - 0.5)
+    aux_gap = abs(result.aux - 0.5)
     mass_gap = max(
         float(np.abs(d.probabilities.data.sum(axis=1) - 1.0).max())
         for d in result.forward.decisions
@@ -324,7 +324,7 @@ def test_a8_stage3_training_reduces_regressive_loss(stage3_run, verdict):
         losses = [
             compute_loss(
                 model, task.sample_batch(RngKey(9090, (i,))), RngKey(7070, (i,))
-            ).breakdown.regressive
+            ).regressive
             for i in range(20)
         ]
         return float(np.mean(losses))

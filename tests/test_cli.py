@@ -5,6 +5,7 @@ import csv
 import json
 import os
 import struct
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -303,6 +304,10 @@ def assert_one_error_line(err):
         ("grad-check", "grad_check.epsilon=Infinity"),
         ("grad-check", "grad_check.batch_sequences=0"),
         ("grad-check", "grad_check.text_len=0"),
+        ("train", "train.aux_weight=Infinity"),
+        ("train", "train.aux_weight=NaN"),
+        ("train", "train.aux_weight=-1"),
+        ("grad-check", "train.aux_weight=-Infinity"),
     ],
 )
 def test_mistyped_config_values_exit_2_and_write_nothing(tmp_path, capsys, command, override):
@@ -426,6 +431,26 @@ def test_corrupt_checkpoint_exits_2(tmp_path, capsys, tiny_checkpoint, corrupt):
     rc = main(["train", *TINY_MODEL, "--set", f'train.init_checkpoint="{bad}"', "--out", str(tmp_path / "run")])
     assert rc == 2
     assert_one_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "grad-check"])
+def test_run_config_records_the_checkpoint_model(tmp_path, tiny_checkpoint, command):
+    """The model section is ignored when a checkpoint is loaded, so the
+    recorded config names the checkpoint's model instead."""
+    ckpt = tmp_path / "tiny.ckpt"
+    ckpt.write_bytes(tiny_checkpoint)
+    rc = main([
+        command,
+        "--set", f'train.init_checkpoint="{ckpt}"',
+        "--set", "train.steps=1",
+        "--set", "grad_check.instances=1",
+        "--out", str(tmp_path / "run"),
+    ])
+    assert rc == 0
+    recorded = json.loads((tmp_path / "run" / "run_config.json").read_text())["model"]
+    assert (recorded["depth"], recorded["width"]) == (2, 8)
+    assert recorded == json.loads(json.dumps(asdict(load_model(ckpt).cfg)))
 
 
 # ---------------------------------------------------------------------------

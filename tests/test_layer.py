@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from evf import tensor as T
-from evf.allocator import CapacityConfig, ModalityTags, Strategy
+from evf.allocator import CapacityConfig, ModalityTags, Strategy, allocation_stats
 from evf.errors import ShapeError
 from evf.layer import (
     EvfLayerParams,
@@ -55,12 +55,6 @@ def test_stage3_init_duplicates_weights_bit_exactly():
     assert not layer.language_ffn.trainable
 
 
-def test_stage3_init_trainability_overrides():
-    layer = init_stage3_from_dense(dense_ffn(), train_vision=False, train_language=True)
-    assert layer.language_ffn.trainable
-    assert not layer.vision_ffn.trainable
-
-
 def test_zero_router_output_is_half_the_dense_output():
     """Right after duplication, every gate sits at 0.5 and both FFNs equal
     the dense block, so the layer emits exactly half the dense output as
@@ -68,17 +62,18 @@ def test_zero_router_output_is_half_the_dense_output():
     dense = dense_ffn(3)
     layer = init_stage3_from_dense(dense, CapacityConfig(capacity_factor=2.0))
     x = np.random.default_rng(1).normal(size=(8, WIDTH))
-    out, tele, _, plan = forward_multimodal(layer, T.Tensor(x), tags_of("iittttit"), RngKey(0))
+    tags = tags_of("iittttit")
+    out, _, plan = forward_multimodal(layer, T.Tensor(x), tags, RngKey(0))
     assert plan.dropped.size == 0
     want = 0.5 * ffn_forward(dense, T.Tensor(x)).data
     np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
-    assert tele.stats.success_rate == 1.0
+    assert allocation_stats(plan, tags).success_rate == 1.0
 
 
 def test_dropped_tokens_emit_exact_zero_rows():
     layer = init_stage3_from_dense(dense_ffn(), CapacityConfig(capacity_factor=0.5, redistribution_fraction=0.0))
     x = np.random.default_rng(2).normal(size=(10, WIDTH))
-    out, _, _, plan = forward_multimodal(layer, T.Tensor(x), tags_of("iiiiiiiiii"), RngKey(0))
+    out, _, plan = forward_multimodal(layer, T.Tensor(x), tags_of("iiiiiiiiii"), RngKey(0))
     assert plan.dropped.size > 0
     for tok in plan.dropped:
         np.testing.assert_array_equal(out.data[tok], np.zeros(WIDTH))
@@ -99,7 +94,7 @@ def test_layer_output_matches_token_by_token_oracle(strategy):
     )
     x = rng.normal(size=(12, WIDTH))
     is_image = rng.integers(2, size=12).astype(bool)
-    out, _, decision, plan = forward_multimodal(layer, T.Tensor(x), ModalityTags(is_image), RngKey(31))
+    out, decision, plan = forward_multimodal(layer, T.Tensor(x), ModalityTags(is_image), RngKey(31))
 
     oracle_plan = oracles.allocation_oracle(
         decision.probabilities.data, is_image, strategy.value,
@@ -140,7 +135,7 @@ def test_language_only_zero_input_gives_constant_rows():
 def test_gradients_flow_to_vision_and_router_but_not_language():
     layer = init_stage3_from_dense(dense_ffn(7), CapacityConfig(capacity_factor=2.0))
     x = np.random.default_rng(5).normal(size=(6, WIDTH))
-    out, _, _, _ = forward_multimodal(layer, T.Tensor(x), tags_of("iiittt"), RngKey(1))
+    out, _, _ = forward_multimodal(layer, T.Tensor(x), tags_of("iiittt"), RngKey(1))
     T.backward(T.sum_all(out))
     assert float(np.abs(layer.vision_ffn.w_up.grad).max()) > 0.0
     assert float(np.abs(layer.router.weight.grad).max()) > 0.0
@@ -164,7 +159,7 @@ def test_gate_gradient_matches_finite_differences_with_fixed_allocation():
             capacity=CapacityConfig(capacity_factor=2.0),
             strategy=Strategy.IMG_GBPR,
         )
-        out, _, _, _ = forward_multimodal(layer, T.Tensor(x), tags, RngKey(0))
+        out, _, _ = forward_multimodal(layer, T.Tensor(x), tags, RngKey(0))
         return T.sum_all(out)
 
     param = T.Parameter(weight0)
@@ -190,14 +185,3 @@ def test_layer_shape_contracts():
     with pytest.raises(ShapeError):
         ffn_forward(dense_ffn(), T.Tensor(np.zeros((2, WIDTH - 1))))
 
-
-def test_telemetry_record_shape():
-    layer = init_stage3_from_dense(dense_ffn())
-    x = np.random.default_rng(6).normal(size=(5, WIDTH))
-    _, tele, _, _ = forward_multimodal(layer, T.Tensor(x), tags_of("iittt"), RngKey(2), layer_index=4)
-    doc = tele.to_json_dict()
-    assert doc["layer"] == 4
-    assert doc["strategy"] == "img_gbpr"
-    assert len(doc["vision_probability_histogram"]) == 10
-    assert sum(doc["vision_probability_histogram"]) == 5
-    assert 0.0 <= doc["success_rate"] <= 1.0

@@ -10,10 +10,10 @@ import pytest
 
 import oracles
 from evf import tensor as T
-from evf.allocator import CapacityConfig, Strategy
+from evf.allocator import AllocationStats, CapacityConfig, Strategy
 from evf.checkpoint import load_model, save_model
 from evf.config import decode
-from evf.errors import ConfigError, ContractError
+from evf.errors import ConfigError, ContractError, NumericError
 from evf.model import (
     LANGUAGE_ONLY,
     MULTIMODAL,
@@ -181,6 +181,46 @@ def test_default_stage3_loss_graph_size(tensor_ops_built):
     assert tensor_ops_built["graph_nodes"] - before["graph_nodes"] == 65
 
 
+def test_compute_loss_builds_no_telemetry(monkeypatch):
+    """Allocation stats and the probability histogram are built where the
+    metrics rows are written, not by the loss a grad-check probe evaluates."""
+    counts = {"stats": 0, "histograms": 0}
+    stats_init, histogram = AllocationStats.__init__, np.histogram
+
+    def counting_stats(self, *args, **kwargs):
+        counts["stats"] += 1
+        stats_init(self, *args, **kwargs)
+
+    def counting_histogram(*args, **kwargs):
+        counts["histograms"] += 1
+        return histogram(*args, **kwargs)
+
+    monkeypatch.setattr(AllocationStats, "__init__", counting_stats)
+    monkeypatch.setattr(np, "histogram", counting_histogram)
+    cfg = tiny_cfg(depth=3)
+    model = build_model(cfg)
+    enter_stage3(model)
+    compute_loss(model, SyntheticTask(cfg).sample_batch(RngKey(3)), RngKey(4))
+    assert counts == {"stats": 0, "histograms": 0}
+    # the counters see the writer, so the zeros above are not vacuous
+    train(model, SyntheticTask(cfg), TrainConfig(stage=3, steps=1))
+    layers = len(cfg.evf_layer_indices)
+    assert counts == {"stats": 2 * layers, "histograms": 2 * layers}
+
+
+@pytest.mark.parametrize("name", ["head.bias", "blocks.0.evf.router.weight"])
+def test_compute_loss_rejects_non_finite(name):
+    """Huge but finite weights overflow the loss; compute_loss raises NumericError (exit 3 in the CLI)."""
+    cfg = tiny_cfg()
+    model = build_model(cfg)
+    enter_stage3(model)
+    param = {n: p for n, p, _ in model.named_parameters()}[name]
+    param.assign(np.arange(1.0, param.data.size + 1.0).reshape(param.data.shape) * 1e307)
+    batch = SyntheticTask(cfg).sample_batch(RngKey(3))
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-finite"):
+        compute_loss(model, batch, RngKey(4))
+
+
 def test_multimodal_without_images_routes_all_text_to_language():
     cfg = tiny_cfg(capacity=CapacityConfig(capacity_factor=2.0))
     model = build_model(cfg)
@@ -284,9 +324,9 @@ def test_short_training_reduces_loss_on_a_fixed_batch():
     model = build_model(cfg)
     task = SyntheticTask(cfg)
     probe = task.sample_batch(RngKey(777), sequences=8)
-    before = compute_loss(model, probe, RngKey(778)).breakdown.regressive
+    before = compute_loss(model, probe, RngKey(778)).regressive
     result = train(model, task, TrainConfig(stage=2, steps=150, optimizer=OptimizerConfig(learning_rate=5e-3)))
-    after = compute_loss(model, probe, RngKey(778)).breakdown.regressive
+    after = compute_loss(model, probe, RngKey(778)).regressive
     assert len(result.metrics) == 151
     assert after < before - 0.1
 
@@ -333,6 +373,56 @@ def test_metrics_and_telemetry_files(tmp_path):
     assert len(tele_rows) == 5 * len(cfg.evf_layer_indices)
     assert {r["layer"] for r in tele_rows} == set(cfg.evf_layer_indices)
     assert result.checkpoint_path == tmp_path / "model_final.ckpt"
+
+
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_telemetry_record_shape(tmp_path, strategy):
+    """At capacity factor 0.6 tokens are dropped, and each telemetry row still
+    partitions the batch and histograms every token's vision probability."""
+    cfg = tiny_cfg(capacity=CapacityConfig(capacity_factor=0.6), strategy=strategy)
+    train(build_model(cfg), SyntheticTask(cfg), TrainConfig(stage=3, steps=5), out_dir=tmp_path)
+    rows = [json.loads(line) for line in (tmp_path / "telemetry.jsonl").read_text().splitlines()]
+    assert [(r["step"], r["layer"]) for r in rows] == [(s, i) for s in range(6) for i in cfg.evf_layer_indices]
+    for row in rows:
+        assert row["strategy"] == strategy.value
+        assert len(row["vision_probability_histogram"]) == 10
+        assert sum(row["vision_probability_histogram"]) == row["n_tokens"]
+        assert row["accepted_language"] + row["accepted_vision"] + row["dropped"] == row["n_tokens"]
+        assert max(row["accepted_language"], row["accepted_vision"]) <= row["capacity"]
+        assert row["success_rate"] == (row["n_tokens"] - row["dropped"]) / row["n_tokens"]
+    assert any(row["dropped"] > 0 for row in rows)
+
+
+def row_counts(out_dir):
+    return tuple(len((out_dir / name).read_text().splitlines()) for name in ("metrics.jsonl", "telemetry.jsonl"))
+
+
+class FailingTask(SyntheticTask):
+    """The synthetic task, but the batch for step ``fail_at`` raises after
+    counting the rows already on disk."""
+
+    def __init__(self, cfg, out_dir, fail_at):
+        super().__init__(cfg)
+        self.out_dir, self.fail_at, self.seen = out_dir, fail_at, None
+
+    def sample_batch(self, key, sequences=None, text_len=None):
+        if self.fail_at == 0:
+            self.seen = row_counts(self.out_dir)
+            raise RuntimeError("killed")
+        self.fail_at -= 1
+        return super().sample_batch(key, sequences, text_len)
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_a_run_killed_at_step_k_leaves_k_rows(tmp_path, k):
+    cfg = tiny_cfg(depth=3)
+    task = FailingTask(cfg, tmp_path, k)
+    with pytest.raises(RuntimeError, match="killed"):
+        train(build_model(cfg), task, TrainConfig(stage=3, steps=6), out_dir=tmp_path)
+    rows = (k, k * len(cfg.evf_layer_indices))  # two elastic layers at depth 3
+    assert task.seen == rows  # on disk while the run was still going
+    assert row_counts(tmp_path) == rows
+    assert not (tmp_path / "model_final.ckpt").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 import oracles
 from evf import tensor as T
 from evf.allocator import CapacityConfig, ModalityTags, Strategy, allocate, priority_scores
-from evf.errors import ConfigError, ContractError, NumericError, UnstableInstanceError
+from evf.errors import ConfigError, ContractError, UnstableInstanceError
 from evf.router import RoutingDecision, LANGUAGE_FFN, VISION_FFN
 from evf.seeds import RngKey
 from evf.training import (
@@ -21,9 +21,7 @@ from evf.training import (
     grad_check,
     learning_rate_at,
     parameter_digests,
-    regressive_loss,
     tensor_digest,
-    total_loss,
 )
 
 
@@ -130,31 +128,6 @@ def test_aux_contract_errors():
     plan = plan_for(d, "t")
     with pytest.raises(ContractError):
         aux_loss([plan], [])
-
-
-# ---------------------------------------------------------------------------
-# loss composition
-
-
-def test_total_loss_arithmetic_is_exact():
-    br = total_loss(2.5, 0.4, aux_weight=0.001)
-    assert br.total == pytest.approx(2.5 + 0.001 * 0.4, abs=1e-15)
-    assert br.regressive == 2.5 and br.aux == 0.4 and br.aux_weight == 0.001
-
-
-def test_total_loss_rejects_non_finite():
-    with pytest.raises(NumericError):
-        total_loss(float("nan"), 0.0)
-    with pytest.raises(NumericError):
-        total_loss(1.0, float("inf"))
-
-
-def test_regressive_loss_is_cross_entropy():
-    rng = np.random.default_rng(9)
-    logits = rng.normal(size=(8, 12))
-    targets = rng.integers(12, size=8)
-    got = regressive_loss(T.Tensor(logits), targets).item()
-    assert got == pytest.approx(oracles.cross_entropy_scalar(logits, targets), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
