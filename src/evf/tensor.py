@@ -279,12 +279,13 @@ def combine(gates: Tensor, outputs: Sequence[Tensor], rows) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    u = _GELU_C * (x.data + _GELU_A * x.data**3)
+    # x * x * x, not x**3: numpy's pow is about 70x slower on these arrays.
+    u = _GELU_C * (x.data + _GELU_A * (x.data * x.data * x.data))
     t = np.tanh(u)
     data = 0.5 * x.data * (1.0 + t)
 
     def vjp(g: Array) -> Array:
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * x.data**2)
+        du = _GELU_C * (1.0 + 3.0 * _GELU_A * (x.data * x.data))
         return g * (0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du)
 
     return Tensor._from_op(data, (x,), (vjp,))
