@@ -1,9 +1,10 @@
 """A desk-scale decoder transformer with elastic FFN layers.
 
 Sequences are packed into one flattened token matrix (batch and sequence
-dimensions collapse) with a block-diagonal causal attention mask, so the
-elastic layers see the whole batch at once, which is the scope capacity is
-defined over. Each sequence is laid out image tokens first, then text.
+dimensions collapse), so the elastic layers see the whole batch at once,
+which is the scope capacity is defined over. Attention alone splits the
+rows back into sequences, each attending causally to itself only. Each
+sequence is laid out image tokens first, then text.
 
 The synthetic multimodal task: a hidden key, recoverable only from the
 image tokens, selects one of several fixed vocabulary permutations, and the
@@ -34,7 +35,6 @@ from .training import AdamW, LayerLoadStats, OptimizerConfig, StageSchedule, aux
 MULTIMODAL = "multimodal"
 LANGUAGE_ONLY = "language_only"
 
-_MASKED = -1e30
 _HISTOGRAM_BINS = 10
 
 # RngKey domains under a model's seed.
@@ -145,13 +145,6 @@ class TokenBatch:
     @property
     def total_tokens(self) -> int:
         return sum(s.length for s in self.sequences)
-
-    def tags(self) -> ModalityTags:
-        flags: list[bool] = []
-        for seq in self.sequences:
-            flags.extend([True] * seq.image_count)
-            flags.extend([False] * int(seq.text_ids.size))
-        return ModalityTags(np.asarray(flags, dtype=bool))
 
 
 @dataclass(eq=False)
@@ -341,18 +334,11 @@ class ForwardResult:
         return tuple(plan.signature() for plan in self.plans)
 
 
-def _packed_mask(seq_ids: np.ndarray) -> np.ndarray:
-    """Block-diagonal causal mask: attend within your sequence, backwards only."""
-    same = seq_ids[:, None] == seq_ids[None, :]
-    causal = np.arange(seq_ids.size)[None, :] <= np.arange(seq_ids.size)[:, None]
-    return np.where(same & causal, 0.0, _MASKED)
-
-
-def _attention(attn: AttentionParams, x: T.Tensor, mask: np.ndarray) -> T.Tensor:
+def _attention(attn: AttentionParams, x: T.Tensor, lengths: list[int]) -> T.Tensor:
     q = T.linear(x, attn.wq, attn.bq)
     k = T.linear(x, attn.wk, attn.bk)
     v = T.linear(x, attn.wv, attn.bv)
-    return T.linear(T.attention(q, k, v, mask, attn.heads), attn.wo, attn.bo)
+    return T.linear(T.attention(q, k, v, lengths, attn.heads), attn.wo, attn.bo)
 
 
 def forward(
@@ -376,12 +362,6 @@ def forward(
 
     cfg = model.cfg
     parts: list[T.Tensor] = []
-    positions: list[int] = []
-    seq_ids: list[int] = []
-    text_rows: list[int] = []
-    targets: list[int] = []
-    have_targets = True
-    offset = 0
     for si, seq in enumerate(batch.sequences):
         if seq.length > cfg.max_seq_len:
             raise ContractError(f"sequence {si} has {seq.length} tokens, max_seq_len is {cfg.max_seq_len}")
@@ -395,26 +375,19 @@ def forward(
                 )
             parts.append(model.adapter.project(T.Tensor(seq.image_features)))
         parts.append(T.take_rows(model.embed_tokens, seq.text_ids))
-        length = seq.length
-        positions.extend(range(length))
-        seq_ids.extend([si] * length)
-        text_rows.extend(range(offset + seq.image_count, offset + length))
-        if seq.targets is None:
-            have_targets = False
-        else:
-            targets.extend(int(t) for t in seq.targets)
-        offset += length
 
+    lengths = [seq.length for seq in batch.sequences]
+    positions = np.arange(sum(lengths)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    tags = ModalityTags(positions < np.repeat([seq.image_count for seq in batch.sequences], lengths))
+    targets = [seq.targets for seq in batch.sequences]
     x = T.concat_rows(parts)
-    x = x + T.take_rows(model.embed_positions, np.asarray(positions, dtype=np.int64))
-    mask = _packed_mask(np.asarray(seq_ids, dtype=np.int64))
-    tags = batch.tags()
+    x = x + T.take_rows(model.embed_positions, positions)
 
     plans: list[AllocationPlan] = []
     decisions: list[RoutingDecision] = []
     for block in model.blocks:
         normed = T.layer_norm(x, block.ln_attn.gain, block.ln_attn.bias)
-        x = x + _attention(block.attn, normed, mask)
+        x = x + _attention(block.attn, normed, lengths)
         pre_ffn = T.layer_norm(x, block.ln_ffn.gain, block.ln_ffn.bias)
         if block.evf is not None:
             if mode == LANGUAGE_ONLY:
@@ -434,8 +407,8 @@ def forward(
         plans=plans,
         decisions=decisions,
         tags=tags,
-        text_rows=np.asarray(text_rows, dtype=np.int64),
-        targets=np.asarray(targets, dtype=np.int64) if have_targets else None,
+        text_rows=np.flatnonzero(~tags.is_image),
+        targets=None if any(t is None for t in targets) else np.concatenate(targets),
     )
 
 

@@ -11,6 +11,7 @@ frozen parameters are excluded from both the walk and the update step.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -305,54 +306,73 @@ def softmax_rows(x: Tensor) -> Tensor:
     return Tensor._from_op(p, (x,), (vjp,))
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask: Array, heads: int) -> Tensor:
-    """Multi-head masked attention, softmax(q kᵀ / sqrt(hd) + mask) v.
+@functools.lru_cache(maxsize=64)
+def _causal_mask(length: int) -> Array:
+    """Read-only additive causal mask: 0 where key <= query, -1e30 above."""
+    mask = np.triu(np.full((length, length), -1e30), 1)
+    mask.setflags(write=False)
+    return mask
 
-    Column block h, of width hd = d / heads, of the (n, d) inputs and of the
-    output is head h; the constant (n, n) mask is added to every head's
-    scores. All heads run as one batched op with the closed-form VJP.
+
+def attention(q: Tensor, k: Tensor, v: Tensor, lengths: Sequence[int], heads: int) -> Tensor:
+    """Per-sequence multi-head causal attention, softmax(q kᵀ / sqrt(hd) + causal) v.
+
+    The (n, d) inputs hold consecutive sequences of the given lengths, each
+    attending causally to itself only; column block h, of width hd = d / heads,
+    is head h. All run as one batched (B, heads, L, hd) op, L = max(lengths),
+    with the closed-form VJP. A shorter sequence is padded at its end with
+    rows the causal mask hides from its real queries, dropped on the way out.
     """
     _check_2d("attention", q)
     _check_same_shape("attention", q, k)
     _check_same_shape("attention", q, v)
     n, d = q.data.shape
-    if np.shape(mask) != (n, n):
-        raise ShapeError(f"attention: mask shape {np.shape(mask)} does not match inputs {q.data.shape}")
+    sizes = np.asarray(lengths, dtype=np.int64)
+    if sizes.ndim != 1 or not sizes.size or sizes.min() < 1 or sizes.sum() != n:
+        raise ShapeError(f"attention: lengths {tuple(sizes.tolist())} do not split the rows of {q.data.shape}")
     if heads < 1 or d % heads:
         raise ShapeError(f"attention: width {d} of {q.data.shape} does not split into {heads} heads")
-    hd = d // heads
+    B, L, hd = sizes.size, int(sizes.max()), d // heads
     c = float(1.0 / np.sqrt(hd))
+    # Rows of the padded (B * L, d) layout that hold real tokens; with equal
+    # lengths there is no padding and the reshapes below are views.
+    real = None if B * L == n else np.flatnonzero(np.arange(L) < sizes[:, None])
 
     # Contiguous per-head copies in and contiguous (n, d) arrays out, so the
     # batched products make the same BLAS calls, bit for bit, as 2-d ones.
-    def split(a: Array) -> Array:
-        return np.ascontiguousarray(a.reshape(n, heads, hd).transpose(1, 0, 2))
+    def split(a: Array, axes: tuple[int, ...] = (0, 2, 1, 3)) -> Array:
+        if real is not None:
+            full = np.zeros((B * L, d))
+            full[real] = a
+            a = full
+        return np.ascontiguousarray(a.reshape(B, L, heads, hd).transpose(axes))
 
     def merge(a: Array) -> Array:
-        return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(n, d)
+        out = np.ascontiguousarray(a.transpose(0, 2, 1, 3)).reshape(B * L, d)
+        return out if real is None else out[real]
 
     qh, vh = split(q.data), split(v.data)
-    kt = np.ascontiguousarray(k.data.reshape(n, heads, hd).transpose(1, 2, 0))
-    s = (qh @ kt) * c + mask
-    e = np.exp(s - s.max(axis=2, keepdims=True))
-    p = e / e.sum(axis=2, keepdims=True)
+    kt = split(k.data, (0, 2, 3, 1))
+    s = (qh @ kt) * c + _causal_mask(L)
+    e = np.exp(s - s.max(axis=3, keepdims=True))
+    p = e / e.sum(axis=3, keepdims=True)
     memo: list = []
 
     def d_scores(g: Array) -> Array:
         # Shared by the q and k closures. The memo holds g itself, so no
         # later gradient can match it by a reused id.
         if not memo or memo[0] is not g:
-            dp = split(g) @ vh.transpose(0, 2, 1)
-            memo[:] = (g, p * (dp - (dp * p).sum(axis=2, keepdims=True)) * c)
+            dp = split(g) @ vh.transpose(0, 1, 3, 2)
+            memo[:] = (g, p * (dp - (dp * p).sum(axis=3, keepdims=True)) * c)
         return memo[1]
 
     return Tensor._from_op(
         merge(p @ vh),
         (q, k, v),
         (
-            lambda g: merge(d_scores(g) @ kt.transpose(0, 2, 1)),
-            lambda g: merge((qh.transpose(0, 2, 1) @ d_scores(g)).transpose(0, 2, 1)),
-            lambda g: merge(p.transpose(0, 2, 1) @ split(g)),
+            lambda g: merge(d_scores(g) @ kt.transpose(0, 1, 3, 2)),
+            lambda g: merge((qh.transpose(0, 1, 3, 2) @ d_scores(g)).transpose(0, 1, 3, 2)),
+            lambda g: merge(p.transpose(0, 1, 3, 2) @ split(g)),
         ),
     )
 

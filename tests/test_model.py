@@ -135,6 +135,25 @@ def test_dense_forward_matches_reference():
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
 
+def test_each_sequence_attends_only_to_itself():
+    """In a mixed-length batch, a sequence's logits are those it has run alone."""
+    cfg = tiny_cfg()
+    model = build_model(cfg)
+    gen = np.random.default_rng(4)
+    sequences = [
+        SequenceSample(text_ids=[1, 2, 3, 4], image_features=gen.normal(size=(2, cfg.image_feature_dim))),
+        SequenceSample(text_ids=[5, 6, 7]),
+        SequenceSample(text_ids=[8]),
+    ]
+    logits = forward(model, TokenBatch(sequences)).logits.data
+    start = 0
+    for seq in sequences:
+        alone = forward(model, TokenBatch([seq])).logits.data
+        np.testing.assert_allclose(logits[start:start + seq.length], alone, rtol=0, atol=1e-12)
+        start += seq.length
+    assert start == logits.shape[0]
+
+
 def test_stage3_with_slack_capacity_equals_half_gated_dense_reference():
     """With zero routers, duplicated FFNs and capacity for everyone, each
     elastic block contributes exactly half its dense output."""

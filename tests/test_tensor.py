@@ -180,7 +180,7 @@ def _packed_causal_mask(seq_ids):
 def test_attention_matches_per_head_oracle():
     q, k, v = rand(5, 6), rand(5, 6), rand(5, 6)
     mask = _packed_causal_mask([0, 0, 0, 1, 1])
-    got = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), mask, 3).data
+    got = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), [3, 2], 3).data
     for h in range(3):
         cols = slice(2 * h, 2 * h + 2)
         scores = oracles.matmul_loops(q[:, cols], k[:, cols].T) / np.sqrt(2.0) + mask
@@ -188,11 +188,30 @@ def test_attention_matches_per_head_oracle():
         np.testing.assert_allclose(got[:, cols], want, rtol=1e-12, atol=1e-13)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 7), min_size=1, max_size=6),
+    st.sampled_from([(1, 1), (1, 3), (2, 1), (2, 2), (3, 2)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_attention_per_sequence_matches_packed_mask_oracle(lengths, heads_hd, seed):
+    heads, hd = heads_hd
+    n, d = sum(lengths), heads * hd
+    gen = np.random.default_rng(seed)
+    q, k, v = (gen.normal(size=(n, d)) for _ in range(3))
+    mask = _packed_causal_mask(np.repeat(np.arange(len(lengths)), lengths))
+    got = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), lengths, heads).data
+    for h in range(heads):
+        cols = slice(h * hd, (h + 1) * hd)
+        scores = oracles.matmul_loops(q[:, cols], k[:, cols].T) / np.sqrt(hd) + mask
+        want = oracles.matmul_loops(oracles.softmax_rows_scalar(scores), v[:, cols])
+        np.testing.assert_allclose(got[:, cols], want, rtol=1e-12, atol=1e-13)
+
+
 def test_grad_attention():
-    mask = _packed_causal_mask([0, 0, 0, 1, 1])
     w = T.Tensor(rand(5, 4))
     check_grads(
-        lambda q, k, v: T.sum_all(T.mul(T.attention(q, k, v, mask, 2), w)),
+        lambda q, k, v: T.sum_all(T.mul(T.attention(q, k, v, [3, 2], 2), w)),
         [rand(5, 4), rand(5, 4), rand(5, 4)],
     )
 
@@ -200,14 +219,13 @@ def test_grad_attention():
 def test_attention_backward_twice_through_one_node():
     # The q and k closures share one score gradient per incoming gradient;
     # a second backward pass through the same node must not reuse the first.
-    mask = _packed_causal_mask([0, 0, 1, 1])
     w1, w2 = rand(4, 4), rand(4, 4)
     q, k, v = (T.Parameter(rand(4, 4)) for _ in range(3))
-    out = T.attention(q, k, v, mask, 2)
+    out = T.attention(q, k, v, [2, 2], 2)
     T.backward(T.sum_all(T.mul(out, T.Tensor(w1))))
     T.backward(T.sum_all(T.mul(out, T.Tensor(w2))))
     once = [T.Parameter(p.data) for p in (q, k, v)]
-    T.backward(T.sum_all(T.mul(T.attention(*once, mask, 2), T.Tensor(w1 + w2))))
+    T.backward(T.sum_all(T.mul(T.attention(*once, [2, 2], 2), T.Tensor(w1 + w2))))
     for got, want in zip((q, k, v), once):
         np.testing.assert_allclose(got.grad, want.grad, rtol=1e-12, atol=1e-12)
 
@@ -327,13 +345,13 @@ def test_shape_errors_name_both_shapes():
         T.combine(T.Tensor(rand(4, 2)), [T.Tensor(rand(3, 2)), T.Tensor(rand(1, 2))], [[0, 1], [2]])
     q = T.Tensor(rand(3, 4))
     with pytest.raises(ShapeError, match=r"\(3, 4\).*\(3, 2\)"):
-        T.attention(q, T.Tensor(rand(3, 2)), q, np.zeros((3, 3)), 2)
+        T.attention(q, T.Tensor(rand(3, 2)), q, [3], 2)
     with pytest.raises(ShapeError, match=r"\(3, 4\).*\(2, 4\)"):
-        T.attention(q, q, T.Tensor(rand(2, 4)), np.zeros((3, 3)), 2)
+        T.attention(q, q, T.Tensor(rand(2, 4)), [3], 2)
     with pytest.raises(ShapeError, match=r"\(2, 2\).*\(3, 4\)"):
-        T.attention(q, q, q, np.zeros((2, 2)), 2)
+        T.attention(q, q, q, [2, 2], 2)
     with pytest.raises(ShapeError, match=r"\(3, 4\).*3 heads"):
-        T.attention(q, q, q, np.zeros((3, 3)), 3)
+        T.attention(q, q, q, [3], 3)
 
 
 def test_index_contracts():
