@@ -3,14 +3,16 @@
 Layout: 4-byte magic, little-endian uint32 manifest length, the manifest
 JSON (sorted keys), then each tensor's C-order ``<f8`` bytes at the offset
 the manifest records. Writing the same model twice produces byte-identical
-files. Loading validates the layout and the manifest before reading any
-tensor, so a truncated or corrupt file raises :class:`ContractError`.
+files, and a file is renamed into place only once it is complete. Loading
+validates the layout and the manifest before reading any tensor, so a
+truncated or corrupt file raises :class:`ContractError`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,12 +56,16 @@ def save_model(model: MicroModel, path: Path | str) -> None:
         offset += len(data)
     manifest = _Manifest(FORMAT_VERSION, model.stage, model.cfg, "<f8", tuple(entries))
     header = json.dumps(manifest, default=vars, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in (MAGIC, struct.pack("<I", len(header)), header, *blobs):
+                fh.write(chunk)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # only left when the write failed
 
 
 def load_model(path: Path | str) -> MicroModel:

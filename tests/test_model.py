@@ -486,6 +486,23 @@ def test_checkpoint_writes_are_byte_identical(tmp_path):
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
+def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    model = build_model(tiny_cfg())
+    save_model(model, path)
+    before = path.read_bytes()
+    enter_stage3(model)
+
+    def full_disk(fd):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("os.fsync", full_disk)
+    with pytest.raises(OSError, match="No space"):
+        save_model(model, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"NOPE" + b"\x00" * 64)
