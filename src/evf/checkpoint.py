@@ -3,8 +3,9 @@
 Layout: 4-byte magic, little-endian uint32 manifest length, the manifest
 JSON (sorted keys), then each tensor's C-order ``<f8`` bytes at the offset
 the manifest records. Writing the same model twice produces byte-identical
-files, and a file is renamed into place only once it is complete. Loading
-validates the layout and the manifest before reading any tensor, so a
+files. A file is renamed into place only once it is complete, and its
+directory is synced after the rename, so the new file survives a crash.
+Loading validates the layout and the manifest before reading any tensor, so a
 truncated or corrupt file raises :class:`ContractError`.
 """
 
@@ -66,6 +67,11 @@ def save_model(model: MicroModel, path: Path | str) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)  # only left when the write failed
+    fd = os.open(Path(path).parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def load_model(path: Path | str) -> MicroModel:

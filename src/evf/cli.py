@@ -113,11 +113,10 @@ def _load_config(path: str | None, overrides: list[str]) -> tuple[dict, RunConfi
     # default "every even block" placement instead of keeping stale indices.
     cfg["model"]["evf_layer_indices"] = None
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
         try:
-            file_cfg = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
+            with open(path, "r", encoding="utf-8") as fh:
+                file_cfg = json.loads(fh.read())
+        except ValueError as exc:  # not UTF-8, JSONDecodeError, or an integer literal over the digit limit
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"{path}: config root must be an object")
@@ -234,11 +233,10 @@ def cmd_grad_check(run: RunConfig, model: MicroModel, out: Path) -> int:
 
 def _parse_fixture(path: str, capacity: CapacityConfig) -> tuple[CapacityConfig, list[str], np.ndarray]:
     """The fixture's tokens, with its capacity fields overlaid on ``capacity``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        doc = json.loads(text)
-    except ValueError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.loads(fh.read())
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise FixtureError(f"{path}: parse error: {exc}") from exc
     if not isinstance(doc, dict):
         raise FixtureError(f"{path}: fixture root must be an object")
@@ -331,23 +329,27 @@ def _layer_records(paths: list[str]) -> list[_LayerRecord]:
     records = []
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                except ValueError as exc:
-                    raise FixtureError(f"{path}: parse error at line {line_no}: {exc}") from exc
-                try:
-                    if isinstance(row, dict) and "layers" in row:
-                        if not isinstance(row["layers"], list):
-                            raise ConfigError(f"layers must be a list, got {row['layers']!r}")
-                        records.extend(_layer_record(e, f"layers[{i}]") for i, e in enumerate(row["layers"]))
-                    elif not isinstance(row, dict) or "layer" in row:
-                        records.append(_layer_record(row, "row"))
-                except ConfigError as exc:
-                    raise FixtureError(f"{path}: line {line_no}: {exc}") from exc
+            try:
+                lines = fh.read().split("\n")
+            except UnicodeDecodeError as exc:
+                raise FixtureError(f"{path}: not UTF-8 text: {exc}") from exc
+        for line_no, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except ValueError as exc:
+                raise FixtureError(f"{path}: parse error at line {line_no}: {exc}") from exc
+            try:
+                if isinstance(row, dict) and "layers" in row:
+                    if not isinstance(row["layers"], list):
+                        raise ConfigError(f"layers must be a list, got {row['layers']!r}")
+                    records.extend(_layer_record(e, f"layers[{i}]") for i, e in enumerate(row["layers"]))
+                elif not isinstance(row, dict) or "layer" in row:
+                    records.append(_layer_record(row, "row"))
+            except ConfigError as exc:
+                raise FixtureError(f"{path}: line {line_no}: {exc}") from exc
     return records
 
 
@@ -419,33 +421,36 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        cfg, run = _load_config(args.config, args.overrides)
-        model = None
-        if args.command in ("grad-check", "train"):
-            model = _initial_model(run)  # a checkpoint that fails to load writes nothing
-            if run.train.init_checkpoint:  # record the model that runs, not the ignored section
-                cfg = {**cfg, "model": asdict(model.cfg)}
-        out = _resolve_out_dir(args.out, run, args.command)
-        _write_run_config(out, cfg, args.command)
-        if args.command == "grad-check":
-            return cmd_grad_check(run, model, out)
-        if args.command == "allocate-trace":
-            return cmd_allocate_trace(run, args.fixture, out)
-        if args.command == "train":
-            return cmd_train(run, model, out)
-        if args.command == "telemetry-report":
-            return cmd_telemetry_report(args.metrics, out)
-        raise ContractError(f"unknown command {args.command!r}")
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except EvfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    # An overflow or invalid value anywhere ends the run like a non-finite
+    # result does, with exit 3 and one line, not with warnings and exit 0.
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        try:
+            cfg, run = _load_config(args.config, args.overrides)
+            model = None
+            if args.command in ("grad-check", "train"):
+                model = _initial_model(run)  # a checkpoint that fails to load writes nothing
+                if run.train.init_checkpoint:  # record the model that runs, not the ignored section
+                    cfg = {**cfg, "model": asdict(model.cfg)}
+            out = _resolve_out_dir(args.out, run, args.command)
+            _write_run_config(out, cfg, args.command)
+            if args.command == "grad-check":
+                return cmd_grad_check(run, model, out)
+            if args.command == "allocate-trace":
+                return cmd_allocate_trace(run, args.fixture, out)
+            if args.command == "train":
+                return cmd_train(run, model, out)
+            if args.command == "telemetry-report":
+                return cmd_telemetry_report(args.metrics, out)
+            raise ContractError(f"unknown command {args.command!r}")
+        except (NumericError, FloatingPointError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except EvfError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 4
 
 
 if __name__ == "__main__":

@@ -361,27 +361,37 @@ def forward(
         rng = RngKey(model.cfg.seed).child(_EVAL_DOMAIN)
 
     cfg = model.cfg
-    parts: list[T.Tensor] = []
-    for si, seq in enumerate(batch.sequences):
+    seqs = batch.sequences
+    for si, seq in enumerate(seqs):
         if seq.length > cfg.max_seq_len:
             raise ContractError(f"sequence {si} has {seq.length} tokens, max_seq_len is {cfg.max_seq_len}")
-        if int(seq.text_ids.max()) >= cfg.vocab or int(seq.text_ids.min()) < 0:
-            raise ContractError(f"sequence {si} has token ids outside [0, {cfg.vocab})")
-        if seq.image_count:
-            if seq.image_features.shape[1] != model.adapter.feature_dim:
-                raise ContractError(
-                    f"sequence {si} image feature dim {seq.image_features.shape[1]} "
-                    f"does not match adapter dim {model.adapter.feature_dim}"
-                )
-            parts.append(model.adapter.project(T.Tensor(seq.image_features)))
-        parts.append(T.take_rows(model.embed_tokens, seq.text_ids))
+        if seq.image_count and seq.image_features.shape[1] != model.adapter.feature_dim:
+            raise ContractError(
+                f"sequence {si} image feature dim {seq.image_features.shape[1]} "
+                f"does not match adapter dim {model.adapter.feature_dim}"
+            )
+    text_ids = np.concatenate([seq.text_ids for seq in seqs])
+    if text_ids.min() < 0 or text_ids.max() >= cfg.vocab:
+        si = next(si for si, seq in enumerate(seqs) if seq.text_ids.min() < 0 or seq.text_ids.max() >= cfg.vocab)
+        raise ContractError(f"sequence {si} has token ids outside [0, {cfg.vocab})")
 
-    lengths = [seq.length for seq in batch.sequences]
+    lengths = [seq.length for seq in seqs]
+    image_counts = [seq.image_count for seq in seqs]
     positions = np.arange(sum(lengths)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    tags = ModalityTags(positions < np.repeat([seq.image_count for seq in batch.sequences], lengths))
-    targets = [seq.targets for seq in batch.sequences]
-    x = T.concat_rows(parts)
-    x = x + T.take_rows(model.embed_positions, positions)
+    tags = ModalityTags(positions < np.repeat(image_counts, lengths))
+    text_rows = np.flatnonzero(~tags.is_image)
+    targets = [seq.targets for seq in seqs]
+    # One gather embeds the whole batch: image rows are projected together and
+    # stacked above the token table, so row j of the table is image row j and
+    # row n_img + t is token t.
+    table, rows, n_img = model.embed_tokens, text_ids, sum(image_counts)
+    if n_img:
+        images = model.adapter.project(T.Tensor(np.concatenate([s.image_features for s in seqs if s.image_count])))
+        table = T.concat_rows([images, model.embed_tokens])
+        rows = np.empty(positions.size, dtype=np.int64)
+        rows[tags.is_image] = np.arange(n_img)
+        rows[text_rows] = text_ids + n_img
+    x = T.take_rows(table, rows) + T.take_rows(model.embed_positions, positions)
 
     plans: list[AllocationPlan] = []
     decisions: list[RoutingDecision] = []
@@ -407,7 +417,7 @@ def forward(
         plans=plans,
         decisions=decisions,
         tags=tags,
-        text_rows=np.flatnonzero(~tags.is_image),
+        text_rows=text_rows,
         targets=None if any(t is None for t in targets) else np.concatenate(targets),
     )
 
@@ -470,8 +480,8 @@ class SyntheticTask:
         out = []
         for _ in range(n_seq):
             k = int(gen.integers(cfg.num_keys))
-            feats = np.tile(self.key_vectors[k], (cfg.image_tokens, 1))
-            feats = feats + cfg.image_noise * gen.normal(size=feats.shape)
+            noise = cfg.image_noise * gen.normal(size=(cfg.image_tokens, cfg.image_feature_dim))
+            feats = self.key_vectors[k] + noise
             ids = gen.integers(cfg.vocab, size=length)
             out.append(
                 SequenceSample(
@@ -571,6 +581,7 @@ def train(
 
     base = RngKey(model.cfg.seed)
     params = model.parameters()
+    trainable = [p for p in params if p.trainable]
     optimizer = AdamW(params, tcfg.optimizer, max(1, tcfg.steps))
     rows: list[dict] = []
     with ExitStack() as stack:
@@ -592,7 +603,7 @@ def train(
         for step in range(tcfg.steps):
             batch = task.sample_batch(base.child(_DATA_DOMAIN, step))
             result = compute_loss(model, batch, base.child(_ALLOC_DOMAIN, step), tcfg.aux_weight)
-            T.zero_grads(params)
+            T.zero_grads(trainable)
             T.backward(result.total)
             lr = optimizer.step(step)
             record(step, lr, result)

@@ -7,6 +7,13 @@ once in reverse topological order and accumulates gradients into leaves.
 
 Gradient flow can be cut per leaf (``requires_grad=False``), which is how
 frozen parameters are excluded from both the walk and the update step.
+
+Ops and their closures write in place only into arrays they allocated
+themselves, never into an input's ``data`` and never into the incoming
+gradient ``g``: a closure may return ``g`` itself or a view of it (``add``,
+``concat_rows``), so one array can be the gradient of several nodes, and
+:func:`backward` accumulates out of place. In-place steps keep the operation
+order of the plain expression they replace, so they give the same bits.
 """
 
 from __future__ import annotations
@@ -197,8 +204,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear: inner dimensions disagree for {x.data.shape} @ {w.data.shape}")
     if b.data.shape != (w.data.shape[1],):
         raise ShapeError(f"linear: bias shape {b.data.shape} does not match weight {w.data.shape}")
+    data = x.data @ w.data
+    data += b.data
     return Tensor._from_op(
-        x.data @ w.data + b.data,
+        data,
         (x, w, b),
         (lambda g: g @ w.data.T, lambda g: x.data.T @ g, lambda g: g.sum(axis=0)),
     )
@@ -280,14 +289,35 @@ def combine(gates: Tensor, outputs: Sequence[Tensor], rows) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    # x * x * x, not x**3: numpy's pow is about 70x slower on these arrays.
-    u = _GELU_C * (x.data + _GELU_A * (x.data * x.data * x.data))
-    t = np.tanh(u)
-    data = 0.5 * x.data * (1.0 + t)
+    a = x.data
+    # t = tanh(C * (a + A * a³)), with a * a * a, not a**3: numpy's pow is
+    # about 70x slower on these arrays.
+    t = a * a
+    t *= a
+    t *= _GELU_A
+    t += a
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    data = 0.5 * a
+    data *= 1.0 + t
 
     def vjp(g: Array) -> Array:
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * (x.data * x.data))
-        return g * (0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du)
+        # g * (0.5 * (1 + t) + 0.5 * a * (1 - t²) * C * (1 + 3A * a²)); only
+        # t is kept from the forward, the rest is recomputed here.
+        du = a * a
+        du *= 3.0 * _GELU_A
+        du += 1.0
+        du *= _GELU_C
+        out = t * t
+        np.subtract(1.0, out, out=out)
+        tail = 0.5 * a
+        tail *= out
+        tail *= du
+        np.add(t, 1.0, out=out)
+        out *= 0.5
+        out += tail
+        out *= g
+        return out
 
     return Tensor._from_op(data, (x,), (vjp,))
 
@@ -353,17 +383,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, lengths: Sequence[int], heads: in
 
     qh, vh = split(q.data), split(v.data)
     kt = split(k.data, (0, 2, 3, 1))
-    s = (qh @ kt) * c + _causal_mask(L)
-    e = np.exp(s - s.max(axis=3, keepdims=True))
-    p = e / e.sum(axis=3, keepdims=True)
+    p = qh @ kt  # scores, then their row softmax, in one buffer
+    p *= c
+    p += _causal_mask(L)
+    p -= p.max(axis=3, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=3, keepdims=True)
     memo: list = []
 
     def d_scores(g: Array) -> Array:
         # Shared by the q and k closures. The memo holds g itself, so no
         # later gradient can match it by a reused id.
         if not memo or memo[0] is not g:
-            dp = split(g) @ vh.transpose(0, 1, 3, 2)
-            memo[:] = (g, p * (dp - (dp * p).sum(axis=3, keepdims=True)) * c)
+            ds = split(g) @ vh.transpose(0, 1, 3, 2)
+            ds -= (ds * p).sum(axis=3, keepdims=True)
+            ds *= p
+            ds *= c
+            memo[:] = (g, ds)
         return memo[1]
 
     return Tensor._from_op(
@@ -389,18 +425,23 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(
             f"layer_norm: gain {gain.data.shape} / bias {bias.data.shape} do not match width {d}"
         )
-    mu = x.data.mean(axis=1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    data = xhat * gain.data + bias.data
+    xhat = x.data - x.data.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=1, keepdims=True) + eps)
+    xhat *= inv
+    data = xhat * gain.data
+    data += bias.data
 
     def vjp_x(g: Array) -> Array:
+        # inv * (gx - mean(gx) - xhat * mean(gx * xhat)), gx = g * gain
         gx = g * gain.data
         m1 = gx.mean(axis=1, keepdims=True)
-        m2 = (gx * xhat).mean(axis=1, keepdims=True)
-        return inv * (gx - m1 - xhat * m2)
+        tmp = gx * xhat
+        m2 = tmp.mean(axis=1, keepdims=True)
+        np.multiply(xhat, m2, out=tmp)
+        gx -= m1
+        gx -= tmp
+        gx *= inv
+        return gx
 
     return Tensor._from_op(
         data,
@@ -418,19 +459,18 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         raise ContractError(f"cross_entropy: targets shape {targets.shape} does not match {n} rows")
     if targets.size and (targets.min() < 0 or targets.max() >= v):
         raise ContractError(f"cross_entropy: target id out of range [0, {v})")
-    zmax = logits.data.max(axis=1, keepdims=True)
-    z = logits.data - zmax
-    e = np.exp(z)
-    denom = e.sum(axis=1, keepdims=True)
-    logp = z - np.log(denom)
+    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    p = np.exp(z)
+    denom = p.sum(axis=1, keepdims=True)
     rows = np.arange(n)
-    data = np.asarray(-logp[rows, targets].mean())
-    p = e / denom
+    data = np.asarray(-(z[rows, targets] - np.log(denom[:, 0])).mean())
+    p /= denom
 
     def vjp(g: Array) -> Array:
         out = p.copy()
         out[rows, targets] -= 1.0
-        return out * (float(g) / n)
+        out *= float(g) / n
+        return out
 
     return Tensor._from_op(data, (logits,), (vjp,))
 
@@ -472,11 +512,8 @@ def backward(loss: Tensor) -> None:
                     continue
                 contrib = vjp(g)
                 acc = grads.get(id(parent))
-                if acc is None:
-                    # Copy: vjp outputs may alias g or views of it.
-                    grads[id(parent)] = np.array(contrib, dtype=np.float64)
-                else:
-                    acc += contrib
+                # Out of place: contrib may be g itself or a view of it.
+                grads[id(parent)] = contrib if acc is None else acc + contrib
         else:
             if isinstance(node, Parameter):
                 if node.trainable:

@@ -1,10 +1,14 @@
 """Harness behavior: subcommand orchestration, config overrides, output
 placement, exit codes, and byte-stable artifacts."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import struct
+import tempfile
+import warnings
 from dataclasses import asdict
 
 import pytest
@@ -434,6 +438,22 @@ def test_corrupt_checkpoint_exits_2(tmp_path, capsys, tiny_checkpoint, corrupt):
     assert not (tmp_path / "run").exists()
 
 
+def test_checkpoint_with_an_overflowing_weight_exits_3(tmp_path, capsys, tiny_checkpoint):
+    """A finite weight of 1e300 loads, then overflows in the first forward."""
+    raw = bytearray(tiny_checkpoint)
+    (header_len,) = struct.unpack("<I", raw[4:8])
+    manifest = json.loads(raw[8 : 8 + header_len])
+    entry = next(e for e in manifest["tensors"] if e["name"] == "embed.tokens")
+    start = 8 + header_len + entry["offset"]
+    raw[start : start + 8] = struct.pack("<d", 1e300)
+    bad = tmp_path / "big.ckpt"
+    bad.write_bytes(bytes(raw))
+    rc = main(["train", *TINY_MODEL, "--set", "train.steps=0", "--set", f'train.init_checkpoint="{bad}"',
+               "--out", str(tmp_path / "run")])
+    assert rc == 3
+    assert_one_error_line(capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("command", ["train", "grad-check"])
 def test_run_config_records_the_checkpoint_model(tmp_path, tiny_checkpoint, command):
     """The model section is ignored when a checkpoint is loaded, so the
@@ -527,3 +547,69 @@ def test_telemetry_report_rejects_malformed_rows(tmp_path, capsys, row):
     assert rc == 2
     assert_one_error_line(err)
     assert f"{stream}: line 2" in err
+
+
+# ---------------------------------------------------------------------------
+# corrupted input bytes
+
+FIXTURE_BYTES = json.dumps({
+    "capacity_factor": 0.5, "seed": 3,
+    "tokens": [{"modality": m, "logits": [0.1 * i, 1.0]} for i, m in enumerate(["image", "text", "image", "text"])],
+}).encode()
+TELEMETRY_BYTES = (json.dumps({"step": 0, "layers": [GOOD_ROW]}) + "\n" + json.dumps(GOOD_ROW) + "\n").encode()
+
+# (where, how many bytes to cut there, bytes to put in their place)
+byte_edits = st.lists(st.tuples(st.floats(0, 1), st.integers(0, 4), st.binary(max_size=4)), min_size=1, max_size=3)
+
+
+def _edited(raw, edits, keep):
+    for where, cut, insert in edits:
+        i = int(where * len(raw))
+        raw = raw[:i] + insert + raw[i + cut:]
+    return raw[: int(keep * len(raw))]
+
+
+def _run_main_on_bytes(raw, argv):
+    """Exit code and stderr of ``main(argv)`` with INPUT in argv naming a file of ``raw``."""
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "input")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would be a second stderr line outside pytest
+            rc = main([a.replace("INPUT", path) for a in argv] + ["--out", os.path.join(work, "run")])
+    return rc, err.getvalue()
+
+
+def _assert_clean_exit(rc, err):
+    assert rc in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    if rc:
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    else:
+        assert err == ""
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["fixture", "telemetry"]), byte_edits, st.floats(0, 1) | st.just(1.0))
+def test_corrupted_input_text_exits_cleanly(kind, edits, keep):
+    raw, argv = {
+        "fixture": (FIXTURE_BYTES, ["allocate-trace", "--fixture", "INPUT"]),
+        "telemetry": (TELEMETRY_BYTES, ["telemetry-report", "--metrics", "INPUT"]),
+    }[kind]
+    _assert_clean_exit(*_run_main_on_bytes(_edited(raw, edits, keep), argv))
+
+
+# Same-length byte edits only: an insertion could add digits to a dimension
+# in the manifest and make the model it describes too large to build.
+same_length_edits = st.lists(st.tuples(st.floats(0, 1), st.just(1), st.binary(min_size=1, max_size=1)),
+                             min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(same_length_edits, st.floats(0, 1) | st.just(1.0))
+def test_corrupted_checkpoint_bytes_exit_cleanly(tiny_checkpoint, edits, keep):
+    raw = _edited(tiny_checkpoint, edits, keep)
+    argv = ["train", *TINY_MODEL, "--set", "train.steps=0", "--set", 'train.init_checkpoint="INPUT"']
+    _assert_clean_exit(*_run_main_on_bytes(raw, argv))

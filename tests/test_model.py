@@ -3,6 +3,7 @@ the plain-numpy reference, stage-3 surgery, language preservation, the
 synthetic task, training loop artifacts, and the checkpoint container."""
 
 import json
+import os
 from dataclasses import asdict
 
 import numpy as np
@@ -196,7 +197,7 @@ def test_default_stage3_loss_graph_size(tensor_ops_built):
     compute_loss(model, batch, RngKey(1))
     # Ops below the first trainable parameter (block 0's attention and
     # everything before it at stage 3) are not graph nodes.
-    assert tensor_ops_built["ops"] - before["ops"] == 85
+    assert tensor_ops_built["ops"] - before["ops"] == 83
     assert tensor_ops_built["graph_nodes"] - before["graph_nodes"] == 65
 
 
@@ -262,6 +263,8 @@ def test_forward_validation_errors():
         forward(model, too_long)
     with pytest.raises(ContractError, match="token ids"):
         forward(model, TokenBatch([SequenceSample(text_ids=[99])]))
+    with pytest.raises(ContractError, match="sequence 1 has token ids"):
+        forward(model, TokenBatch([SequenceSample(text_ids=[0]), SequenceSample(text_ids=[1, -1])]))
     bad_feats = TokenBatch([SequenceSample(text_ids=[1], image_features=np.zeros((1, 3)))])
     with pytest.raises(ContractError, match="feature dim"):
         forward(model, bad_feats)
@@ -501,6 +504,24 @@ def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path, monkeypatch):
         save_model(model, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def test_checkpoint_rename_is_made_durable_by_a_directory_fsync(tmp_path, monkeypatch):
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def recording_fsync(fd):
+        events.append("fsync dir" if os.path.samestat(os.fstat(fd), os.stat(tmp_path)) else "fsync other")
+        fsync(fd)
+
+    def recording_replace(src, dst):
+        events.append("rename")
+        replace(src, dst)
+
+    monkeypatch.setattr("os.fsync", recording_fsync)
+    monkeypatch.setattr("os.replace", recording_replace)
+    save_model(build_model(tiny_cfg()), tmp_path / "model.ckpt")
+    assert events == ["fsync other", "rename", "fsync dir"]  # the temp file, then the checkpoint's directory
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

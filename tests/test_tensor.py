@@ -263,6 +263,65 @@ def test_grad_full_ffn_block():
     )
 
 
+def test_in_place_kernels_give_the_bits_of_the_plain_expressions():
+    """The row kernels compute in place; each value and VJP must equal, bit
+    for bit, the plain numpy expression with the same operation order."""
+    gen = np.random.default_rng(11)
+    B, L, H, hd = 4, 10, 2, 8
+    n, d = B * L, H * hd
+    x, g, q, k, v = gen.normal(size=(5, n, d))
+    w, gain, bias = gen.normal(size=(d, d)), gen.normal(size=d), gen.normal(size=d)
+    px = T.Parameter(x)
+
+    np.testing.assert_array_equal(T.linear(px, T.Parameter(w), T.Parameter(bias)).data, x @ w + bias)
+
+    C, A = T._GELU_C, T._GELU_A
+    t = np.tanh(C * (x + A * (x * x * x)))
+    out = T.gelu(px)
+    np.testing.assert_array_equal(out.data, 0.5 * x * (1.0 + t))
+    du = C * (1.0 + 3.0 * A * (x * x))
+    np.testing.assert_array_equal(out._vjps[0](g), g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du))
+
+    xc = x - x.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + 1e-5)
+    xhat = xc * inv
+    out = T.layer_norm(px, T.Parameter(gain), T.Parameter(bias))
+    np.testing.assert_array_equal(out.data, xhat * gain + bias)
+    gx = g * gain
+    want = inv * (gx - gx.mean(axis=1, keepdims=True) - xhat * (gx * xhat).mean(axis=1, keepdims=True))
+    np.testing.assert_array_equal(out._vjps[0](g), want)
+
+    targets, rows = gen.integers(d, size=n), np.arange(n)
+    z = x - x.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    denom = e.sum(axis=1, keepdims=True)
+    out = T.cross_entropy(px, targets)
+    assert out.item() == -(z - np.log(denom))[rows, targets].mean()
+    want = e / denom
+    want[rows, targets] -= 1.0
+    np.testing.assert_array_equal(out._vjps[0](np.asarray(0.7)), want * (0.7 / n))
+
+    def split(a, axes=(0, 2, 1, 3)):
+        return np.ascontiguousarray(a.reshape(B, L, H, hd).transpose(axes))
+
+    def merge(a):
+        return np.ascontiguousarray(a.transpose(0, 2, 1, 3)).reshape(n, d)
+
+    c = float(1.0 / np.sqrt(hd))
+    qh, kt, vh, gh = split(q), split(k, (0, 2, 3, 1)), split(v), split(g)
+    s = (qh @ kt) * c + np.triu(np.full((L, L), -1e30), 1)
+    e = np.exp(s - s.max(axis=3, keepdims=True))
+    p = e / e.sum(axis=3, keepdims=True)
+    out = T.attention(T.Parameter(q), T.Parameter(k), T.Parameter(v), [L] * B, H)
+    np.testing.assert_array_equal(out.data, merge(p @ vh))
+    dp = gh @ vh.transpose(0, 1, 3, 2)
+    ds = p * (dp - (dp * p).sum(axis=3, keepdims=True)) * c
+    dq, dk, dv = (vjp(g) for vjp in out._vjps)
+    np.testing.assert_array_equal(dq, merge(ds @ kt.transpose(0, 1, 3, 2)))
+    np.testing.assert_array_equal(dk, merge((qh.transpose(0, 1, 3, 2) @ ds).transpose(0, 1, 3, 2)))
+    np.testing.assert_array_equal(dv, merge(p.transpose(0, 1, 3, 2) @ gh))
+
+
 # ---------------------------------------------------------------------------
 # backward bookkeeping
 
@@ -275,6 +334,49 @@ def test_diamond_reuse_accumulates_correctly():
     np.testing.assert_array_equal(x.grad, np.full((2, 2), 2.0))
     np.testing.assert_array_equal(y.grad, np.ones((2, 2)))
     np.testing.assert_array_equal(z.grad, np.ones((2, 2)))
+
+
+def _aliasing_graph(x, gain, bias, w):
+    # add(x, x) hands one gradient array to the same parent twice, concat_rows
+    # hands out views of its gradient, and h, s and n have several consumers.
+    h = T.add(x, x)
+    s = T.concat_rows([h, T.gelu(h)])
+    n = T.layer_norm(s, gain, bias)
+    a = T.attention(n, n, s, [5, 3], 2)
+    return T.cross_entropy(T.matmul(a + s, w), np.array([0, 4, 1, 3, 2, 0, 1, 4]))
+
+
+# Its own generator, so the draws of the other tests stay as they were.
+ALIASING_INPUTS = [np.random.default_rng(7).normal(size=shape) for shape in ((4, 4), (4,), (4,), (4, 5))]
+
+
+def test_grad_through_shared_and_aliased_gradients():
+    check_grads(_aliasing_graph, ALIASING_INPUTS, tol=1e-5)
+
+
+def test_backward_writes_no_upstream_array(monkeypatch):
+    """Neither a forward value nor any gradient handed to a closure changes
+    while backward runs, so aliased gradients are safe to share."""
+    values, grads = [], []
+    from_op = T.Tensor._from_op
+
+    def watched(vjp):
+        def call(g):
+            grads.append((g, g.copy()))
+            return vjp(g)
+        return call
+
+    def recording(data, parents, vjps):
+        values.append((data, data.copy()))
+        return from_op(data, parents, tuple(watched(vjp) for vjp in vjps))
+
+    monkeypatch.setattr(T.Tensor, "_from_op", staticmethod(recording))
+    params = [T.Parameter(a) for a in ALIASING_INPUTS]
+    loss = _aliasing_graph(*params)
+    T.backward(loss)
+    assert len(grads) > 10
+    for array, copy in values + grads + [(p.data, a) for p, a in zip(params, ALIASING_INPUTS)]:
+        np.testing.assert_array_equal(array, copy)
 
 
 def test_backward_accumulates_across_calls():
