@@ -36,6 +36,9 @@ MULTIMODAL = "multimodal"
 LANGUAGE_ONLY = "language_only"
 
 _HISTOGRAM_BINS = 10
+# Far above any depth this model is trained at, and low enough that resolving
+# the default elastic-layer indices never asks for gigabytes.
+_MAX_DEPTH = 1024
 
 # RngKey domains under a model's seed.
 _INIT_DOMAIN = 0
@@ -77,6 +80,8 @@ class ModelConfig:
         for name in ("image_tokens", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if self.depth > _MAX_DEPTH:
+            raise ConfigError(f"depth must be at most {_MAX_DEPTH}, got {self.depth}")
         if self.width % self.heads != 0:
             raise ConfigError(f"width {self.width} is not divisible by heads {self.heads}")
         if self.image_tokens + self.text_len > self.max_seq_len:

@@ -298,6 +298,7 @@ def assert_one_error_line(err):
         ("train", 'train.stage="3"'),
         ("allocate-trace", 'allocate_trace.strategies="gbpr"'),
         ("train", "model.seed=-1"),
+        ("train", "model.depth=3000000000"),
         ("grad-check", "grad_check.seed=-1"),
         ("train", "train.steps=-1"),
         ("train", "train.stage=4"),
