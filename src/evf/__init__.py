@@ -44,7 +44,6 @@ from .training import (
     AdamW,
     GradCheckReport,
     OptimizerConfig,
-    StageSchedule,
     aux_loss,
     combined_digest,
     grad_check,
@@ -53,12 +52,14 @@ from .training import (
     tensor_digest,
 )
 from .model import (
+    STAGE_GROUPS,
     MicroModel,
     ModelConfig,
     SequenceSample,
     SyntheticTask,
     TokenBatch,
     TrainConfig,
+    apply_stage,
     build_model,
     compute_loss,
     enter_stage3,
@@ -92,9 +93,9 @@ __all__ = [
     "RngKey",
     "RouterParams",
     "RoutingDecision",
+    "STAGE_GROUPS",
     "SequenceSample",
     "ShapeError",
-    "StageSchedule",
     "Strategy",
     "SyntheticTask",
     "Tensor",
@@ -104,6 +105,7 @@ __all__ = [
     "VISION_FFN",
     "allocate",
     "allocation_stats",
+    "apply_stage",
     "aux_loss",
     "backward",
     "build_model",

@@ -6,7 +6,8 @@ the manifest records. Writing the same model twice produces byte-identical
 files. A file is renamed into place only once it is complete, and its
 directory is synced after the rename, so the new file survives a crash.
 Loading validates the layout and the manifest before reading any tensor, so a
-truncated or corrupt file raises :class:`ContractError`.
+truncated or corrupt file raises :class:`ContractError`. The stage alone sets
+the freeze flags; each tensor's recorded ``trainable`` flag must agree with it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .config import decode
 from .errors import ConfigError, ContractError
-from .model import MicroModel, ModelConfig, apply_stage, build_model, enter_stage3
+from .model import MicroModel, ModelConfig, apply_stage, build_model
 
 MAGIC = b"EVFC"
 FORMAT_VERSION = 1
@@ -94,13 +95,10 @@ def load_model(path: Path | str) -> MicroModel:
         raise ContractError(f"{path}: unsupported checkpoint format version {doc.get('format_version')}")
     try:
         manifest = decode(_Manifest, doc, "manifest")
+        model = build_model(manifest.config)
+        apply_stage(model, manifest.stage)
     except ConfigError as exc:
         raise ContractError(f"{path}: {exc}") from exc
-    model = build_model(manifest.config)
-    if manifest.stage == 3:
-        enter_stage3(model)
-    else:
-        apply_stage(model, manifest.stage)
 
     params = {name: p for name, p, _ in model.named_parameters()}
     data_len = len(raw) - data_start
@@ -114,7 +112,8 @@ def load_model(path: Path | str) -> MicroModel:
             raise ContractError(f"{path}: checkpoint tensor {entry.name!r} not present in model structure")
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=data_start + entry.offset).reshape(entry.shape)
         params[entry.name].assign(arr.copy())
-        params[entry.name].set_trainable(entry.trainable)
+        if entry.trainable != params[entry.name].trainable:
+            raise ContractError(f"{path}: tensor {entry.name!r} trainable={entry.trainable} disagrees with stage {manifest.stage}")
         seen.add(entry.name)
     missing = set(params) - seen
     if missing:

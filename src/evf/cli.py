@@ -35,7 +35,7 @@ from .allocator import CapacityConfig, ModalityTags, Strategy, allocate, allocat
 from .checkpoint import load_model
 from .config import decode
 from .errors import ConfigError, ContractError, EvfError, FixtureError, NumericError, UnstableInstanceError
-from .model import MicroModel, ModelConfig, SyntheticTask, TrainConfig, build_model, compute_loss, enter_stage3, train
+from .model import MicroModel, ModelConfig, SyntheticTask, TrainConfig, apply_stage, build_model, compute_loss, train
 from .router import decision_from_logits
 from .seeds import RngKey
 from .training import OptimizerConfig, grad_check
@@ -169,10 +169,9 @@ def _initial_model(run: RunConfig) -> MicroModel:
 
 def cmd_grad_check(run: RunConfig, model: MicroModel, out: Path) -> int:
     gc = run.grad_check
-    if model.stage != 3:
-        enter_stage3(model)
+    apply_stage(model, 3)
     task = SyntheticTask(model.cfg)
-    named = [(name, p) for name, p in model.trainable_parameters()]
+    named = model.trainable_parameters()
 
     reports = []
     instance_seeds = []

@@ -30,7 +30,7 @@ from .errors import ConfigError, ContractError, NumericError
 from .layer import EvfLayerParams, FfnParams, ffn_forward, forward_language_only, forward_multimodal, init_stage3_from_dense
 from .router import VISION_FFN, RoutingDecision
 from .seeds import RngKey
-from .training import AdamW, LayerLoadStats, OptimizerConfig, StageSchedule, aux_loss, learning_rate_at
+from .training import AdamW, LayerLoadStats, OptimizerConfig, aux_loss, learning_rate_at
 
 MULTIMODAL = "multimodal"
 LANGUAGE_ONLY = "language_only"
@@ -46,6 +46,15 @@ _TASK_DOMAIN = 1
 _DATA_DOMAIN = 2
 _ALLOC_DOMAIN = 3
 _EVAL_DOMAIN = 4
+
+# The parameter groups that train at each curriculum stage. Stage 1 tunes
+# only the vision adapter, stage 2 adds the backbone, and stage 3 trains only
+# the vision FFNs and routers while everything else stays bit-frozen.
+STAGE_GROUPS = {
+    1: frozenset({"adapter"}),
+    2: frozenset({"adapter", "backbone"}),
+    3: frozenset({"vision_ffn", "router"}),
+}
 
 
 def _default_evf_indices(depth: int) -> tuple[int, ...]:
@@ -153,21 +162,6 @@ class TokenBatch:
 
 
 @dataclass(eq=False)
-class VisionAdapter:
-    """Linear projection from image feature space into the model width."""
-
-    weight: T.Parameter
-    bias: T.Parameter
-
-    @property
-    def feature_dim(self) -> int:
-        return self.weight.data.shape[0]
-
-    def project(self, features: T.Tensor) -> T.Tensor:
-        return T.linear(features, self.weight, self.bias)
-
-
-@dataclass(eq=False)
 class LayerNormParams:
     gain: T.Parameter
     bias: T.Parameter
@@ -196,36 +190,27 @@ class Block:
     evf: EvfLayerParams | None = None
 
 
+@dataclass(eq=False)
 class MicroModel:
     """Parameter container plus stage bookkeeping; logic lives in functions."""
 
-    def __init__(
-        self,
-        cfg: ModelConfig,
-        embed_tokens: T.Parameter,
-        embed_positions: T.Parameter,
-        adapter: VisionAdapter,
-        blocks: list[Block],
-        ln_final: LayerNormParams,
-        head_weight: T.Parameter,
-        head_bias: T.Parameter,
-    ):
-        self.cfg = cfg
-        self.stage = 2
-        self.embed_tokens = embed_tokens
-        self.embed_positions = embed_positions
-        self.adapter = adapter
-        self.blocks = blocks
-        self.ln_final = ln_final
-        self.head_weight = head_weight
-        self.head_bias = head_bias
+    cfg: ModelConfig
+    embed_tokens: T.Parameter
+    embed_positions: T.Parameter
+    adapter_weight: T.Parameter  # the vision adapter: projects image features into the model width
+    adapter_bias: T.Parameter
+    blocks: list[Block]
+    ln_final: LayerNormParams
+    head_weight: T.Parameter
+    head_bias: T.Parameter
+    stage: int = 2
 
     def named_parameters(self) -> Iterator[tuple[str, T.Parameter, str]]:
         """Yields (name, parameter, stage group) in a fixed order."""
         yield "embed.tokens", self.embed_tokens, "backbone"
         yield "embed.positions", self.embed_positions, "backbone"
-        yield "adapter.weight", self.adapter.weight, "adapter"
-        yield "adapter.bias", self.adapter.bias, "adapter"
+        yield "adapter.weight", self.adapter_weight, "adapter"
+        yield "adapter.bias", self.adapter_bias, "adapter"
         for block in self.blocks:
             prefix = f"blocks.{block.index}"
             yield f"{prefix}.ln_attn.gain", block.ln_attn.gain, "backbone"
@@ -249,9 +234,6 @@ class MicroModel:
         yield "ln_final.bias", self.ln_final.bias, "backbone"
         yield "head.weight", self.head_weight, "backbone"
         yield "head.bias", self.head_bias, "backbone"
-
-    def parameters(self) -> list[T.Parameter]:
-        return [p for _, p, _ in self.named_parameters()]
 
     def trainable_parameters(self) -> list[tuple[str, T.Parameter]]:
         return [(name, p) for name, p, _ in self.named_parameters() if p.trainable]
@@ -277,7 +259,7 @@ def build_model(cfg: ModelConfig) -> MicroModel:
     d, h = cfg.width, cfg.hidden
     embed_tokens = normal((cfg.vocab, d))
     embed_positions = normal((cfg.max_seq_len, d))
-    adapter = VisionAdapter(normal((cfg.image_feature_dim, d)), zeros((d,)))
+    adapter_weight, adapter_bias = normal((cfg.image_feature_dim, d)), zeros((d,))
     blocks: list[Block] = []
     for i in range(cfg.depth):
         ln_attn = LayerNormParams(T.Parameter(np.ones(d)), zeros((d,)))
@@ -297,31 +279,37 @@ def build_model(cfg: ModelConfig) -> MicroModel:
     ln_final = LayerNormParams(T.Parameter(np.ones(d)), zeros((d,)))
     head_weight = normal((d, cfg.vocab))
     head_bias = zeros((cfg.vocab,))
-    model = MicroModel(cfg, embed_tokens, embed_positions, adapter, blocks, ln_final, head_weight, head_bias)
+    model = MicroModel(cfg, embed_tokens, embed_positions, adapter_weight, adapter_bias, blocks, ln_final,
+                       head_weight, head_bias)
     apply_stage(model, 2)
     return model
 
 
 def apply_stage(model: MicroModel, stage: int) -> None:
-    """Set per-parameter freeze flags for the given curriculum stage."""
-    groups = StageSchedule(stage).trainable_groups()
-    for _, p, group in model.named_parameters():
-        p.set_trainable(group in groups)
+    """Switch the model to a curriculum stage and set every freeze flag from STAGE_GROUPS.
+
+    The first entry to stage 3 duplicates each dense FFN at the configured
+    indices bit-exactly into a language and a vision FFN, with a zero router.
+    A stage-3 model cannot go back to a dense stage.
+    """
+    if stage not in STAGE_GROUPS:
+        raise ConfigError(f"stage must be 1, 2 or 3, got {stage}")
+    if model.stage == 3 and stage != 3:
+        raise ContractError("cannot return to a dense stage after entering stage 3")
+    if stage == 3 and model.stage != 3:
+        for i in model.cfg.evf_layer_indices:
+            block = model.blocks[i]
+            block.evf = init_stage3_from_dense(block.ffn, model.cfg.capacity, model.cfg.strategy)
+            block.ffn = None
     model.stage = stage
+    for _, p, group in model.named_parameters():
+        p.set_trainable(group in STAGE_GROUPS[stage])
 
 
 def enter_stage3(model: MicroModel) -> MicroModel:
-    """Convert dense FFNs at the configured indices into elastic layers.
-
-    Each dense block is duplicated bit-exactly into the language and vision
-    FFNs; routers start at zero. Stage-3 freeze flags are applied.
-    """
+    """``apply_stage(model, 3)`` for a model that is not at stage 3 yet."""
     if model.stage == 3:
         raise ContractError("model is already in stage 3")
-    for i in model.cfg.evf_layer_indices:
-        block = model.blocks[i]
-        block.evf = init_stage3_from_dense(block.ffn, model.cfg.capacity, model.cfg.strategy)
-        block.ffn = None
     apply_stage(model, 3)
     return model
 
@@ -370,10 +358,10 @@ def forward(
     for si, seq in enumerate(seqs):
         if seq.length > cfg.max_seq_len:
             raise ContractError(f"sequence {si} has {seq.length} tokens, max_seq_len is {cfg.max_seq_len}")
-        if seq.image_count and seq.image_features.shape[1] != model.adapter.feature_dim:
+        if seq.image_count and seq.image_features.shape[1] != cfg.image_feature_dim:
             raise ContractError(
                 f"sequence {si} image feature dim {seq.image_features.shape[1]} "
-                f"does not match adapter dim {model.adapter.feature_dim}"
+                f"does not match adapter dim {cfg.image_feature_dim}"
             )
     text_ids = np.concatenate([seq.text_ids for seq in seqs])
     if text_ids.min() < 0 or text_ids.max() >= cfg.vocab:
@@ -391,7 +379,8 @@ def forward(
     # row n_img + t is token t.
     table, rows, n_img = model.embed_tokens, text_ids, sum(image_counts)
     if n_img:
-        images = model.adapter.project(T.Tensor(np.concatenate([s.image_features for s in seqs if s.image_count])))
+        features = T.Tensor(np.concatenate([s.image_features for s in seqs if s.image_count]))
+        images = T.linear(features, model.adapter_weight, model.adapter_bias)
         table = T.concat_rows([images, model.embed_tokens])
         rows = np.empty(positions.size, dtype=np.int64)
         rows[tags.is_image] = np.arange(n_img)
@@ -525,7 +514,8 @@ class TrainConfig:
             raise ConfigError(f"steps must be non-negative, got {self.steps}")
         if not 0.0 <= self.aux_weight < math.inf:
             raise ConfigError(f"aux_weight must be finite and non-negative, got {self.aux_weight}")
-        StageSchedule(self.stage)
+        if self.stage not in STAGE_GROUPS:
+            raise ConfigError(f"stage must be 1, 2 or 3, got {self.stage}")
 
 
 @dataclass(eq=False)
@@ -574,20 +564,10 @@ def train(
     """
     from . import checkpoint as ckpt
 
-    if tcfg.stage == 3:
-        if model.stage != 3:
-            enter_stage3(model)
-        else:
-            apply_stage(model, 3)
-    else:
-        if model.stage == 3:
-            raise ContractError("cannot return to a dense stage after entering stage 3")
-        apply_stage(model, tcfg.stage)
-
+    apply_stage(model, tcfg.stage)
     base = RngKey(model.cfg.seed)
-    params = model.parameters()
-    trainable = [p for p in params if p.trainable]
-    optimizer = AdamW(params, tcfg.optimizer, max(1, tcfg.steps))
+    trainable = [p for _, p in model.trainable_parameters()]
+    optimizer = AdamW(trainable, tcfg.optimizer, max(1, tcfg.steps))
     rows: list[dict] = []
     with ExitStack() as stack:
         streams: list[TextIO] = []

@@ -5,7 +5,7 @@ implicit broadcasting. Each differentiable operation records its inputs and
 one vector-Jacobian closure per input; :func:`backward` walks the recording
 once in reverse topological order and accumulates gradients into leaves.
 
-Gradient flow can be cut per leaf (``requires_grad=False``), which is how
+Gradient flow is cut per parameter (``set_trainable(False)``), which is how
 frozen parameters are excluded from both the walk and the update step.
 
 Ops and their closures write in place only into arrays they allocated
@@ -48,13 +48,13 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps")
 
-    def __init__(self, values, requires_grad: bool = False):
+    def __init__(self, values):
         data = _as_float64(values)
         if not np.all(np.isfinite(data)):
             raise NumericError("leaf tensor contains non-finite values")
         self.data = data
         self.grad: Array | None = None
-        self.requires_grad = bool(requires_grad)
+        self.requires_grad = False
         self._parents: tuple["Tensor", ...] = ()
         self._vjps: tuple[Callable[[Array], Array], ...] = ()
 
@@ -101,22 +101,27 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A leaf tensor with persistent gradient storage and a freeze flag.
+    """A leaf tensor with persistent gradient storage.
 
-    Frozen parameters (``trainable=False``) are skipped by backward and by
-    the optimizer, so their bytes never change during training.
+    Its one freeze flag is ``requires_grad``; ``trainable`` reads it and
+    :meth:`set_trainable` writes it. Frozen parameters are skipped by
+    backward and by the optimizer, so their bytes never change during
+    training. Parameters are the only leaves that ever require gradients.
     """
 
-    __slots__ = ("trainable",)
+    __slots__ = ()
 
     def __init__(self, values, trainable: bool = True):
-        super().__init__(values, requires_grad=bool(trainable))
-        self.trainable = bool(trainable)
+        super().__init__(values)
+        self.requires_grad = bool(trainable)
         self.grad = np.zeros_like(self.data)
 
+    @property
+    def trainable(self) -> bool:
+        return self.requires_grad
+
     def set_trainable(self, flag: bool) -> None:
-        self.trainable = bool(flag)
-        self.requires_grad = self.trainable
+        self.requires_grad = bool(flag)
 
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.data)
@@ -426,7 +431,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             f"layer_norm: gain {gain.data.shape} / bias {bias.data.shape} do not match width {d}"
         )
     xhat = x.data - x.data.mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=1, keepdims=True) + eps)
+    var = (xhat * xhat).mean(axis=1, keepdims=True)
+    if not np.isfinite(var).all():  # an overflow would give inv = 0 and a silent zero row
+        raise NumericError("layer_norm: non-finite row variance")
+    inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
     data = xhat * gain.data
     data += bias.data
@@ -480,10 +488,12 @@ def backward(loss: Tensor) -> None:
 
     The loss must hold exactly one element. Each recorded node is visited
     once, in reverse topological order; branches that do not require
-    gradients are never entered.
+    gradients are never entered, and a loss that needs none writes nothing.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+    if not loss.requires_grad:
+        return
 
     topo: list[Tensor] = []
     seen: set[int] = set()
@@ -503,20 +513,14 @@ def backward(loss: Tensor) -> None:
 
     grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(topo):
-        g = grads.pop(id(node), None)
-        if g is None:
+        g = grads.pop(id(node))
+        if not node._parents:  # a leaf that requires grad is a trainable Parameter
+            node.grad = node.grad + g
             continue
-        if node._parents:
-            for parent, vjp in zip(node._parents, node._vjps):
-                if not parent.requires_grad:
-                    continue
-                contrib = vjp(g)
-                acc = grads.get(id(parent))
-                # Out of place: contrib may be g itself or a view of it.
-                grads[id(parent)] = contrib if acc is None else acc + contrib
-        else:
-            if isinstance(node, Parameter):
-                if node.trainable:
-                    node.grad = node.grad + g
-            else:
-                node.grad = np.array(g) if node.grad is None else node.grad + g
+        for parent, vjp in zip(node._parents, node._vjps):
+            if not parent.requires_grad:
+                continue
+            contrib = vjp(g)
+            acc = grads.get(id(parent))
+            # Out of place: contrib may be g itself or a view of it.
+            grads[id(parent)] = contrib if acc is None else acc + contrib

@@ -1,4 +1,4 @@
-"""Losses, optimizer, stage freezing and gradient verification.
+"""Losses, optimizer and gradient verification.
 
 The training objective, composed by :func:`evf.model.compute_loss`, is
 ``L_total = L_regressive + aux_weight * L_aux``.
@@ -22,6 +22,8 @@ from . import tensor as T
 from .allocator import AllocationPlan
 from .errors import ConfigError, ContractError, UnstableInstanceError
 from .router import LANGUAGE_FFN, VISION_FFN, RoutingDecision
+
+_REL_FLOOR = 1e-5
 
 
 @dataclass(frozen=True)
@@ -150,31 +152,6 @@ class AdamW:
         return lr
 
 
-@dataclass(frozen=True)
-class StageSchedule:
-    """Which parameter groups train at each curriculum stage.
-
-    Stage 1 tunes only the vision adapter, stage 2 adds the backbone, and
-    stage 3 restricts training to the vision FFNs and routers while
-    everything else stays bit-frozen.
-    """
-
-    stage: int
-
-    _GROUPS = {
-        1: frozenset({"adapter"}),
-        2: frozenset({"adapter", "backbone"}),
-        3: frozenset({"vision_ffn", "router"}),
-    }
-
-    def __post_init__(self) -> None:
-        if self.stage not in self._GROUPS:
-            raise ConfigError(f"stage must be 1, 2 or 3, got {self.stage}")
-
-    def trainable_groups(self) -> frozenset[str]:
-        return self._GROUPS[self.stage]
-
-
 def tensor_digest(arr: np.ndarray) -> str:
     """SHA-256 over the row-major float64 bytes of one array."""
     return hashlib.sha256(np.ascontiguousarray(arr, dtype=np.float64).tobytes()).hexdigest()
@@ -206,7 +183,6 @@ def grad_check(
     named_params: Sequence[tuple[str, T.Parameter]],
     *,
     epsilon: float = 1e-5,
-    rel_floor: float = 1e-5,
     subset: tuple[int, int] | None = None,
     _corrupt_first_gradient: float = 0.0,
 ) -> GradCheckReport:
@@ -217,7 +193,7 @@ def grad_check(
     signature, the instance sits too close to a capacity or preference
     boundary and :class:`UnstableInstanceError` is raised so the caller can
     resample. Relative error is |analytic - fd| / max(|analytic|, |fd|,
-    rel_floor).
+    _REL_FLOOR).
 
     ``subset`` restricts the check to scalars whose global flat index is
     congruent to ``offset`` modulo ``stride``; callers that run several
@@ -283,7 +259,7 @@ def grad_check(
             down = loss_value_at(p, i, -epsilon, original)
             fd = (up - down) / (2.0 * epsilon)
             a = float(flat_analytic[i])
-            rel = abs(a - fd) / max(abs(a), abs(fd), rel_floor)
+            rel = abs(a - fd) / max(abs(a), abs(fd), _REL_FLOOR)
             checked += 1
             param_max = max(param_max, rel)
             if rel > max_rel:

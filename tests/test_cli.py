@@ -455,6 +455,35 @@ def test_checkpoint_with_an_overflowing_weight_exits_3(tmp_path, capsys, tiny_ch
     assert_one_error_line(capsys.readouterr().err)
 
 
+def _set_embed_tokens_trainable(manifest):
+    entry = next(e for e in manifest["tensors"] if e["name"] == "embed.tokens")
+    assert manifest["stage"] == 3 and entry["trainable"] is False
+    entry["trainable"] = True
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda manifest: manifest.update(stage=7), "stage must be 1, 2 or 3, got 7"),
+        (_set_embed_tokens_trainable, "'embed.tokens' trainable=True disagrees with stage 3"),
+    ],
+    ids=["stage-7", "flag-disagrees-with-stage"],
+)
+def test_checkpoint_stage_decides_the_freeze_flags(tmp_path, capsys, tiny_checkpoint, edit, message):
+    """The manifest's stage alone sets the freeze flags; a tensor entry cannot override it."""
+    (header_len,) = struct.unpack("<I", tiny_checkpoint[4:8])
+    manifest = json.loads(tiny_checkpoint[8 : 8 + header_len])
+    edit(manifest)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_with_header(tiny_checkpoint, json.dumps(manifest).encode()))
+    rc = main(["train", *TINY_MODEL, "--set", f'train.init_checkpoint="{bad}"', "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert err.startswith(f"error: {bad}: ") and message in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "grad-check"])
 def test_run_config_records_the_checkpoint_model(tmp_path, tiny_checkpoint, command):
     """The model section is ignored when a checkpoint is loaded, so the

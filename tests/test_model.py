@@ -23,6 +23,7 @@ from evf.model import (
     SyntheticTask,
     TokenBatch,
     TrainConfig,
+    apply_stage,
     build_model,
     compute_loss,
     enter_stage3,
@@ -119,6 +120,22 @@ def test_stage_freeze_flags():
     }
     with pytest.raises(ContractError):
         enter_stage3(model)
+
+
+def test_apply_stage_allows_1_2_3_3_and_does_the_surgery_once():
+    model = build_model(tiny_cfg())
+    apply_stage(model, 1)
+    assert {n for n, _ in model.trainable_parameters()} == {"adapter.weight", "adapter.bias"}
+    for stage in (2, 3):
+        apply_stage(model, stage)
+        assert model.stage == stage
+    before = [(n, id(p)) for n, p, _ in model.named_parameters()]
+    apply_stage(model, 3)
+    assert [(n, id(p)) for n, p, _ in model.named_parameters()] == before
+    with pytest.raises(ContractError, match="cannot return to a dense stage after entering stage 3"):
+        apply_stage(model, 2)
+    assert model.stage == 3
+    assert all(p.trainable == (g in ("router", "vision_ffn")) for _, p, g in model.named_parameters())
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +255,19 @@ def test_compute_loss_rejects_non_finite(name):
     param.assign(np.arange(1.0, param.data.size + 1.0).reshape(param.data.shape) * 1e307)
     batch = SyntheticTask(cfg).sample_batch(RngKey(3))
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-finite"):
+        compute_loss(model, batch, RngKey(4))
+
+
+def test_row_variance_overflow_raises_instead_of_a_silent_zero_row():
+    """One huge but finite embedding column overflows a layer-norm variance; numpy only warns."""
+    cfg = tiny_cfg()
+    model = build_model(cfg)
+    enter_stage3(model)
+    tokens = model.embed_tokens.data.copy()
+    tokens[:, 0] = 1e300
+    model.embed_tokens.assign(tokens)
+    batch = SyntheticTask(cfg).sample_batch(RngKey(3))
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="layer_norm: non-finite row variance"):
         compute_loss(model, batch, RngKey(4))
 
 
@@ -467,6 +497,18 @@ def test_checkpoint_round_trip_preserves_forward_bits(tmp_path):
     assert a.logits.data.tobytes() == b.logits.data.tobytes()
     for (n1, p1, _), (n2, p2, _) in zip(model.named_parameters(), loaded.named_parameters()):
         assert n1 == n2 and p1.trainable == p2.trainable
+
+
+def test_stage1_checkpoint_restores_the_stage1_flags(tmp_path):
+    model = build_model(tiny_cfg())
+    apply_stage(model, 1)
+    save_model(model, tmp_path / "s1.ckpt")
+    loaded = load_model(tmp_path / "s1.ckpt")
+    assert loaded.stage == 1
+    assert [(n, p.trainable) for n, p, _ in loaded.named_parameters()] == [
+        (n, p.trainable) for n, p, _ in model.named_parameters()
+    ]
+    assert {n for n, _ in loaded.trainable_parameters()} == {"adapter.weight", "adapter.bias"}
 
 
 def test_zero_step_training_checkpoint_equals_fresh_stage3(tmp_path):

@@ -400,6 +400,24 @@ def test_frozen_parameter_gets_no_gradient_and_prunes_graph():
     assert (a + b)._parents == ()
 
 
+def test_backward_on_a_loss_that_needs_no_gradient_writes_no_grad():
+    frozen = T.Parameter(rand(2, 2), trainable=False)
+    leaf = T.Tensor(rand(2, 2))
+    loss = T.sum_all(T.mul(frozen, leaf))
+    T.backward(loss)
+    assert loss.grad is None and leaf.grad is None
+    np.testing.assert_array_equal(frozen.grad, np.zeros((2, 2)))
+
+
+def test_trainable_is_a_read_only_view_of_requires_grad():
+    p = T.Parameter(rand(2, 2), trainable=False)
+    assert not p.trainable and not p.requires_grad
+    p.set_trainable(True)
+    assert p.trainable and p.requires_grad
+    with pytest.raises(AttributeError):
+        p.trainable = False
+
+
 def test_set_trainable_toggles_gradient_flow():
     p = T.Parameter(rand(2, 2))
     p.set_trainable(False)

@@ -10,12 +10,12 @@ import oracles
 from evf import tensor as T
 from evf.allocator import CapacityConfig, ModalityTags, Strategy, allocate, priority_scores
 from evf.errors import ConfigError, ContractError, UnstableInstanceError
+from evf.model import STAGE_GROUPS, ModelConfig, apply_stage, build_model
 from evf.router import RoutingDecision, LANGUAGE_FFN, VISION_FFN
 from evf.seeds import RngKey
 from evf.training import (
     AdamW,
     OptimizerConfig,
-    StageSchedule,
     aux_loss,
     combined_digest,
     grad_check,
@@ -208,11 +208,11 @@ def test_optimizer_config_validation():
 
 
 def test_stage_schedule_groups():
-    assert StageSchedule(1).trainable_groups() == {"adapter"}
-    assert StageSchedule(2).trainable_groups() == {"adapter", "backbone"}
-    assert StageSchedule(3).trainable_groups() == {"vision_ffn", "router"}
+    assert STAGE_GROUPS[1] == {"adapter"}
+    assert STAGE_GROUPS[2] == {"adapter", "backbone"}
+    assert STAGE_GROUPS[3] == {"vision_ffn", "router"}
     with pytest.raises(ConfigError):
-        StageSchedule(4)
+        apply_stage(build_model(ModelConfig(depth=2, width=8, hidden=16, vocab=16)), 4)
 
 
 def test_digests_are_stable_and_sensitive():
