@@ -61,13 +61,11 @@ class FfnParams:
         return FfnParams(dup(self.w_up), dup(self.b_up), dup(self.w_down), dup(self.b_down))
 
     @classmethod
-    def init(cls, width: int, hidden: int, key: RngKey, scale: float = 0.02, trainable: bool = True) -> "FfnParams":
+    def init(cls, width: int, hidden: int, key: RngKey, scale: float = 0.02) -> "FfnParams":
         gen = key.generator()
         return cls(
-            T.Parameter(gen.normal(0.0, scale, size=(width, hidden)), trainable=trainable),
-            T.Parameter(np.zeros(hidden), trainable=trainable),
-            T.Parameter(gen.normal(0.0, scale, size=(hidden, width)), trainable=trainable),
-            T.Parameter(np.zeros(width), trainable=trainable),
+            T.Parameter(gen.normal(0.0, scale, size=(width, hidden))), T.Parameter(np.zeros(hidden)),
+            T.Parameter(gen.normal(0.0, scale, size=(hidden, width))), T.Parameter(np.zeros(width)),
         )
 
 
@@ -109,7 +107,7 @@ def init_stage3_from_dense(
     The language copy is frozen; the vision copy and the router train.
     """
     return EvfLayerParams(
-        router=RouterParams.zeros(dense.width, trainable=True),
+        router=RouterParams.zeros(dense.width),
         language_ffn=dense.copy(trainable=False),
         vision_ffn=dense.copy(trainable=True),
         capacity=capacity if capacity is not None else CapacityConfig(),

@@ -203,7 +203,7 @@ class MicroModel:
     ln_final: LayerNormParams
     head_weight: T.Parameter
     head_bias: T.Parameter
-    stage: int = 2
+    stage: int = field(default=2, init=False)
 
     def named_parameters(self) -> Iterator[tuple[str, T.Parameter, str]]:
         """Yields (name, parameter, stage group) in a fixed order."""
@@ -285,6 +285,11 @@ def build_model(cfg: ModelConfig) -> MicroModel:
     return model
 
 
+def _check_stage(stage: int) -> None:
+    if stage not in STAGE_GROUPS:
+        raise ConfigError(f"stage must be 1, 2 or 3, got {stage}")
+
+
 def apply_stage(model: MicroModel, stage: int) -> None:
     """Switch the model to a curriculum stage and set every freeze flag from STAGE_GROUPS.
 
@@ -292,8 +297,7 @@ def apply_stage(model: MicroModel, stage: int) -> None:
     indices bit-exactly into a language and a vision FFN, with a zero router.
     A stage-3 model cannot go back to a dense stage.
     """
-    if stage not in STAGE_GROUPS:
-        raise ConfigError(f"stage must be 1, 2 or 3, got {stage}")
+    _check_stage(stage)
     if model.stage == 3 and stage != 3:
         raise ContractError("cannot return to a dense stage after entering stage 3")
     if stage == 3 and model.stage != 3:
@@ -514,8 +518,7 @@ class TrainConfig:
             raise ConfigError(f"steps must be non-negative, got {self.steps}")
         if not 0.0 <= self.aux_weight < math.inf:
             raise ConfigError(f"aux_weight must be finite and non-negative, got {self.aux_weight}")
-        if self.stage not in STAGE_GROUPS:
-            raise ConfigError(f"stage must be 1, 2 or 3, got {self.stage}")
+        _check_stage(self.stage)
 
 
 @dataclass(eq=False)

@@ -34,8 +34,8 @@ class RouterParams:
         return self.weight.data.shape[0]
 
     @classmethod
-    def zeros(cls, width: int, trainable: bool = True) -> "RouterParams":
-        return cls(T.Parameter(np.zeros((width, 2)), trainable=trainable))
+    def zeros(cls, width: int) -> "RouterParams":
+        return cls(T.Parameter(np.zeros((width, 2))))
 
 
 @dataclass(eq=False)

@@ -4,7 +4,7 @@ synthetic task, training loop artifacts, and the checkpoint container."""
 
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from evf.errors import ConfigError, ContractError, NumericError
 from evf.model import (
     LANGUAGE_ONLY,
     MULTIMODAL,
+    MicroModel,
     ModelConfig,
     SequenceSample,
     SyntheticTask,
@@ -136,6 +137,12 @@ def test_apply_stage_allows_1_2_3_3_and_does_the_surgery_once():
         apply_stage(model, 2)
     assert model.stage == 3
     assert all(p.trainable == (g in ("router", "vision_ffn")) for _, p, g in model.named_parameters())
+
+
+def test_stage_is_not_a_constructor_argument():
+    """Only apply_stage moves the stage, so stage 3 always means the surgery is done."""
+    assert [f.init for f in fields(MicroModel) if f.name == "stage"] == [False]
+    assert build_model(tiny_cfg()).stage == 2
 
 
 # ---------------------------------------------------------------------------
