@@ -111,7 +111,7 @@ def load_model(path: Path | str) -> MicroModel:
         if entry.name not in params:
             raise ContractError(f"{path}: checkpoint tensor {entry.name!r} not present in model structure")
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=data_start + entry.offset).reshape(entry.shape)
-        params[entry.name].assign(arr.copy())
+        params[entry.name].assign(arr)
         if entry.trainable != params[entry.name].trainable:
             raise ContractError(f"{path}: tensor {entry.name!r} trainable={entry.trainable} disagrees with stage {manifest.stage}")
         seen.add(entry.name)

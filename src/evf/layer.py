@@ -46,19 +46,12 @@ class FfnParams:
     def width(self) -> int:
         return self.w_up.data.shape[0]
 
-    @property
-    def trainable(self) -> bool:
-        return self.w_up.trainable
-
     def parameters(self) -> list[tuple[str, T.Parameter]]:
         return [("w_up", self.w_up), ("b_up", self.b_up), ("w_down", self.w_down), ("b_down", self.b_down)]
 
-    def copy(self, trainable: bool) -> "FfnParams":
-        """Bit-exact duplicate with the given freeze flag."""
-        def dup(p: T.Parameter) -> T.Parameter:
-            return T.Parameter(p.data.copy(), trainable=trainable)
-
-        return FfnParams(dup(self.w_up), dup(self.b_up), dup(self.w_down), dup(self.b_down))
+    def copy(self) -> "FfnParams":
+        """Bit-exact duplicate: new parameters, each with its own copy of the value."""
+        return FfnParams(*(T.Parameter(p.data) for _, p in self.parameters()))
 
     @classmethod
     def init(cls, width: int, hidden: int, key: RngKey, scale: float = 0.02) -> "FfnParams":
@@ -104,12 +97,12 @@ def init_stage3_from_dense(
 
     Both FFNs start as bit-exact copies of the dense block; the router is
     zero-initialized, so the first forward routes every token at (0.5, 0.5).
-    The language copy is frozen; the vision copy and the router train.
+    The freeze flags are left to :func:`evf.model.apply_stage`.
     """
     return EvfLayerParams(
         router=RouterParams.zeros(dense.width),
-        language_ffn=dense.copy(trainable=False),
-        vision_ffn=dense.copy(trainable=True),
+        language_ffn=dense.copy(),
+        vision_ffn=dense.copy(),
         capacity=capacity if capacity is not None else CapacityConfig(),
         strategy=strategy,
     )

@@ -147,6 +147,7 @@ class SequenceSample:
 @dataclass(eq=False)
 class TokenBatch:
     sequences: list[SequenceSample]
+    _memo: list = field(default_factory=list, init=False, repr=False)  # the last forward's stages, see forward
 
     def __post_init__(self) -> None:
         if not self.sequences:
@@ -178,6 +179,10 @@ class AttentionParams:
     wo: T.Parameter
     bo: T.Parameter
     heads: int
+
+    def parameters(self) -> list[tuple[str, T.Parameter]]:
+        return [("wq", self.wq), ("bq", self.bq), ("wk", self.wk), ("bk", self.bk),
+                ("wv", self.wv), ("bv", self.bv), ("wo", self.wo), ("bo", self.bo)]
 
 
 @dataclass(eq=False)
@@ -215,9 +220,7 @@ class MicroModel:
             prefix = f"blocks.{block.index}"
             yield f"{prefix}.ln_attn.gain", block.ln_attn.gain, "backbone"
             yield f"{prefix}.ln_attn.bias", block.ln_attn.bias, "backbone"
-            attn = block.attn
-            for key, p in (("wq", attn.wq), ("bq", attn.bq), ("wk", attn.wk), ("bk", attn.bk),
-                           ("wv", attn.wv), ("bv", attn.bv), ("wo", attn.wo), ("bo", attn.bo)):
+            for key, p in block.attn.parameters():
                 yield f"{prefix}.attn.{key}", p, "backbone"
             yield f"{prefix}.ln_ffn.gain", block.ln_ffn.gain, "backbone"
             yield f"{prefix}.ln_ffn.bias", block.ln_ffn.bias, "backbone"
@@ -331,11 +334,52 @@ class ForwardResult:
         return tuple(plan.signature() for plan in self.plans)
 
 
-def _attention(attn: AttentionParams, x: T.Tensor, lengths: list[int]) -> T.Tensor:
-    q = T.linear(x, attn.wq, attn.bq)
-    k = T.linear(x, attn.wk, attn.bk)
-    v = T.linear(x, attn.wv, attn.bv)
-    return T.linear(T.attention(q, k, v, lengths, attn.heads), attn.wo, attn.bo)
+def _resume(memo: list, stage: int, params: Sequence[T.Parameter], extra: tuple, run, *args):
+    """``run(*args)``, or the last forward's result if this stage and all before it are unchanged."""
+    arrays = [p.data for p in params]  # immutable values, held by the entry so no id in its key is reused
+    key = (tuple(map(id, arrays)), tuple(p.requires_grad for p in params), extra)
+    if stage < len(memo) and memo[stage][0] == key:
+        return memo[stage][2]
+    del memo[stage:]
+    out = run(*args)
+    memo.append((key, arrays, out))
+    return out
+
+
+def _embed(model: MicroModel, text_ids: np.ndarray, features: np.ndarray | None,
+           lengths: tuple[int, ...], image_counts: tuple[int, ...]) -> tuple[T.Tensor, ModalityTags, np.ndarray]:
+    positions = np.arange(sum(lengths)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    tags = ModalityTags(positions < np.repeat(image_counts, lengths))
+    text_rows = np.flatnonzero(~tags.is_image)
+    # One gather embeds the whole batch: image rows are projected together and
+    # stacked above the token table, so row j of the table is image row j and
+    # row n_img + t is token t.
+    table, rows = model.embed_tokens, text_ids
+    if features is not None:
+        images = T.linear(T.Tensor(features), model.adapter_weight, model.adapter_bias)
+        table = T.concat_rows([images, model.embed_tokens])
+        rows = np.empty(positions.size, dtype=np.int64)
+        rows[tags.is_image] = np.arange(len(features))
+        rows[text_rows] = text_ids + len(features)
+    x = T.take_rows(table, rows) + T.take_rows(model.embed_positions, positions)
+    return x, tags, text_rows
+
+
+def _attention_stage(block: Block, x: T.Tensor, lengths: tuple[int, ...]) -> tuple[T.Tensor, T.Tensor]:
+    attn, normed = block.attn, T.layer_norm(x, block.ln_attn.gain, block.ln_attn.bias)
+    q, k, v = (T.linear(normed, w, b) for w, b in ((attn.wq, attn.bq), (attn.wk, attn.bk), (attn.wv, attn.bv)))
+    x = x + T.linear(T.attention(q, k, v, lengths, attn.heads), attn.wo, attn.bo)
+    return x, T.layer_norm(x, block.ln_ffn.gain, block.ln_ffn.bias)
+
+
+def _ffn_stage(block: Block, x: T.Tensor, pre_ffn: T.Tensor, mode: str, tags: ModalityTags,
+               rng: RngKey) -> tuple[T.Tensor, RoutingDecision | None, AllocationPlan | None]:
+    if block.evf is None:
+        return x + ffn_forward(block.ffn, pre_ffn), None, None
+    if mode == LANGUAGE_ONLY:
+        return x + forward_language_only(block.evf, pre_ffn), None, None
+    ffn_out, decision, plan = forward_multimodal(block.evf, pre_ffn, tags, rng.child(block.index))
+    return x + ffn_out, decision, plan
 
 
 def forward(
@@ -349,6 +393,10 @@ def forward(
     multimodal mode exercises routing and allocation at every elastic
     layer; language_only mode rejects batches containing image features and
     runs the dense language path (no routing objects are ever built).
+
+    Stages (the embedding, then each block's attention and FFN) of the last
+    forward on this batch are reused up to the first whose parameter values,
+    flags or settings differ; the embedding also keys on the batch bytes, mode and rng.
     """
     if mode not in (MULTIMODAL, LANGUAGE_ONLY):
         raise ContractError(f"unknown mode {mode!r}")
@@ -372,44 +420,30 @@ def forward(
         si = next(si for si, seq in enumerate(seqs) if seq.text_ids.min() < 0 or seq.text_ids.max() >= cfg.vocab)
         raise ContractError(f"sequence {si} has token ids outside [0, {cfg.vocab})")
 
-    lengths = [seq.length for seq in seqs]
-    image_counts = [seq.image_count for seq in seqs]
-    positions = np.arange(sum(lengths)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    tags = ModalityTags(positions < np.repeat(image_counts, lengths))
-    text_rows = np.flatnonzero(~tags.is_image)
-    targets = [seq.targets for seq in seqs]
-    # One gather embeds the whole batch: image rows are projected together and
-    # stacked above the token table, so row j of the table is image row j and
-    # row n_img + t is token t.
-    table, rows, n_img = model.embed_tokens, text_ids, sum(image_counts)
-    if n_img:
-        features = T.Tensor(np.concatenate([s.image_features for s in seqs if s.image_count]))
-        images = T.linear(features, model.adapter_weight, model.adapter_bias)
-        table = T.concat_rows([images, model.embed_tokens])
-        rows = np.empty(positions.size, dtype=np.int64)
-        rows[tags.is_image] = np.arange(n_img)
-        rows[text_rows] = text_ids + n_img
-    x = T.take_rows(table, rows) + T.take_rows(model.embed_positions, positions)
-
+    lengths = tuple(seq.length for seq in seqs)
+    image_counts = tuple(seq.image_count for seq in seqs)
+    features = np.concatenate([s.image_features for s in seqs if s.image_count]) if any(image_counts) else None
+    memo, embed = batch._memo, (model.embed_tokens, model.embed_positions, model.adapter_weight, model.adapter_bias)
+    content = (lengths, image_counts, text_ids.tobytes(), None if features is None else features.tobytes(), mode, rng)
+    x, tags, text_rows = _resume(memo, 0, embed, content, _embed, model, text_ids, features, lengths, image_counts)
     plans: list[AllocationPlan] = []
     decisions: list[RoutingDecision] = []
-    for block in model.blocks:
-        normed = T.layer_norm(x, block.ln_attn.gain, block.ln_attn.bias)
-        x = x + _attention(block.attn, normed, lengths)
-        pre_ffn = T.layer_norm(x, block.ln_ffn.gain, block.ln_ffn.bias)
-        if block.evf is not None:
-            if mode == LANGUAGE_ONLY:
-                ffn_out = forward_language_only(block.evf, pre_ffn)
-            else:
-                ffn_out, decision, plan = forward_multimodal(block.evf, pre_ffn, tags, rng.child(block.index))
-                decisions.append(decision)
-                plans.append(plan)
-        else:
-            ffn_out = ffn_forward(block.ffn, pre_ffn)
-        x = x + ffn_out
+    for b, block in enumerate(model.blocks):
+        attn_reads = (block.ln_attn.gain, block.ln_attn.bias, *(p for _, p in block.attn.parameters()),
+                      block.ln_ffn.gain, block.ln_ffn.bias)
+        x, pre_ffn = _resume(memo, 2 * b + 1, attn_reads, (block.attn.heads,), _attention_stage, block, x, lengths)
+        evf = block.evf
+        ffns = [block.ffn] if evf is None else [evf.language_ffn, evf.vision_ffn]
+        ffn_reads = [p for ffn in ffns for _, p in ffn.parameters()] + ([] if evf is None else [evf.router.weight])
+        settings = () if evf is None else (evf.strategy, evf.capacity)
+        x, decision, plan = _resume(memo, 2 * b + 2, ffn_reads, settings, _ffn_stage, block, x, pre_ffn, mode, tags, rng)
+        if plan is not None:
+            decisions.append(decision)
+            plans.append(plan)
 
     final = T.layer_norm(x, model.ln_final.gain, model.ln_final.bias)
     logits = T.linear(final, model.head_weight, model.head_bias)
+    targets = [seq.targets for seq in seqs]
     return ForwardResult(
         logits=logits,
         plans=plans,

@@ -8,12 +8,15 @@ once in reverse topological order and accumulates gradients into leaves.
 Gradient flow is cut per parameter (``set_trainable(False)``), which is how
 frozen parameters are excluded from both the walk and the update step.
 
-Ops and their closures write in place only into arrays they allocated
-themselves, never into an input's ``data`` and never into the incoming
-gradient ``g``: a closure may return ``g`` itself or a view of it (``add``,
-``concat_rows``), so one array can be the gradient of several nodes, and
-:func:`backward` accumulates out of place. In-place steps keep the operation
-order of the plain expression they replace, so they give the same bits.
+Parameter values are immutable: a :class:`Parameter` owns a private,
+read-only copy of each value it is given, so one array object always holds
+the same bytes. Ops and their closures write in place only into arrays they
+allocated themselves, never into an input's ``data`` and never into the
+incoming gradient ``g``: a closure may return ``g`` itself or a view of it
+(``add``, ``concat_rows``), so one array can be the gradient of several
+nodes, and :func:`backward` accumulates out of place. In-place steps keep
+the operation order of the plain expression they replace, so they give the
+same bits.
 """
 
 from __future__ import annotations
@@ -35,6 +38,12 @@ _GELU_A = 0.044715
 
 def _as_float64(values) -> Array:
     return np.ascontiguousarray(values, dtype=np.float64)
+
+
+def _frozen_copy(values) -> Array:
+    arr = np.array(values, dtype=np.float64, order="C")
+    arr.setflags(write=False)
+    return arr
 
 
 class Tensor:
@@ -112,7 +121,7 @@ class Parameter(Tensor):
     __slots__ = ()
 
     def __init__(self, values, trainable: bool = True):
-        super().__init__(values)
+        super().__init__(_frozen_copy(values))
         self.requires_grad = bool(trainable)
         self.grad = np.zeros_like(self.data)
 
@@ -127,8 +136,8 @@ class Parameter(Tensor):
         self.grad = np.zeros_like(self.data)
 
     def assign(self, values) -> None:
-        """Replace the stored value; shape must be preserved."""
-        arr = _as_float64(values)
+        """Replace the stored value with a read-only copy; shape must be preserved."""
+        arr = _frozen_copy(values)
         if arr.shape != self.data.shape:
             raise ShapeError(f"assign: shapes {arr.shape} and {self.data.shape} differ")
         if not np.all(np.isfinite(arr)):
@@ -430,8 +439,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(
             f"layer_norm: gain {gain.data.shape} / bias {bias.data.shape} do not match width {d}"
         )
-    xhat = x.data - x.data.mean(axis=1, keepdims=True)
-    var = (xhat * xhat).mean(axis=1, keepdims=True)
+    # np.add.reduce(...) / d is .mean bit for bit, without numpy's Python wrapper.
+    xhat = x.data - np.add.reduce(x.data, axis=1, keepdims=True) / d
+    var = np.add.reduce(xhat * xhat, axis=1, keepdims=True) / d
     if not np.isfinite(var).all():  # an overflow would give inv = 0 and a silent zero row
         raise NumericError("layer_norm: non-finite row variance")
     inv = 1.0 / np.sqrt(var + eps)
@@ -442,9 +452,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     def vjp_x(g: Array) -> Array:
         # inv * (gx - mean(gx) - xhat * mean(gx * xhat)), gx = g * gain
         gx = g * gain.data
-        m1 = gx.mean(axis=1, keepdims=True)
+        m1 = np.add.reduce(gx, axis=1, keepdims=True) / d
         tmp = gx * xhat
-        m2 = tmp.mean(axis=1, keepdims=True)
+        m2 = np.add.reduce(tmp, axis=1, keepdims=True) / d
         np.multiply(xhat, m2, out=tmp)
         gx -= m1
         gx -= tmp

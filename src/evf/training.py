@@ -188,8 +188,8 @@ def grad_check(
 ) -> GradCheckReport:
     """Compare analytic gradients with central finite differences.
 
-    ``loss_fn`` must rebuild the loss from scratch on every call and return
-    (loss tensor, allocation signature). If a perturbation changes the
+    ``loss_fn`` must return (loss tensor, allocation signature) for the
+    parameters' current values on every call. If a perturbation changes the
     signature, the instance sits too close to a capacity or preference
     boundary and :class:`UnstableInstanceError` is raised so the caller can
     resample. Relative error is |analytic - fd| / max(|analytic|, |fd|,

@@ -16,6 +16,7 @@ from evf.layer import (
     forward_multimodal,
     init_stage3_from_dense,
 )
+from evf.model import ModelConfig, apply_stage, build_model
 from evf.router import LANGUAGE_FFN, VISION_FFN, RouterParams
 from evf.seeds import RngKey
 
@@ -50,9 +51,13 @@ def test_stage3_init_duplicates_weights_bit_exactly():
         assert a.data.tobytes() == b.data.tobytes() == c.data.tobytes()
         assert a.data is not b.data and a.data is not c.data  # true copies
     np.testing.assert_array_equal(layer.router.weight.data, np.zeros((WIDTH, 2)))
+    # apply_stage alone sets the flags of the duplicated layer
+    model = build_model(ModelConfig(depth=1, width=WIDTH, heads=2, hidden=HIDDEN))
+    apply_stage(model, 3)
+    layer = model.blocks[0].evf
     assert layer.router.weight.trainable
-    assert layer.vision_ffn.trainable
-    assert not layer.language_ffn.trainable
+    assert all(p.trainable for _, p in layer.vision_ffn.parameters())
+    assert not any(p.trainable for _, p in layer.language_ffn.parameters())
 
 
 def test_zero_router_output_is_half_the_dense_output():
@@ -134,6 +139,8 @@ def test_language_only_zero_input_gives_constant_rows():
 
 def test_gradients_flow_to_vision_and_router_but_not_language():
     layer = init_stage3_from_dense(dense_ffn(7), CapacityConfig(capacity_factor=2.0))
+    for _, p in layer.language_ffn.parameters():  # frozen as apply_stage(model, 3) freezes it
+        p.set_trainable(False)
     x = np.random.default_rng(5).normal(size=(6, WIDTH))
     out, _, _ = forward_multimodal(layer, T.Tensor(x), tags_of("iiittt"), RngKey(1))
     T.backward(T.sum_all(out))

@@ -4,6 +4,7 @@ synthetic task, training loop artifacts, and the checkpoint container."""
 
 import json
 import os
+import weakref
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -323,6 +324,135 @@ def test_forward_allocation_is_deterministic_per_rng_key():
     assert a.allocation_signature() == b.allocation_signature()
     assert default1.allocation_signature() == default2.allocation_signature()
     assert a.logits.data.tobytes() == b.logits.data.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# resuming a forward from the batch's cached stages
+
+
+def grad_check_setup():
+    """The default stage-3 model and a grad-check-shaped batch (1 sequence, 2 image + 4 text tokens)."""
+    model = build_model(ModelConfig())
+    apply_stage(model, 3)
+    batch = SyntheticTask(model.cfg).sample_batch(RngKey(7), sequences=1, text_len=4)
+    return model, batch
+
+
+def fresh(batch):
+    """The same sequences in a batch that has no cached stages."""
+    return TokenBatch(batch.sequences)
+
+
+def perturbed(p, delta=1e-5, index=0):
+    value = p.data.copy()
+    value.reshape(-1)[index] += delta
+    return value
+
+
+def test_perturbed_loss_resumes_bit_identically_for_every_trainable_tensor():
+    model, batch = grad_check_setup()
+    rng = RngKey(8)
+    compute_loss(model, batch, rng)
+    for name, p in model.trainable_parameters():
+        original = p.data
+        for index in (0, p.data.size - 1):
+            p.assign(perturbed(p, index=index))
+            resumed, again = compute_loss(model, batch, rng), compute_loss(model, fresh(batch), rng)
+            assert resumed.total.data.tobytes() == again.total.data.tobytes(), name
+            assert resumed.forward.allocation_signature() == again.forward.allocation_signature(), name
+        p.assign(original)
+
+
+def test_backward_through_a_resumed_prefix_gives_the_same_gradients():
+    model, batch = grad_check_setup()
+    rng, trainable = RngKey(8), [p for _, p in model.trainable_parameters()]
+    compute_loss(model, batch, rng)
+    p = model.blocks[2].evf.vision_ffn.w_up
+    p.assign(perturbed(p))
+    grads = []
+    for b in (batch, fresh(batch)):
+        T.zero_grads(trainable)
+        T.backward(compute_loss(model, b, rng).total)
+        grads.append([q.grad.tobytes() for q in trainable])
+    assert grads[0] == grads[1]
+
+
+def test_a_newly_trainable_tensor_gets_its_gradient_on_the_same_batch():
+    model, batch = grad_check_setup()
+    rng = RngKey(8)
+    compute_loss(model, batch, rng)  # block 0's attention is below every trainable tensor: no graph nodes
+    wq = model.blocks[0].attn.wq
+    wq.set_trainable(True)
+    grads = []
+    for b in (batch, fresh(batch)):
+        wq.zero_grad()
+        T.backward(compute_loss(model, b, rng).total)
+        grads.append(wq.grad.copy())
+    assert np.abs(grads[0]).max() > 0.0
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
+def test_a_changed_rng_mode_model_or_token_recomputes_from_the_embedding(tensor_ops_built):
+    model, batch = grad_check_setup()
+
+    def ops(run):
+        before = tensor_ops_built["ops"]
+        out = run()
+        return tensor_ops_built["ops"] - before, out
+
+    full, _ = ops(lambda: forward(model, fresh(batch), MULTIMODAL, RngKey(1)))
+    forward(model, batch, MULTIMODAL, RngKey(1))
+    assert ops(lambda: forward(model, batch, MULTIMODAL, RngKey(1)))[0] == 2  # only ln_final and the head
+    assert ops(lambda: forward(model, batch, MULTIMODAL, RngKey(2)))[0] == full
+    twin = build_model(ModelConfig())  # the same bytes in other arrays
+    apply_stage(twin, 3)
+    assert ops(lambda: forward(twin, batch, MULTIMODAL, RngKey(2)))[0] == full
+
+    ids = batch.sequences[0].text_ids
+    ids[0] = (ids[0] + 1) % model.cfg.vocab
+    count, edited = ops(lambda: forward(twin, batch, MULTIMODAL, RngKey(2)))
+    assert count == full
+    assert edited.logits.data.tobytes() == forward(twin, fresh(batch), MULTIMODAL, RngKey(2)).logits.data.tobytes()
+
+    text = SyntheticTask(model.cfg).sample_text_batch(RngKey(3))
+    multimodal, _ = ops(lambda: forward(model, text, MULTIMODAL))
+    language, _ = ops(lambda: forward(model, fresh(text), LANGUAGE_ONLY))
+    assert ops(lambda: forward(model, text, LANGUAGE_ONLY))[0] == language
+    assert ops(lambda: forward(model, text, MULTIMODAL))[0] == multimodal
+
+
+def test_changed_heads_or_strategy_recompute_their_stage():
+    model, batch = grad_check_setup()
+    forward(model, batch, MULTIMODAL, RngKey(1))
+    model.blocks[2].evf.strategy = Strategy.GBPR
+    assert forward(model, batch, MULTIMODAL, RngKey(1)).plans[1].strategy is Strategy.GBPR
+    model.blocks[1].attn.heads = 4
+    resumed, again = forward(model, batch, MULTIMODAL, RngKey(1)), forward(model, fresh(batch), MULTIMODAL, RngKey(1))
+    assert resumed.logits.data.tobytes() == again.logits.data.tobytes()
+
+
+def test_the_cached_graph_is_freed_with_the_batch():
+    model, batch = grad_check_setup()
+    result = compute_loss(model, batch, RngKey(8))
+    node = weakref.ref(result.forward.decisions[1].probabilities.data)  # a Tensor has no weakref slot
+    del result
+    assert node() is not None  # held by the batch ...
+    del batch
+    assert node() is None  # ... and by nothing else
+
+
+def test_a_block2_probe_builds_fewer_ops_than_a_fresh_loss(tensor_ops_built):
+    model, batch = grad_check_setup()
+    rng = RngKey(8)
+    compute_loss(model, batch, rng)
+    p = model.blocks[2].evf.vision_ffn.b_down
+    p.assign(perturbed(p))
+    counts = []
+    for b in (batch, fresh(batch)):
+        before = tensor_ops_built["ops"]
+        compute_loss(model, b, rng)
+        counts.append(tensor_ops_built["ops"] - before)
+    assert counts == [38, 83]
 
 
 # ---------------------------------------------------------------------------

@@ -418,6 +418,20 @@ def test_trainable_is_a_read_only_view_of_requires_grad():
         p.trainable = False
 
 
+def test_parameter_values_are_private_and_read_only():
+    w = rand(2, 2)
+    p = T.Parameter(w)
+    w[0, 0] += 1.0  # the caller's array is not the parameter's
+    assert p.data[0, 0] == w[0, 0] - 1.0
+    with pytest.raises(ValueError):
+        p.data[0, 0] = 0.0
+    v = rand(2, 2)
+    p.assign(v)
+    assert p.data is not v and p.data.tobytes() == v.tobytes()
+    with pytest.raises(ValueError):
+        p.data += 1.0
+
+
 def test_set_trainable_toggles_gradient_flow():
     p = T.Parameter(rand(2, 2))
     p.set_trainable(False)
