@@ -1,13 +1,17 @@
 #!/usr/bin/env bash
-# Run the benchmark once over every workload and keep the result in the repo.
+# Run the benchmark once over every workload, and the tier-1 tests once, and
+# keep the result in the repo.
 #
 # Usage: scripts/bench_snapshot.sh LABEL
 #
 # Runs `python3 evfbench/run.py --workload all --seed 1 --seconds 25 --trace 0`
-# from the root of this checkout, then merges the four per-workload records
-# it leaves in .evfbench_work/results/ (checks, metrics and environment stamp)
-# into BENCH_<LABEL>.json at the root. Exits non-zero, writing nothing, when
-# the benchmark fails or a record is missing.
+# from the root of this checkout, then the tier-1 suite with `--durations=0`.
+# Merges the four per-workload records the benchmark leaves in
+# .evfbench_work/results/ (checks, metrics and environment stamp) and a
+# "tier1" entry (tests passed, suite wall time, and the seconds of the A5 and
+# A8 acceptance tests, setup and teardown included) into BENCH_<LABEL>.json
+# at the root. Exits non-zero, writing nothing, when the benchmark or a test
+# fails or a record is missing.
 set -euo pipefail
 
 if [ $# -ne 1 ] || [ -z "$1" ]; then
@@ -24,16 +28,38 @@ for w in $workloads; do  # no record from an earlier run may stand in for this o
 done
 python3 evfbench/run.py --workload all --seed 1 --seconds 25 --trace 0
 
-python3 - "BENCH_$label.json" $workloads <<'EOF'
+tier1_log=$(mktemp)
+trap 'rm -f "$tier1_log"' EXIT
+if ! PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -m pytest -q --continue-on-collection-errors \
+        --durations=0 >"$tier1_log" 2>&1; then
+    tail -n 20 "$tier1_log" >&2
+    echo "tier-1 tests failed" >&2
+    exit 1
+fi
+
+python3 - "BENCH_$label.json" "$tier1_log" $workloads <<'EOF'
 import json
+import re
 import sys
 
-out, workloads = sys.argv[1], sys.argv[2:]
+out, tier1_log, workloads = sys.argv[1], sys.argv[2], sys.argv[3:]
 snapshot = {}
 for name in workloads:
     with open(f".evfbench_work/results/{name}-seed1-trace0.json", encoding="utf-8") as fh:
         record = json.load(fh)
     snapshot[name] = {key: record[key] for key in ("correct", "attempted", "failed", "metrics", "env")}
+
+with open(tier1_log, encoding="utf-8") as fh:
+    log = fh.read()
+passed, wall = re.findall(r"^=*\s*(\d+) passed\b.* in ([\d.]+)s", log, re.M)[-1]
+durations = re.findall(r"^([\d.]+)s (?:setup|call|teardown) +(\S+)$", log, re.M)
+
+
+def seconds(test):
+    return round(sum(float(s) for s, node in durations if f"::test_{test}_" in node), 2)
+
+
+snapshot["tier1"] = {"passed": int(passed), "wall_s": float(wall), "a5_s": seconds("a5"), "a8_s": seconds("a8")}
 with open(out, "w", encoding="utf-8") as fh:
     fh.write(json.dumps(snapshot, sort_keys=True, indent=1) + "\n")
 print(f"wrote {out}")

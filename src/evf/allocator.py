@@ -146,10 +146,6 @@ class AllocationPlan:
     def loads(self) -> tuple[int, int]:
         return (int(self.accepted[0].size), int(self.accepted[1].size))
 
-    @property
-    def accepted_total(self) -> int:
-        return sum(self.loads)
-
     def accepted_mask(self) -> np.ndarray:
         mask = np.zeros(self.n_tokens, dtype=bool)
         mask[self.accepted[0]] = True

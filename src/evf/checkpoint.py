@@ -110,6 +110,8 @@ def load_model(path: Path | str) -> MicroModel:
             raise ContractError(f"{path}: tensor {entry.name!r} does not match its shape or the {data_len}-byte data")
         if entry.name not in params:
             raise ContractError(f"{path}: checkpoint tensor {entry.name!r} not present in model structure")
+        if entry.name in seen:
+            raise ContractError(f"{path}: checkpoint tensor {entry.name!r} appears twice in the manifest")
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=data_start + entry.offset).reshape(entry.shape)
         params[entry.name].assign(arr)
         if entry.trainable != params[entry.name].trainable:

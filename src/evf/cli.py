@@ -77,6 +77,10 @@ class GradCheckSection:
                 raise ConfigError(f"{name} must be at least {low}, got {getattr(self, name)}")
         if not 0 < self.epsilon <= 1e-2:
             raise ConfigError(f"epsilon must lie in (0, 1e-2], got {self.epsilon}")
+        if not self.tolerance > 0:
+            raise ConfigError(f"tolerance must be positive, got {self.tolerance}")
+        if not self.stability_margin >= 0:
+            raise ConfigError(f"stability_margin must be non-negative, got {self.stability_margin}")
 
 
 @dataclass(frozen=True)

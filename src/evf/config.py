@@ -1,7 +1,8 @@
 """JSON codec for the frozen config dataclasses.
 
 ``decode`` builds a dataclass from a JSON object by reading its field
-annotations: ``int``, ``float`` (an int is accepted and stored as a float),
+annotations: ``int``, ``float`` (an int is accepted and stored as a float;
+NaN and the infinities, which Python's ``json`` parses, are refused),
 ``bool``, ``str``, ``X | None``, ``tuple[X, ...]`` from a list, an ``Enum``
 by value, and nested dataclasses. Bools are never numbers, unknown keys and
 missing keys without a default are rejected, and every failure is a
@@ -14,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import math
 import types
 import typing
 
@@ -64,6 +66,8 @@ def _value(tp, value, where: str):
         if value in [member.value for member in tp]:
             return tp(value)
         raise ConfigError(f"{where} must be one of {[m.value for m in tp]}, got {_quote(value)}")
+    if tp is float and isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {_quote(value)}")
     if tp is bool or not isinstance(value, bool):
         if tp is float and isinstance(value, int) and abs(value) < 2**1023:
             return float(value)

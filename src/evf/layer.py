@@ -53,14 +53,6 @@ class FfnParams:
         """Bit-exact duplicate: new parameters, each with its own copy of the value."""
         return FfnParams(*(T.Parameter(p.data) for _, p in self.parameters()))
 
-    @classmethod
-    def init(cls, width: int, hidden: int, key: RngKey, scale: float = 0.02) -> "FfnParams":
-        gen = key.generator()
-        return cls(
-            T.Parameter(gen.normal(0.0, scale, size=(width, hidden))), T.Parameter(np.zeros(hidden)),
-            T.Parameter(gen.normal(0.0, scale, size=(hidden, width))), T.Parameter(np.zeros(width)),
-        )
-
 
 def ffn_forward(p: FfnParams, x: T.Tensor) -> T.Tensor:
     """gelu(x @ w_up + b_up) @ w_down + b_down."""

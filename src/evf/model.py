@@ -157,10 +157,6 @@ class TokenBatch:
     def has_images(self) -> bool:
         return any(s.image_count > 0 for s in self.sequences)
 
-    @property
-    def total_tokens(self) -> int:
-        return sum(s.length for s in self.sequences)
-
 
 @dataclass(eq=False)
 class LayerNormParams:
@@ -314,7 +310,10 @@ def apply_stage(model: MicroModel, stage: int) -> None:
 
 
 def enter_stage3(model: MicroModel) -> MicroModel:
-    """``apply_stage(model, 3)`` for a model that is not at stage 3 yet."""
+    """``apply_stage(model, 3)`` for a model that is not at stage 3 yet.
+
+    Kept only for the benchmark workloads in ``evfbench/``, which call it.
+    """
     if model.stage == 3:
         raise ContractError("model is already in stage 3")
     apply_stage(model, 3)
@@ -603,8 +602,7 @@ def train(
 
     apply_stage(model, tcfg.stage)
     base = RngKey(model.cfg.seed)
-    trainable = [p for _, p in model.trainable_parameters()]
-    optimizer = AdamW(trainable, tcfg.optimizer, max(1, tcfg.steps))
+    optimizer = AdamW(model.trainable_parameters(), tcfg.optimizer, max(1, tcfg.steps))
     rows: list[dict] = []
     with ExitStack() as stack:
         streams: list[TextIO] = []
@@ -625,14 +623,14 @@ def train(
         for step in range(tcfg.steps):
             batch = task.sample_batch(base.child(_DATA_DOMAIN, step))
             result = compute_loss(model, batch, base.child(_ALLOC_DOMAIN, step), tcfg.aux_weight)
-            T.zero_grads(trainable)
+            T.zero_grads(optimizer.params.values())
             T.backward(result.total)
             lr = optimizer.step(step)
             record(step, lr, result)
 
         final_batch = task.sample_batch(base.child(_DATA_DOMAIN, tcfg.steps))
         final = compute_loss(model, final_batch, base.child(_ALLOC_DOMAIN, tcfg.steps), tcfg.aux_weight)
-        record(tcfg.steps, learning_rate_at(tcfg.optimizer, tcfg.steps, max(1, tcfg.steps)), final)
+        record(tcfg.steps, learning_rate_at(tcfg.optimizer, tcfg.steps, optimizer.total_steps), final)
 
     checkpoint_path: Path | None = None
     if out_dir is not None:

@@ -5,8 +5,9 @@ implicit broadcasting. Each differentiable operation records its inputs and
 one vector-Jacobian closure per input; :func:`backward` walks the recording
 once in reverse topological order and accumulates gradients into leaves.
 
-Gradient flow is cut per parameter (``set_trainable(False)``), which is how
-frozen parameters are excluded from both the walk and the update step.
+Gradient flow is cut per parameter (``set_trainable(False)``, called only by
+:func:`evf.model.apply_stage`), which is how frozen parameters are excluded
+from the walk; the optimizer refuses them.
 
 Parameter values are immutable: a :class:`Parameter` owns a private,
 read-only copy of each value it is given, so one array object always holds
@@ -112,17 +113,18 @@ class Tensor:
 class Parameter(Tensor):
     """A leaf tensor with persistent gradient storage.
 
-    Its one freeze flag is ``requires_grad``; ``trainable`` reads it and
-    :meth:`set_trainable` writes it. Frozen parameters are skipped by
-    backward and by the optimizer, so their bytes never change during
-    training. Parameters are the only leaves that ever require gradients.
+    Its one freeze flag is ``requires_grad``; every parameter starts
+    trainable, ``trainable`` reads the flag and :meth:`set_trainable` writes
+    it. Frozen parameters are skipped by backward and refused by the
+    optimizer, so their bytes never change during training. Parameters are
+    the only leaves that ever require gradients.
     """
 
     __slots__ = ()
 
-    def __init__(self, values, trainable: bool = True):
+    def __init__(self, values):
         super().__init__(_frozen_copy(values))
-        self.requires_grad = bool(trainable)
+        self.requires_grad = True
         self.grad = np.zeros_like(self.data)
 
     @property
@@ -205,7 +207,7 @@ def col_mean(a: Tensor) -> Tensor:
     if n == 0:
         raise ContractError("col_mean: empty tensor")
     return Tensor._from_op(
-        a.data.mean(axis=0),
+        np.add.reduce(a.data, axis=0) / n,
         (a,),
         (lambda g: np.tile(g / n, (n, 1)),),
     )
@@ -481,7 +483,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     p = np.exp(z)
     denom = p.sum(axis=1, keepdims=True)
     rows = np.arange(n)
-    data = np.asarray(-(z[rows, targets] - np.log(denom[:, 0])).mean())
+    data = np.asarray(-(np.add.reduce(z[rows, targets] - np.log(denom[:, 0])) / n))
     p /= denom
 
     def vjp(g: Array) -> Array:

@@ -111,40 +111,36 @@ def learning_rate_at(cfg: OptimizerConfig, step: int, total_steps: int) -> float
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam over a fixed parameter list.
+    """Decoupled-weight-decay Adam over a fixed set of named trainable parameters.
 
-    Frozen parameters are skipped entirely, so their values stay
-    bit-identical through any number of steps.
+    Both moments are keyed by name and start at zero. Construction refuses a
+    repeated name or a frozen parameter, which no optimizer may hold.
     """
 
-    def __init__(self, params: Iterable[T.Parameter], cfg: OptimizerConfig, total_steps: int):
+    def __init__(self, named_params: Iterable[tuple[str, T.Parameter]], cfg: OptimizerConfig, total_steps: int):
         if total_steps <= 0:
             raise ContractError(f"AdamW: total_steps must be positive, got {total_steps}")
-        self.params = list(params)
+        self.params: dict[str, T.Parameter] = {}
+        for name, p in named_params:
+            if name in self.params:
+                raise ContractError(f"AdamW: parameter name {name!r} appears twice")
+            if not p.trainable:
+                raise ContractError(f"AdamW: parameter {name!r} is frozen")
+            self.params[name] = p
         self.cfg = cfg
         self.total_steps = total_steps
-        self._m: dict[int, np.ndarray] = {}
-        self._v: dict[int, np.ndarray] = {}
+        self._m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        self._v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
 
     def step(self, step_index: int) -> float:
         """Apply one update from the gradients currently stored; returns the rate used."""
         lr = learning_rate_at(self.cfg, step_index, self.total_steps)
         t = step_index + 1
         b1, b2 = self.cfg.beta1, self.cfg.beta2
-        for p in self.params:
-            if not p.trainable:
-                continue
+        for name, p in self.params.items():
             g = p.grad
-            m = self._m.get(id(p))
-            if m is None:
-                m = np.zeros_like(p.data)
-                v = np.zeros_like(p.data)
-            else:
-                v = self._v[id(p)]
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * g * g
-            self._m[id(p)] = m
-            self._v[id(p)] = v
+            m = self._m[name] = b1 * self._m[name] + (1.0 - b1) * g
+            v = self._v[name] = b2 * self._v[name] + (1.0 - b2) * g * g
             m_hat = m / (1.0 - b1**t)
             v_hat = v / (1.0 - b2**t)
             update = m_hat / (np.sqrt(v_hat) + self.cfg.epsilon) + self.cfg.weight_decay * p.data

@@ -160,7 +160,7 @@ def test_gbpr_keeps_top_scores_with_index_tiebreak():
 def test_under_capacity_accepts_everyone():
     decision = random_decision(np.random.default_rng(5), 10)
     plan = run_full(decision, tags_of("iiittttttt"), Strategy.IMG_GBPR, CapacityConfig())
-    assert plan.accepted_total == 10
+    assert sum(plan.loads) == 10
     assert plan.dropped.size == 0
 
 
@@ -210,7 +210,7 @@ def test_redistribution_fraction_zero_drops_all_rejects():
     plan = run_full(decision, tags, Strategy.IMG_GBPR, cfg)
     assert plan.capacity == 3
     assert plan.redistributed == ()
-    assert plan.dropped.size == 12 - plan.accepted_total
+    assert plan.dropped.size == 12 - sum(plan.loads)
 
 
 def test_redistribution_moves_rejects_into_slack():
@@ -220,7 +220,7 @@ def test_redistribution_moves_rejects_into_slack():
     cfg = CapacityConfig(capacity_factor=1.0, redistribution_fraction=1.0)
     plan = run_full(decision, tags_of("iiii"), Strategy.IMG_GBPR, cfg)
     assert plan.capacity == 2
-    assert plan.accepted_total == 4
+    assert sum(plan.loads) == 4
     assert plan.dropped.size == 0
     assert len(plan.redistributed) == 2
     assert all(src == VISION_FFN and dst == LANGUAGE_FFN for _, src, dst in plan.redistributed)
@@ -249,9 +249,9 @@ def test_redistribution_switch_overrides_strategy_default():
     gbpr_without = run_full(decision, tags, Strategy.GBPR, cfg, redistribution=False)
     img_off = run_full(decision, tags, Strategy.IMG_GBPR, cfg, redistribution=False)
     assert img_off.redistributed == ()  # rejects drop when the switch is forced off
-    assert img_off.dropped.size == 16 - img_off.accepted_total
+    assert img_off.dropped.size == 16 - sum(img_off.loads)
     assert gbpr_without.redistributed == ()
-    assert gbpr_with.accepted_total >= gbpr_without.accepted_total
+    assert sum(gbpr_with.loads) >= sum(gbpr_without.loads)
 
 
 def test_full_fraction_redistribution_never_drops_more_than_without():

@@ -5,6 +5,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import struct
 import tempfile
@@ -313,6 +314,12 @@ def assert_one_error_line(err):
         ("train", "train.aux_weight=NaN"),
         ("train", "train.aux_weight=-1"),
         ("grad-check", "train.aux_weight=-Infinity"),
+        ("train", "optimizer.learning_rate=NaN"),
+        ("train", "optimizer.weight_decay=Infinity"),
+        ("grad-check", "grad_check.tolerance=NaN"),
+        ("grad-check", "grad_check.tolerance=0"),
+        ("grad-check", "grad_check.stability_margin=NaN"),
+        ("grad-check", "grad_check.stability_margin=-1"),
     ],
 )
 def test_mistyped_config_values_exit_2_and_write_nothing(tmp_path, capsys, command, override):
@@ -415,6 +422,13 @@ def _with_tensor_entry(raw, index, key, delta):
     return _with_header(raw, json.dumps(manifest).encode())
 
 
+def _with_embed_tokens_twice(raw):
+    (old_len,) = struct.unpack("<I", raw[4:8])
+    manifest = json.loads(raw[8 : 8 + old_len])
+    manifest["tensors"].append(next(e for e in manifest["tensors"] if e["name"] == "embed.tokens"))
+    return _with_header(raw, json.dumps(manifest).encode())
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -426,9 +440,10 @@ def _with_tensor_entry(raw, index, key, delta):
         lambda raw: _with_header(raw, b'{"format_version":1}'),
         lambda raw: _with_tensor_entry(raw, 0, "nbytes", 8),
         lambda raw: _with_tensor_entry(raw, -1, "offset", 8),
+        _with_embed_tokens_twice,
     ],
     ids=["6-bytes", "40-bytes", "huge-header-length", "last-16-bytes-cut", "array-manifest",
-         "manifest-without-keys", "wrong-nbytes", "offset-past-end"],
+         "manifest-without-keys", "wrong-nbytes", "offset-past-end", "tensor-named-twice"],
 )
 def test_corrupt_checkpoint_exits_2(tmp_path, capsys, tiny_checkpoint, corrupt):
     bad = tmp_path / "bad.ckpt"
@@ -567,6 +582,7 @@ GOOD_ROW = {"layer": 0, "strategy": "gbpr", "success_rate": 1, "drop_rate": 0}
         {**GOOD_ROW, "strategy": 3},
         {**GOOD_ROW, "success_rate": "high"},
         {**GOOD_ROW, "drop_rate": None},
+        {**GOOD_ROW, "success_rate": math.nan},
     ],
 )
 def test_telemetry_report_rejects_malformed_rows(tmp_path, capsys, row):

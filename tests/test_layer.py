@@ -24,7 +24,11 @@ WIDTH, HIDDEN = 6, 10
 
 
 def dense_ffn(seed=0):
-    return FfnParams.init(WIDTH, HIDDEN, RngKey(seed, (99,)))
+    gen = RngKey(seed, (99,)).generator()
+    return FfnParams(
+        T.Parameter(gen.normal(0.0, 0.02, size=(WIDTH, HIDDEN))), T.Parameter(np.zeros(HIDDEN)),
+        T.Parameter(gen.normal(0.0, 0.02, size=(HIDDEN, WIDTH))), T.Parameter(np.zeros(WIDTH)),
+    )
 
 
 def tags_of(pattern):

@@ -499,7 +499,7 @@ def test_task_sampling_is_deterministic_and_text_batches_are_bare():
     text = task.sample_text_batch(RngKey(9), sequences=4, text_len=3)
     assert not text.has_images
     assert all(seq.targets is None for seq in text.sequences)
-    assert text.total_tokens == 12
+    assert sum(seq.length for seq in text.sequences) == 12
 
 
 # ---------------------------------------------------------------------------

@@ -389,7 +389,8 @@ def test_backward_accumulates_across_calls():
 
 
 def test_frozen_parameter_gets_no_gradient_and_prunes_graph():
-    frozen = T.Parameter(rand(3, 3), trainable=False)
+    frozen = T.Parameter(rand(3, 3))
+    frozen.set_trainable(False)
     live = T.Parameter(rand(3, 3))
     out = T.mul(frozen, live)
     T.backward(T.sum_all(out))
@@ -401,7 +402,8 @@ def test_frozen_parameter_gets_no_gradient_and_prunes_graph():
 
 
 def test_backward_on_a_loss_that_needs_no_gradient_writes_no_grad():
-    frozen = T.Parameter(rand(2, 2), trainable=False)
+    frozen = T.Parameter(rand(2, 2))
+    frozen.set_trainable(False)
     leaf = T.Tensor(rand(2, 2))
     loss = T.sum_all(T.mul(frozen, leaf))
     T.backward(loss)
@@ -410,7 +412,8 @@ def test_backward_on_a_loss_that_needs_no_gradient_writes_no_grad():
 
 
 def test_trainable_is_a_read_only_view_of_requires_grad():
-    p = T.Parameter(rand(2, 2), trainable=False)
+    p = T.Parameter(rand(2, 2))
+    p.set_trainable(False)
     assert not p.trainable and not p.requires_grad
     p.set_trainable(True)
     assert p.trainable and p.requires_grad

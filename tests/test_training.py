@@ -153,7 +153,7 @@ def test_learning_rate_matches_reference_everywhere():
 def test_adamw_scalar_trajectory_matches_hand_recurrence():
     cfg = OptimizerConfig(learning_rate=0.05, beta1=0.9, beta2=0.95, warmup_ratio=0.2)
     p = T.Parameter(np.array([[1.5]]))
-    opt = AdamW([p], cfg, total_steps=10)
+    opt = AdamW([("p", p)], cfg, total_steps=10)
     grads = [0.3, -0.2, 0.5, 0.1, -0.4, 0.25, 0.0, 0.6, -0.1, 0.05]
     got = []
     for step, g in enumerate(grads):
@@ -168,7 +168,7 @@ def test_adamw_scalar_trajectory_matches_hand_recurrence():
 def test_adamw_with_weight_decay_matches_reference():
     cfg = OptimizerConfig(learning_rate=0.01, weight_decay=0.1, warmup_ratio=0.0)
     p = T.Parameter(np.array([[2.0]]))
-    opt = AdamW([p], cfg, total_steps=5)
+    opt = AdamW([("p", p)], cfg, total_steps=5)
     grads = [1.0, -1.0, 0.5, 0.2, -0.3]
     got = []
     for step, g in enumerate(grads):
@@ -180,16 +180,25 @@ def test_adamw_with_weight_decay_matches_reference():
 
 
 def test_adamw_never_touches_frozen_parameters():
-    frozen = T.Parameter(np.random.default_rng(0).normal(size=(4, 4)), trainable=False)
+    frozen = T.Parameter(np.random.default_rng(0).normal(size=(4, 4)))
+    frozen.set_trainable(False)
     live = T.Parameter(np.zeros((2, 2)))
     before = frozen.data.tobytes()
-    opt = AdamW([frozen, live], OptimizerConfig(), total_steps=1000)
+    with pytest.raises(ContractError, match="'frozen' is frozen"):
+        AdamW([("frozen", frozen), ("live", live)], OptimizerConfig(), total_steps=1000)
+    opt = AdamW([("live", live)], OptimizerConfig(), total_steps=1000)
     for step in range(1000):
         frozen.grad = np.ones((4, 4))  # even a poisoned gradient must be ignored
         live.grad = np.full((2, 2), 0.1)
         opt.step(step)
     assert frozen.data.tobytes() == before
     assert float(np.abs(live.data).max()) > 0.0
+
+
+def test_adamw_refuses_a_repeated_name():
+    a, b = T.Parameter(np.zeros((2, 2))), T.Parameter(np.ones((2, 2)))
+    with pytest.raises(ContractError, match="'w' appears twice"):
+        AdamW([("w", a), ("w", b)], OptimizerConfig(), total_steps=10)
 
 
 def test_optimizer_config_validation():
@@ -286,6 +295,7 @@ def test_grad_check_restores_parameters_and_handles_empty():
     grad_check(quadratic_loss_fn(p), [("p", p)])
     assert p.data.tobytes() == before
 
-    frozen = T.Parameter(np.array([[1.0]]), trainable=False)
+    frozen = T.Parameter(np.array([[1.0]]))
+    frozen.set_trainable(False)
     report = grad_check(quadratic_loss_fn(frozen), [("frozen", frozen)])
     assert report.checked == 0 and report.max_rel_err == 0.0
