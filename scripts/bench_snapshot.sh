@@ -5,12 +5,15 @@
 # Usage: scripts/bench_snapshot.sh LABEL
 #
 # Runs `python3 evfbench/run.py --workload all --seed 1 --seconds 25 --trace 0`
-# from the root of this checkout, then the tier-1 suite with `--durations=0`.
-# Merges the four per-workload records the benchmark leaves in
-# .evfbench_work/results/ (checks, metrics and environment stamp) and a
-# "tier1" entry (tests passed, suite wall time, and the seconds of the A5 and
-# A8 acceptance tests, setup and teardown included) into BENCH_<LABEL>.json
-# at the root. Exits non-zero, writing nothing, when the benchmark or a test
+# from the root of this checkout, then the default stage-3 `train` (500 steps)
+# at 8 sequences a batch in one process with one BLAS thread, then the tier-1
+# suite with `--durations=0`. Merges the four per-workload records the
+# benchmark leaves in .evfbench_work/results/ (checks, metrics and
+# environment stamp), a "train_s8" entry (median step time in ms, from one
+# clock stamp per batch drawn, and the step count) and a "tier1" entry (tests
+# passed, suite wall time, and the seconds of the A5 and A8 acceptance tests,
+# setup and teardown included) into BENCH_<LABEL>.json at the root. Exits
+# non-zero, writing nothing, when the benchmark, the train run or a test
 # fails or a record is missing.
 set -euo pipefail
 
@@ -28,6 +31,36 @@ for w in $workloads; do  # no record from an earlier run may stand in for this o
 done
 python3 evfbench/run.py --workload all --seed 1 --seconds 25 --trace 0
 
+train_s8=$(OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
+    python3 - <<'EOF'
+import json
+import statistics
+import time
+
+from evf.model import ModelConfig, SyntheticTask, TrainConfig, build_model, train
+
+stamps = []
+
+
+class ClockedTask(SyntheticTask):
+    """train() draws one batch per step and one for its final evaluation,
+    so consecutive stamps bound each step."""
+
+    def sample_batch(self, *args, **kwargs):
+        stamps.append(time.perf_counter_ns())
+        return super().sample_batch(*args, **kwargs)
+
+
+cfg = ModelConfig(batch_sequences=8)
+tcfg = TrainConfig()
+train(build_model(cfg), ClockedTask(cfg), tcfg)
+steps_ms = [(b - a) / 1e6 for a, b in zip(stamps, stamps[1:])]
+if len(steps_ms) != tcfg.steps:
+    raise SystemExit(f"train_s8: {len(steps_ms)} step stamps for {tcfg.steps} steps")
+print(json.dumps({"step_ms_p50": round(statistics.median(steps_ms), 4), "steps": tcfg.steps}))
+EOF
+)
+
 tier1_log=$(mktemp)
 trap 'rm -f "$tier1_log"' EXIT
 if ! PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -m pytest -q --continue-on-collection-errors \
@@ -37,12 +70,12 @@ if ! PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -m pytest -q --continue-o
     exit 1
 fi
 
-python3 - "BENCH_$label.json" "$tier1_log" $workloads <<'EOF'
+python3 - "BENCH_$label.json" "$tier1_log" "$train_s8" $workloads <<'EOF'
 import json
 import re
 import sys
 
-out, tier1_log, workloads = sys.argv[1], sys.argv[2], sys.argv[3:]
+out, tier1_log, train_s8, workloads = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4:]
 snapshot = {}
 for name in workloads:
     with open(f".evfbench_work/results/{name}-seed1-trace0.json", encoding="utf-8") as fh:
@@ -59,6 +92,7 @@ def seconds(test):
     return round(sum(float(s) for s, node in durations if f"::test_{test}_" in node), 2)
 
 
+snapshot["train_s8"] = json.loads(train_s8)
 snapshot["tier1"] = {"passed": int(passed), "wall_s": float(wall), "a5_s": seconds("a5"), "a8_s": seconds("a8")}
 with open(out, "w", encoding="utf-8") as fh:
     fh.write(json.dumps(snapshot, sort_keys=True, indent=1) + "\n")

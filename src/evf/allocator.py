@@ -22,6 +22,11 @@ Under ``gbpr`` the scores are the routing probabilities themselves, so the
 grouping coincides with the router argmax, which is also what ``random``
 uses directly.
 
+Score-ranked selection is a top-k found by a partition, not a sort: a pool
+keeps its ``capacity`` highest scores, and a tie at the boundary goes to
+the lower token index. Kept and rejected tokens are picked by masks over
+the ascending pool, so both lists come out ascending without a sort.
+
 Determinism contract (relied on by trace tooling and reference oracles):
 all draws descend from ``CapacityConfig.seed`` via ``RngKey`` children,
 ``child(0, ffn_index)`` for the random-selection subset of each FFN and
@@ -42,10 +47,6 @@ from .seeds import RngKey
 
 _SELECTION_DOMAIN = 0
 _REDISTRIBUTION_DOMAIN = 1
-
-# Additive modality priors, fixed. Image rows push toward the vision column.
-IMAGE_PRIOR = (0.0, 1.0)
-TEXT_PRIOR = (1.0, 0.0)
 
 
 class Strategy(str, Enum):
@@ -101,14 +102,6 @@ class ModalityTags:
     def n(self) -> int:
         return int(self.is_image.shape[0])
 
-    @property
-    def image_count(self) -> int:
-        return int(self.is_image.sum())
-
-    @property
-    def text_count(self) -> int:
-        return self.n - self.image_count
-
 
 @dataclass(frozen=True, eq=False)
 class PriorityScores:
@@ -145,12 +138,6 @@ class AllocationPlan:
     @property
     def loads(self) -> tuple[int, int]:
         return (int(self.accepted[0].size), int(self.accepted[1].size))
-
-    def accepted_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n_tokens, dtype=bool)
-        mask[self.accepted[0]] = True
-        mask[self.accepted[1]] = True
-        return mask
 
     def signature(self) -> tuple:
         """Hashable assignment identity, used to detect allocation flips."""
@@ -232,23 +219,27 @@ def priority_scores(decision: RoutingDecision, tags: ModalityTags, strategy: Str
     """
     if tags.n != decision.n:
         raise ContractError(f"priority_scores: {tags.n} tags for {decision.n} tokens")
-    p = decision.probabilities.data
-    if strategy is Strategy.IMG_GBPR:
-        prior = np.where(
-            tags.is_image[:, None],
-            np.asarray(IMAGE_PRIOR, dtype=np.float64),
-            np.asarray(TEXT_PRIOR, dtype=np.float64),
-        )
-        values = p + prior
-    else:
-        values = p.copy()
+    values = decision.probabilities.data.copy()
+    if strategy is Strategy.IMG_GBPR:  # the fixed prior: image (0, 1), text (1, 0)
+        values[:, VISION_FFN] += tags.is_image
+        values[:, LANGUAGE_FFN] += ~tags.is_image
     return PriorityScores(values)
 
 
-def _rank_by_score(candidates: np.ndarray, column_scores: np.ndarray) -> np.ndarray:
-    """Candidates ordered by descending score, ties broken by lower index."""
-    order = np.lexsort((candidates, -column_scores))
-    return candidates[order]
+def _top(pool: np.ndarray, values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Split an ascending pool of more than k tokens by their values.
+
+    Returns the k tokens with the highest values, ties broken toward the
+    lower index, the rest, both ascending, and the gap between the k-th and
+    the (k+1)-th highest value. A partition finds those two values; masks
+    over the pool keep its order, so nothing is sorted.
+    """
+    m = values.size
+    below, kth = np.partition(values, (m - k - 1, m - k))[m - k - 1 : m - k + 1]
+    keep = values > kth
+    ties = np.flatnonzero(values == kth)
+    keep[ties[: k - np.count_nonzero(keep)]] = True
+    return pool[keep], pool[~keep], float(kth - below)
 
 
 def allocate(
@@ -292,18 +283,17 @@ def allocate(
     for ffn in (LANGUAGE_FFN, VISION_FFN):
         pool = np.flatnonzero(candidates == ffn)
         if pool.size <= capacity:
-            accepted.append(pool)
-            rejected.append(np.empty(0, dtype=np.int64))
+            kept, rest = pool, pool[:0]
         elif strategy is Strategy.RANDOM:
             gen = rng.child(_SELECTION_DOMAIN, ffn).generator()
-            keep = np.sort(gen.choice(pool, size=capacity, replace=False))
-            accepted.append(keep)
-            rejected.append(np.setdiff1d(pool, keep))
+            drawn = np.zeros(n, dtype=bool)
+            drawn[gen.choice(pool, size=capacity, replace=False)] = True
+            kept, rest = pool[drawn[pool]], pool[~drawn[pool]]
         else:
-            ranked = _rank_by_score(pool, s[pool, ffn])
-            margin = min(margin, float(s[ranked[capacity - 1], ffn] - s[ranked[capacity], ffn]))
-            accepted.append(np.sort(ranked[:capacity]))
-            rejected.append(np.sort(ranked[capacity:]))
+            kept, rest, gap = _top(pool, s[pool, ffn], capacity)
+            margin = min(margin, gap)
+        accepted.append(kept)
+        rejected.append(rest)
 
     moved: tuple[tuple[int, int, int], ...] = ()
     if redistribution:
@@ -350,29 +340,28 @@ def _redistribute(
     split = rejected[LANGUAGE_FFN].size
     offers_from = (rejected[LANGUAGE_FFN][offered[:split]], rejected[VISION_FFN][offered[split:]])
 
-    moves = [np.empty((0, 3), dtype=np.int64)]
+    moves = []
     for receiver in (LANGUAGE_FFN, VISION_FFN):
         offers = offers_from[1 - receiver]
         slots = capacity - accepted[receiver].size
         if offers.size and slots > 0:
-            placed = _rank_by_score(offers, scores.values[offers, receiver])[:slots]
+            placed = offers if offers.size <= slots else _top(offers, scores.values[offers, receiver], slots)[0]
             accepted[receiver] = np.sort(np.concatenate([accepted[receiver], placed]))
-            moves.append(np.column_stack([placed, np.full((placed.size, 2), (1 - receiver, receiver))]))
-    table = np.concatenate(moves)
-    return tuple(map(tuple, table[np.argsort(table[:, 0])].tolist()))
+            moves += [(token, 1 - receiver, receiver) for token in placed.tolist()]
+    return tuple(sorted(moves))
 
 
 def allocation_stats(plan: AllocationPlan, tags: ModalityTags) -> AllocationStats:
     """Success/drop accounting for a plan."""
     if tags.n != plan.n_tokens:
         raise ContractError(f"allocation_stats: {tags.n} tags for {plan.n_tokens} tokens")
-    mask = plan.accepted_mask()
     n = plan.n_tokens
-    accepted = int(mask.sum())
-    image_total = tags.image_count
-    text_total = tags.text_count
-    image_rate = float(mask[tags.is_image].sum() / image_total) if image_total else None
-    text_rate = float(mask[~tags.is_image].sum() / text_total) if text_total else None
+    accepted = sum(plan.loads)
+    image_total = int(np.count_nonzero(tags.is_image))
+    text_total = n - image_total
+    image_accepted = sum(int(np.count_nonzero(tags.is_image[idx])) for idx in plan.accepted)
+    image_rate = image_accepted / image_total if image_total else None
+    text_rate = (accepted - image_accepted) / text_total if text_total else None
     return AllocationStats(
         n_tokens=n,
         capacity=plan.capacity,

@@ -93,6 +93,8 @@ class OptimizerConfig:
             raise ConfigError(f"weight_decay must be non-negative, got {self.weight_decay}")
         if not (0.0 <= self.warmup_ratio < 1.0):
             raise ConfigError(f"warmup_ratio must lie in [0, 1), got {self.warmup_ratio}")
+        if not (0.0 < self.epsilon < math.inf):
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
 def learning_rate_at(cfg: OptimizerConfig, step: int, total_steps: int) -> float:

@@ -367,6 +367,37 @@ def test_plan_margin_equals_straight_line_reference(n, seed, factor, fraction, s
     assert plan.margin == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 512),
+    seed=st.integers(0, 2**31 - 1),
+    levels=st.lists(st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 1.0]), min_size=1, max_size=3, unique=True),
+    factor=st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.25]),
+    fraction=st.sampled_from([0.0, 0.5, 1.0]),
+    strategy=st.sampled_from(list(Strategy)),
+)
+def test_tie_heavy_plan_and_margin_equal_the_references(n, seed, levels, factor, fraction, strategy):
+    """Few distinct probabilities (all 0.5/0.5 when levels is [0.5], as from a
+    zero router) tie many tokens at every capacity boundary and among the
+    redistribution offers; each tie must go to the lower token index."""
+    rng = np.random.default_rng(seed)
+    vision = np.asarray(levels)[rng.integers(len(levels), size=n)]
+    decision = make_decision(np.column_stack([1.0 - vision, vision]))
+    tags = ModalityTags(rng.random(n) < rng.random())
+    cfg = CapacityConfig(capacity_factor=factor, redistribution_fraction=fraction, seed=seed)
+    plan = run_full(decision, tags, strategy, cfg)
+    want = oracles.allocation_oracle(
+        decision.probabilities.data,
+        tags.is_image,
+        strategy.value,
+        capacity_factor=factor,
+        redistribution_fraction=fraction,
+        seed=seed,
+    )
+    assert_plan_matches_oracle(plan, want)
+    assert plan.margin == reference_margin(decision.probabilities.data, tags.is_image, strategy, plan.capacity)
+
+
 def test_margin_reads_the_capacity_boundary_gap():
     # three vision candidates at 0.9 / 0.85 / 0.7 against capacity 2: the
     # boundary gap 0.15 is below every per-token gap (0.8, 0.7, 0.4, 0.6)

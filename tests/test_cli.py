@@ -316,6 +316,8 @@ def assert_one_error_line(err):
         ("grad-check", "train.aux_weight=-Infinity"),
         ("train", "optimizer.learning_rate=NaN"),
         ("train", "optimizer.weight_decay=Infinity"),
+        ("train", "optimizer.epsilon=-1"),
+        ("train", "optimizer.epsilon=0"),
         ("grad-check", "grad_check.tolerance=NaN"),
         ("grad-check", "grad_check.tolerance=0"),
         ("grad-check", "grad_check.stability_margin=NaN"),

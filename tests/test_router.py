@@ -43,6 +43,29 @@ def test_probabilities_match_scalar_softmax_of_logits():
     np.testing.assert_array_equal(decision.logits.data, tokens @ router.weight.data)
 
 
+# Equal logits and both signs near 700. Row 3 puts probability 0 in its
+# vision column, so under the gradient (-0.0, -1.0) both products g * p are
+# -0.0, whose row sum numpy reads as +0.0.
+EDGE_LOGITS = [[0.0, 0.0], [700.0, 700.0], [-700.0, -700.0], [700.0, -700.0], [-699.5, 700.0], [5e-324, 0.0]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 40), seed=st.integers(0, 2**31 - 1), scale=st.sampled_from([1.0, 30.0, 700.0]))
+def test_router_softmax_and_vjp_give_the_bytes_of_the_plain_numpy_formulas(n, seed, scale):
+    gen = np.random.default_rng(seed)
+    x = np.concatenate([EDGE_LOGITS, gen.uniform(-scale, scale, size=(n, 2))])
+    x[len(EDGE_LOGITS) :: 3, 1] = x[len(EDGE_LOGITS) :: 3, 0]
+    g = gen.normal(size=x.shape)
+    g[gen.random(x.shape) < 0.3] = -0.0
+    g[3] = (-0.0, -1.0)
+    z = x - x.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=1, keepdims=True)
+    out = T.softmax_rows(T.Parameter(x))
+    assert out.data.tobytes() == p.tobytes()
+    assert out._vjps[0](g).tobytes() == (p * (g - (g * p).sum(axis=1, keepdims=True))).tobytes()
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(st.floats(-5, 5, allow_nan=False), min_size=4, max_size=4),

@@ -208,6 +208,9 @@ def test_optimizer_config_validation():
         OptimizerConfig(beta1=1.0)
     with pytest.raises(ConfigError):
         OptimizerConfig(warmup_ratio=1.0)
+    for epsilon in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="epsilon"):
+            OptimizerConfig(epsilon=epsilon)
     with pytest.raises(ContractError):
         learning_rate_at(OptimizerConfig(), 0, 0)
 
