@@ -144,9 +144,9 @@ class AllocationPlan:
         return (
             self.strategy.value,
             self.capacity,
-            tuple(int(i) for i in self.accepted[0]),
-            tuple(int(i) for i in self.accepted[1]),
-            tuple(int(i) for i in self.dropped),
+            tuple(self.accepted[0].tolist()),
+            tuple(self.accepted[1].tolist()),
+            tuple(self.dropped.tolist()),
             self.redistributed,
         )
 

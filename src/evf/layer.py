@@ -100,27 +100,31 @@ def init_stage3_from_dense(
     )
 
 
-def forward_multimodal(
-    layer: EvfLayerParams,
-    tokens: T.Tensor,
-    tags: ModalityTags,
-    rng: RngKey,
-) -> tuple[T.Tensor, RoutingDecision, AllocationPlan]:
+def route_and_allocate(layer: EvfLayerParams, tokens: T.Tensor, tags: ModalityTags,
+                       rng: RngKey) -> tuple[RoutingDecision, AllocationPlan]:
+    """Route one flattened batch and allocate its tokens to the FFN pair under capacity."""
+    decision = route(layer.router, tokens)
+    scores = priority_scores(decision, tags, layer.strategy)
+    return decision, allocate(decision, scores, tags, layer.capacity, layer.strategy, rng=rng)
+
+
+def run_expert(layer: EvfLayerParams, expert: int, tokens: T.Tensor, plan: AllocationPlan) -> T.Tensor:
+    """One FFN of the pair on the tokens the plan accepted for it; none gives a (0, width) input."""
+    ffn = layer.vision_ffn if expert == VISION_FFN else layer.language_ffn
+    return ffn_forward(ffn, T.take_rows(tokens, plan.accepted[expert]))
+
+
+def forward_multimodal(layer: EvfLayerParams, tokens: T.Tensor, tags: ModalityTags,
+                       rng: RngKey) -> tuple[T.Tensor, RoutingDecision, AllocationPlan]:
     """Route, allocate and apply the FFN pair to one flattened batch.
 
     Accepted tokens emit ``P(assigned FFN) * ffn(token)``; the probability
     factor keeps the router differentiable even though the assignment
     itself is discrete. Dropped tokens emit a zero row.
     """
-    decision = route(layer.router, tokens)
-    scores = priority_scores(decision, tags, layer.strategy)
-    plan = allocate(decision, scores, tags, layer.capacity, layer.strategy, rng=rng)
-
-    # An expert with no accepted tokens runs on a (0, width) input.
-    language = ffn_forward(layer.language_ffn, T.take_rows(tokens, plan.accepted[LANGUAGE_FFN]))
-    vision = ffn_forward(layer.vision_ffn, T.take_rows(tokens, plan.accepted[VISION_FFN]))
-    out = T.combine(decision.probabilities, [language, vision], plan.accepted)
-    return out, decision, plan
+    decision, plan = route_and_allocate(layer, tokens, tags, rng)
+    outputs = [run_expert(layer, expert, tokens, plan) for expert in (LANGUAGE_FFN, VISION_FFN)]
+    return T.combine(decision.probabilities, outputs, plan.accepted), decision, plan
 
 
 def forward_language_only(layer: EvfLayerParams, tokens: T.Tensor) -> T.Tensor:

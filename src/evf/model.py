@@ -15,8 +15,10 @@ the image pathway.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -27,8 +29,8 @@ import numpy as np
 from . import tensor as T
 from .allocator import AllocationPlan, CapacityConfig, ModalityTags, Strategy, allocation_stats
 from .errors import ConfigError, ContractError, NumericError
-from .layer import EvfLayerParams, FfnParams, ffn_forward, forward_language_only, forward_multimodal, init_stage3_from_dense
-from .router import VISION_FFN, RoutingDecision
+from .layer import EvfLayerParams, FfnParams, ffn_forward, forward_language_only, init_stage3_from_dense, route_and_allocate, run_expert
+from .router import LANGUAGE_FFN, VISION_FFN, RoutingDecision
 from .seeds import RngKey
 from .training import AdamW, LayerLoadStats, OptimizerConfig, aux_loss, learning_rate_at
 
@@ -36,6 +38,7 @@ MULTIMODAL = "multimodal"
 LANGUAGE_ONLY = "language_only"
 
 _HISTOGRAM_BINS = 10
+_HISTOGRAM_EDGES = np.linspace(0.0, 1.0, _HISTOGRAM_BINS + 1)  # np.histogram's, for range (0, 1)
 # Far above any depth this model is trained at, and low enough that resolving
 # the default elastic-layer indices never asks for gigabytes.
 _MAX_DEPTH = 1024
@@ -205,6 +208,7 @@ class MicroModel:
     head_weight: T.Parameter
     head_bias: T.Parameter
     stage: int = field(default=2, init=False)
+    _reads: list | None = field(default=None, init=False, repr=False)  # see _stage_reads
 
     def named_parameters(self) -> Iterator[tuple[str, T.Parameter, str]]:
         """Yields (name, parameter, stage group) in a fixed order."""
@@ -304,7 +308,7 @@ def apply_stage(model: MicroModel, stage: int) -> None:
             block = model.blocks[i]
             block.evf = init_stage3_from_dense(block.ffn, model.cfg.capacity, model.cfg.strategy)
             block.ffn = None
-    model.stage = stage
+    model.stage, model._reads = stage, None
     for _, p, group in model.named_parameters():
         p.set_trainable(group in STAGE_GROUPS[stage])
 
@@ -333,16 +337,41 @@ class ForwardResult:
         return tuple(plan.signature() for plan in self.plans)
 
 
-def _resume(memo: list, stage: int, params: Sequence[T.Parameter], extra: tuple, run, *args):
-    """``run(*args)``, or the last forward's result if this stage and all before it are unchanged."""
-    arrays = [p.data for p in params]  # immutable values, held by the entry so no id in its key is reused
-    key = (tuple(map(id, arrays)), tuple(p.requires_grad for p in params), extra)
-    if stage < len(memo) and memo[stage][0] == key:
-        return memo[stage][2]
-    del memo[stage:]
-    out = run(*args)
-    memo.append((key, arrays, out))
+def _resume(memo: list, stage: int, params: tuple[T.Parameter, ...], settings: tuple, run):
+    """``run()``, or the last forward's result if this stage and all before it are unchanged.
+
+    A stage is unchanged when it reads the very same value arrays, with the
+    same freeze flags and equal settings. Values are immutable and the entry
+    holds the arrays it compares, so the same array means the same bytes.
+    """
+    arrays, flags = [p.data for p in params], [p.requires_grad for p in params]
+    if stage < len(memo):
+        held = memo[stage]
+        if held[1] == flags and held[2] == settings and all(map(operator.is_, held[0], arrays)):
+            return held[3]
+        del memo[stage:]
+    out = run()
+    memo.append((arrays, flags, settings, out))
     return out
+
+
+def _stage_reads(model: MicroModel) -> list[tuple[tuple[T.Parameter, ...], ...]]:
+    """Per block, the parameters its attention stage reads, then those of its dense FFN stage or of
+    its route, language FFN and vision FFN stages. Only apply_stage replaces parameter objects, so
+    the lists are gathered once per stage switch."""
+    if model._reads is None:
+        def values(group) -> tuple[T.Parameter, ...]:
+            return tuple(p for _, p in group.parameters())
+
+        model._reads = []
+        for block in model.blocks:
+            evf = block.evf
+            attn = (block.ln_attn.gain, block.ln_attn.bias, *values(block.attn), block.ln_ffn.gain, block.ln_ffn.bias)
+            if evf is None:
+                model._reads.append((attn, values(block.ffn)))
+            else:
+                model._reads.append((attn, (evf.router.weight,), values(evf.language_ffn), values(evf.vision_ffn)))
+    return model._reads
 
 
 def _embed(model: MicroModel, text_ids: np.ndarray, features: np.ndarray | None,
@@ -371,31 +400,19 @@ def _attention_stage(block: Block, x: T.Tensor, lengths: tuple[int, ...]) -> tup
     return x, T.layer_norm(x, block.ln_ffn.gain, block.ln_ffn.bias)
 
 
-def _ffn_stage(block: Block, x: T.Tensor, pre_ffn: T.Tensor, mode: str, tags: ModalityTags,
-               rng: RngKey) -> tuple[T.Tensor, RoutingDecision | None, AllocationPlan | None]:
-    if block.evf is None:
-        return x + ffn_forward(block.ffn, pre_ffn), None, None
-    if mode == LANGUAGE_ONLY:
-        return x + forward_language_only(block.evf, pre_ffn), None, None
-    ffn_out, decision, plan = forward_multimodal(block.evf, pre_ffn, tags, rng.child(block.index))
-    return x + ffn_out, decision, plan
-
-
-def forward(
-    model: MicroModel,
-    batch: TokenBatch,
-    mode: str = MULTIMODAL,
-    rng: RngKey | None = None,
-) -> ForwardResult:
+def forward(model: MicroModel, batch: TokenBatch, mode: str = MULTIMODAL, rng: RngKey | None = None) -> ForwardResult:
     """Run the packed batch through the transformer.
 
     multimodal mode exercises routing and allocation at every elastic
     layer; language_only mode rejects batches containing image features and
     runs the dense language path (no routing objects are ever built).
 
-    Stages (the embedding, then each block's attention and FFN) of the last
-    forward on this batch are reused up to the first whose parameter values,
-    flags or settings differ; the embedding also keys on the batch bytes, mode and rng.
+    Stages of the last forward on this batch are reused up to the first whose
+    parameter values, flags or settings differ. They are the embedding (which
+    also keys on the batch bytes, mode and rng), then per block its attention
+    and its FFN: one stage for a dense block or the language-only path, and
+    for a multimodal elastic block route + allocate (router weight, strategy,
+    capacity), the language expert, then the vision expert and the combine.
     """
     if mode not in (MULTIMODAL, LANGUAGE_ONLY):
         raise ContractError(f"unknown mode {mode!r}")
@@ -422,35 +439,38 @@ def forward(
     lengths = tuple(seq.length for seq in seqs)
     image_counts = tuple(seq.image_count for seq in seqs)
     features = np.concatenate([s.image_features for s in seqs if s.image_count]) if any(image_counts) else None
-    memo, embed = batch._memo, (model.embed_tokens, model.embed_positions, model.adapter_weight, model.adapter_bias)
+    memo, stages = batch._memo, itertools.count()
+    embed = (model.embed_tokens, model.embed_positions, model.adapter_weight, model.adapter_bias)
     content = (lengths, image_counts, text_ids.tobytes(), None if features is None else features.tobytes(), mode, rng)
-    x, tags, text_rows = _resume(memo, 0, embed, content, _embed, model, text_ids, features, lengths, image_counts)
+    x, tags, text_rows = _resume(memo, next(stages), embed, content,
+                                 lambda: _embed(model, text_ids, features, lengths, image_counts))
     plans: list[AllocationPlan] = []
     decisions: list[RoutingDecision] = []
-    for b, block in enumerate(model.blocks):
-        attn_reads = (block.ln_attn.gain, block.ln_attn.bias, *(p for _, p in block.attn.parameters()),
-                      block.ln_ffn.gain, block.ln_ffn.bias)
-        x, pre_ffn = _resume(memo, 2 * b + 1, attn_reads, (block.attn.heads,), _attention_stage, block, x, lengths)
+    for block, (attn_reads, *ffn_reads) in zip(model.blocks, _stage_reads(model)):
+        x, pre_ffn = _resume(memo, next(stages), attn_reads, (block.attn.heads,),
+                             lambda: _attention_stage(block, x, lengths))
         evf = block.evf
-        ffns = [block.ffn] if evf is None else [evf.language_ffn, evf.vision_ffn]
-        ffn_reads = [p for ffn in ffns for _, p in ffn.parameters()] + ([] if evf is None else [evf.router.weight])
-        settings = () if evf is None else (evf.strategy, evf.capacity)
-        x, decision, plan = _resume(memo, 2 * b + 2, ffn_reads, settings, _ffn_stage, block, x, pre_ffn, mode, tags, rng)
-        if plan is not None:
+        if evf is None:
+            x = _resume(memo, next(stages), ffn_reads[0], (), lambda: x + ffn_forward(block.ffn, pre_ffn))
+        elif mode == LANGUAGE_ONLY:
+            x = _resume(memo, next(stages), ffn_reads[1], (), lambda: x + forward_language_only(evf, pre_ffn))
+        else:
+            # forward_multimodal in three stages, so a vision-FFN probe reuses the routing, the
+            # allocation and the language expert.
+            decision, plan = _resume(memo, next(stages), ffn_reads[0], (evf.strategy, evf.capacity),
+                                     lambda: route_and_allocate(evf, pre_ffn, tags, rng.child(block.index)))
+            language = _resume(memo, next(stages), ffn_reads[1], (),
+                               lambda: run_expert(evf, LANGUAGE_FFN, pre_ffn, plan))
+            x = _resume(memo, next(stages), ffn_reads[2], (), lambda: x + T.combine(
+                decision.probabilities, [language, run_expert(evf, VISION_FFN, pre_ffn, plan)], plan.accepted))
             decisions.append(decision)
             plans.append(plan)
 
     final = T.layer_norm(x, model.ln_final.gain, model.ln_final.bias)
     logits = T.linear(final, model.head_weight, model.head_bias)
     targets = [seq.targets for seq in seqs]
-    return ForwardResult(
-        logits=logits,
-        plans=plans,
-        decisions=decisions,
-        tags=tags,
-        text_rows=text_rows,
-        targets=None if any(t is None for t in targets) else np.concatenate(targets),
-    )
+    return ForwardResult(logits, plans, decisions, tags, text_rows,
+                         None if any(t is None for t in targets) else np.concatenate(targets))
 
 
 @dataclass(eq=False)
@@ -464,12 +484,8 @@ class LossResult:
     forward: ForwardResult
 
 
-def compute_loss(
-    model: MicroModel,
-    batch: TokenBatch,
-    rng: RngKey | None = None,
-    aux_weight: float = 0.001,
-) -> LossResult:
+def compute_loss(model: MicroModel, batch: TokenBatch, rng: RngKey | None = None,
+                 aux_weight: float = 0.001) -> LossResult:
     """Forward pass plus ``regressive + aux_weight * aux`` on the text positions.
 
     Raises :class:`NumericError` when any of the three values is not finite.
@@ -498,12 +514,7 @@ class SyntheticTask:
         self.permutations = np.stack([gen.permutation(cfg.vocab) for _ in range(cfg.num_keys)])
         self.key_vectors = gen.normal(0.0, 1.0, size=(cfg.num_keys, cfg.image_feature_dim))
 
-    def sample_batch(
-        self,
-        key: RngKey,
-        sequences: int | None = None,
-        text_len: int | None = None,
-    ) -> TokenBatch:
+    def sample_batch(self, key: RngKey, sequences: int | None = None, text_len: int | None = None) -> TokenBatch:
         cfg = self.cfg
         n_seq = cfg.batch_sequences if sequences is None else sequences
         length = cfg.text_len if text_len is None else text_len
@@ -514,21 +525,10 @@ class SyntheticTask:
             noise = cfg.image_noise * gen.normal(size=(cfg.image_tokens, cfg.image_feature_dim))
             feats = self.key_vectors[k] + noise
             ids = gen.integers(cfg.vocab, size=length)
-            out.append(
-                SequenceSample(
-                    text_ids=ids,
-                    image_features=feats,
-                    targets=self.permutations[k][ids],
-                )
-            )
+            out.append(SequenceSample(text_ids=ids, image_features=feats, targets=self.permutations[k][ids]))
         return TokenBatch(out)
 
-    def sample_text_batch(
-        self,
-        key: RngKey,
-        sequences: int | None = None,
-        text_len: int | None = None,
-    ) -> TokenBatch:
+    def sample_text_batch(self, key: RngKey, sequences: int | None = None, text_len: int | None = None) -> TokenBatch:
         """Text-only batch (no image rows, no targets) for language-only eval."""
         cfg = self.cfg
         n_seq = cfg.batch_sequences if sequences is None else sequences
@@ -561,16 +561,20 @@ class TrainResult:
     checkpoint_path: Path | None
 
 
+def _probability_histogram(p: np.ndarray) -> list[int]:
+    """The counts of ``np.histogram(p, bins=10, range=(0, 1))`` for p in [0, 1], without its overhead."""
+    return np.bincount(np.searchsorted(_HISTOGRAM_EDGES[1:-1], p, side="right"), minlength=_HISTOGRAM_BINS).tolist()
+
+
 def _metrics_row(cfg: ModelConfig, step: int, lr: float, result: LossResult) -> dict:
     """One metrics row: the loss values and one telemetry record per elastic layer."""
     fwd = result.forward
     layers = []
     for index, plan, decision, loads in zip(cfg.evf_layer_indices, fwd.plans, fwd.decisions, result.per_layer):
-        hist, _ = np.histogram(decision.probabilities.data[:, VISION_FFN], bins=_HISTOGRAM_BINS, range=(0.0, 1.0))
         layers.append({
             "layer": index,
             "strategy": plan.strategy.value,
-            "vision_probability_histogram": [int(c) for c in hist],
+            "vision_probability_histogram": _probability_histogram(decision.probabilities.data[:, VISION_FFN]),
             **allocation_stats(plan, fwd.tags).to_json_dict(),
             **asdict(loads),
         })
@@ -584,12 +588,7 @@ def _metrics_row(cfg: ModelConfig, step: int, lr: float, result: LossResult) -> 
     }
 
 
-def train(
-    model: MicroModel,
-    task: SyntheticTask,
-    tcfg: TrainConfig,
-    out_dir: Path | str | None = None,
-) -> TrainResult:
+def train(model: MicroModel, task: SyntheticTask, tcfg: TrainConfig, out_dir: Path | str | None = None) -> TrainResult:
     """Run one curriculum stage for tcfg.steps updates.
 
     Emits one metrics row per step (loss measured before the update) plus a

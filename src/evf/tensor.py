@@ -10,14 +10,15 @@ Gradient flow is cut per parameter (``set_trainable(False)``, called only by
 from the walk; the optimizer refuses them.
 
 Parameter values are immutable: a :class:`Parameter` owns a private,
-read-only copy of each value it is given, so one array object always holds
-the same bytes. Ops and their closures write in place only into arrays they
-allocated themselves, never into an input's ``data`` and never into the
-incoming gradient ``g``: a closure may return ``g`` itself or a view of it
-(``add``, ``concat_rows``), so one array can be the gradient of several
-nodes, and :func:`backward` accumulates out of place. In-place steps keep
-the operation order of the plain expression they replace, so they give the
-same bits.
+read-only copy of each value it is given (the optimizer and the gradient
+checker hand over arrays they have just computed, or an earlier value, with
+no copy), so one array object always holds the same bytes. Ops and their
+closures write in place only into arrays they allocated themselves, never
+into an input's ``data`` and never into the incoming gradient ``g``: a
+closure may return ``g`` itself or a view of it (``add``, ``concat_rows``),
+so one array can be the gradient of several nodes, and :func:`backward`
+accumulates out of place. In-place steps keep the operation order of the
+plain expression they replace, so they give the same bits.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class Tensor:
 
     def __init__(self, values):
         data = _as_float64(values)
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite(data).all():
             raise NumericError("leaf tensor contains non-finite values")
         self.data = data
         self.grad: Array | None = None
@@ -139,11 +140,16 @@ class Parameter(Tensor):
 
     def assign(self, values) -> None:
         """Replace the stored value with a read-only copy; shape must be preserved."""
-        arr = _frozen_copy(values)
+        self._adopt(_frozen_copy(values))
+
+    def _adopt(self, arr: Array) -> None:
+        """Store ``arr`` itself, with the checks of :meth:`assign`: a C-contiguous float64 array
+        that no one will write, such as one the caller has just computed or an earlier value."""
         if arr.shape != self.data.shape:
             raise ShapeError(f"assign: shapes {arr.shape} and {self.data.shape} differ")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericError("assign: non-finite parameter value")
+        arr.setflags(write=False)
         self.data = arr
 
 
@@ -339,7 +345,7 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def _row_reduce(ufunc, a: Array) -> Array:
-    """``ufunc.reduce(a, axis=1, keepdims=True)`` as one elementwise op per column.
+    """``ufunc.reduce(a, axis=1)`` as one elementwise op per column.
 
     numpy's axis-1 reduce runs its inner loop once per row, which on the
     router's (n, 2) logits costs tens of times the arithmetic. The fold starts
@@ -350,18 +356,27 @@ def _row_reduce(ufunc, a: Array) -> Array:
     out = a[:, 0] if ufunc.identity is None else a[:, 0] + ufunc.identity
     for j in range(1, a.shape[1]):
         out = ufunc(out, a[:, j])
-    return out[:, None]
+    return out
+
+
+def _by_column(ufunc, a: Array, col: Array) -> Array:
+    """``ufunc(a, col[:, None])`` with the inner loop down each column, for the same reason."""
+    out = np.empty(a.shape)
+    ufunc(a.T, col, out=out.T, order="C")
+    return out
 
 
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax with max subtraction; rows sum to 1."""
     _check_2d("softmax_rows", x)
-    z = x.data - _row_reduce(np.maximum, x.data)
-    e = np.exp(z)
-    p = e / _row_reduce(np.add, e)
+    e = _by_column(np.subtract, x.data, _row_reduce(np.maximum, x.data))
+    np.exp(e, out=e)
+    p = _by_column(np.divide, e, _row_reduce(np.add, e))
 
     def vjp(g: Array) -> Array:
-        return p * (g - _row_reduce(np.add, g * p))
+        out = _by_column(np.subtract, g, _row_reduce(np.add, g * p))
+        out *= p
+        return out
 
     return Tensor._from_op(p, (x,), (vjp,))
 

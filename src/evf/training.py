@@ -140,13 +140,15 @@ class AdamW:
         t = step_index + 1
         b1, b2 = self.cfg.beta1, self.cfg.beta2
         for name, p in self.params.items():
-            g = p.grad
-            m = self._m[name] = b1 * self._m[name] + (1.0 - b1) * g
-            v = self._v[name] = b2 * self._v[name] + (1.0 - b2) * g * g
+            g, m, v = p.grad, self._m[name], self._v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
             m_hat = m / (1.0 - b1**t)
             v_hat = v / (1.0 - b2**t)
             update = m_hat / (np.sqrt(v_hat) + self.cfg.epsilon) + self.cfg.weight_decay * p.data
-            p.assign(p.data - lr * update)
+            p._adopt(p.data - lr * update)
         return lr
 
 
@@ -237,11 +239,11 @@ def grad_check(
     def loss_value_at(p: T.Parameter, flat_index: int, delta: float, original: np.ndarray) -> float:
         perturbed = original.copy()
         perturbed.reshape(-1)[flat_index] += delta
-        p.assign(perturbed)
+        p._adopt(perturbed)
         try:
             loss, signature = loss_fn()
         finally:
-            p.assign(original)
+            p._adopt(original)
         if signature != base_signature:
             raise UnstableInstanceError("allocation flipped under finite-difference perturbation")
         return loss.item()

@@ -25,6 +25,7 @@ from evf.model import (
     SyntheticTask,
     TokenBatch,
     TrainConfig,
+    _probability_histogram,
     apply_stage,
     build_model,
     compute_loss,
@@ -230,7 +231,7 @@ def test_compute_loss_builds_no_telemetry(monkeypatch):
     """Allocation stats and the probability histogram are built where the
     metrics rows are written, not by the loss a grad-check probe evaluates."""
     counts = {"stats": 0, "histograms": 0}
-    stats_init, histogram = AllocationStats.__init__, np.histogram
+    stats_init, histogram = AllocationStats.__init__, _probability_histogram
 
     def counting_stats(self, *args, **kwargs):
         counts["stats"] += 1
@@ -241,7 +242,7 @@ def test_compute_loss_builds_no_telemetry(monkeypatch):
         return histogram(*args, **kwargs)
 
     monkeypatch.setattr(AllocationStats, "__init__", counting_stats)
-    monkeypatch.setattr(np, "histogram", counting_histogram)
+    monkeypatch.setattr("evf.model._probability_histogram", counting_histogram)
     cfg = tiny_cfg(depth=3)
     model = build_model(cfg)
     enter_stage3(model)
@@ -251,6 +252,16 @@ def test_compute_loss_builds_no_telemetry(monkeypatch):
     train(model, SyntheticTask(cfg), TrainConfig(stage=3, steps=1))
     layers = len(cfg.evf_layer_indices)
     assert counts == {"stats": 2 * layers, "histograms": 2 * layers}
+
+
+def test_probability_histogram_counts_as_np_histogram():
+    edges = np.linspace(0.0, 1.0, 11)
+    near = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
+    in_range = near[(near >= 0.0) & (near <= 1.0)]  # probabilities never leave [0, 1]
+    inputs = [edges, in_range, np.array([0.0, 1.0]), np.random.default_rng(0).random(10_000)]
+    for p in inputs:
+        expected, _ = np.histogram(p, bins=10, range=(0.0, 1.0))
+        assert _probability_histogram(p) == expected.tolist()
 
 
 @pytest.mark.parametrize("name", ["head.bias", "blocks.0.evf.router.weight"])
@@ -452,7 +463,36 @@ def test_a_block2_probe_builds_fewer_ops_than_a_fresh_loss(tensor_ops_built):
         before = tensor_ops_built["ops"]
         compute_loss(model, b, rng)
         counts.append(tensor_ops_built["ops"] - before)
-    assert counts == [38, 83]
+    assert counts == [32, 83]
+
+
+def probe_builds(model, batch, p, built):
+    """What one perturbed loss on an already-forwarded batch adds to a fixture's counts."""
+    rng = RngKey(8)
+    compute_loss(model, batch, rng)
+    p.assign(perturbed(p))
+    before = dict(built)
+    compute_loss(model, batch, rng)
+    return {key: built[key] - before[key] for key in built}
+
+
+def test_a_block2_vision_ffn_probe_reuses_its_layers_routing_and_allocation(routing_objects_built):
+    model, batch = grad_check_setup()
+    probe = probe_builds(model, batch, model.blocks[2].evf.vision_ffn.w_up, routing_objects_built)
+    assert probe == {"decisions": 0, "plans": 0}
+
+
+def test_a_block0_vision_ffn_probe_routes_only_the_layers_above_it(routing_objects_built):
+    model, batch = grad_check_setup()
+    probe = probe_builds(model, batch, model.blocks[0].evf.vision_ffn.b_down, routing_objects_built)
+    assert probe == {"decisions": 1, "plans": 1}  # block 2's
+
+
+def test_a_router_probe_rebuilds_its_own_layers_route(routing_objects_built):
+    model, batch = grad_check_setup()
+    assert probe_builds(model, batch, model.blocks[2].evf.router.weight, routing_objects_built) == {"decisions": 1, "plans": 1}
+    model, batch = grad_check_setup()
+    assert probe_builds(model, batch, model.blocks[0].evf.router.weight, routing_objects_built) == {"decisions": 2, "plans": 2}
 
 
 # ---------------------------------------------------------------------------
