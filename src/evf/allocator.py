@@ -15,12 +15,12 @@ for img_gbpr) the redistribution of rejects, and it returns the final plan.
 The plan also records its stability ``margin``: the smallest score gap that
 a perturbation would have to close to change the plan.
 
-Candidate grouping follows the priority scores where they exist: under
-``img_gbpr`` the prior dominates the routing probability, so image tokens
-are candidates for the vision FFN and text tokens for the language FFN.
-Under ``gbpr`` the scores are the routing probabilities themselves, so the
-grouping coincides with the router argmax, which is also what ``random``
-uses directly.
+Each token is a candidate for the FFN its priority scores prefer, and a
+tie goes to language. Under ``img_gbpr`` the prior dominates the routing
+probability, so image tokens are candidates for the vision FFN and text
+tokens for the language FFN. Under ``gbpr`` and ``random`` the scores are
+the routing probabilities themselves, so the grouping is the router argmax,
+and a zero-initialized router makes every token a language candidate.
 
 Score-ranked selection is a top-k found by a partition, not a sort: a pool
 keeps its ``capacity`` highest scores, and a tie at the boundary goes to
@@ -57,7 +57,7 @@ class Strategy(str, Enum):
 
 @dataclass(frozen=True)
 class CapacityConfig:
-    """Static allocation settings for one layer or run."""
+    """Static allocation settings for one model or allocate-trace run."""
 
     capacity_factor: float = 1.5
     num_ffns: int = 2
@@ -121,10 +121,9 @@ class AllocationPlan:
     """Final token-to-FFN assignment for one batch.
 
     Token index lists are ascending. ``margin`` is the smallest
-    |vision - language| score gap over the tokens (routing probabilities
-    under random) and, for score-ranked selection, the gap at each
-    over-capacity boundary; it is diagnostic only, so it stays out of
-    :meth:`signature` and :meth:`to_json_dict`.
+    |vision - language| score gap over the tokens and, for score-ranked
+    selection, the gap at each over-capacity boundary; it is diagnostic
+    only, so it stays out of :meth:`signature` and :meth:`to_json_dict`.
     """
 
     strategy: Strategy
@@ -170,11 +169,12 @@ class AllocationPlan:
 
 @dataclass(frozen=True)
 class AllocationStats:
-    """Aggregate accounting for one final plan."""
+    """Aggregate accounting for one final plan; its fields are the keys of its JSON record."""
 
     n_tokens: int
     capacity: int
-    loads: tuple[int, int]
+    accepted_language: int
+    accepted_vision: int
     dropped: int
     redistributed: int
     success_rate: float
@@ -182,19 +182,9 @@ class AllocationStats:
     image_acceptance: float | None
     text_acceptance: float | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_tokens": self.n_tokens,
-            "capacity": self.capacity,
-            "accepted_language": self.loads[0],
-            "accepted_vision": self.loads[1],
-            "dropped": self.dropped,
-            "redistributed": self.redistributed,
-            "success_rate": self.success_rate,
-            "drop_rate": self.drop_rate,
-            "image_acceptance": self.image_acceptance,
-            "text_acceptance": self.text_acceptance,
-        }
+    @property
+    def loads(self) -> tuple[int, int]:
+        return (self.accepted_language, self.accepted_vision)
 
 
 def compute_capacity(n: int, cfg: CapacityConfig) -> int:
@@ -212,10 +202,11 @@ def compute_capacity(n: int, cfg: CapacityConfig) -> int:
 def priority_scores(decision: RoutingDecision, tags: ModalityTags, strategy: Strategy) -> PriorityScores:
     """Selection scores per token and FFN.
 
-    gbpr ranks by the routing probabilities unchanged. img_gbpr adds the
-    fixed modality prior, which lifts every image token above every text
-    token in the vision column and vice versa. For random the scores are
-    never consulted; the routing probabilities are returned for uniformity.
+    gbpr and random take the routing probabilities unchanged: gbpr ranks
+    by them, and random only groups the candidates by them (its selection
+    is a seeded draw). img_gbpr adds the fixed modality prior, which lifts
+    every image token above every text token in the vision column and vice
+    versa.
     """
     if tags.n != decision.n:
         raise ContractError(f"priority_scores: {tags.n} tags for {decision.n} tokens")
@@ -254,8 +245,8 @@ def allocate(
 ) -> AllocationPlan:
     """Assign each token to one FFN's accepted list, or drop it.
 
-    Each token is a candidate for the FFN its scores prefer (the router
-    argmax under random). An over-capacity side keeps a seeded subset
+    Each token is a candidate for the FFN its scores prefer, ties to
+    language. An over-capacity side keeps a seeded subset
     (random) or its top scores (gbpr, img_gbpr). With ``redistribution``
     the rejects are then offered to the opposite FFN (see
     :func:`_redistribute`); left at None it is on only for img_gbpr.
@@ -271,12 +262,8 @@ def allocate(
     if redistribution is None:
         redistribution = strategy is Strategy.IMG_GBPR
 
-    if strategy is Strategy.RANDOM:
-        s = decision.probabilities.data
-        candidates = decision.preferred_ffn
-    else:
-        s = scores.values
-        candidates = np.where(s[:, VISION_FFN] > s[:, LANGUAGE_FFN], VISION_FFN, LANGUAGE_FFN)
+    s = scores.values
+    candidates = np.where(s[:, VISION_FFN] > s[:, LANGUAGE_FFN], VISION_FFN, LANGUAGE_FFN)
     margin = float(np.abs(s[:, VISION_FFN] - s[:, LANGUAGE_FFN]).min())
     accepted: list[np.ndarray] = []
     rejected: list[np.ndarray] = []
@@ -356,7 +343,8 @@ def allocation_stats(plan: AllocationPlan, tags: ModalityTags) -> AllocationStat
     if tags.n != plan.n_tokens:
         raise ContractError(f"allocation_stats: {tags.n} tags for {plan.n_tokens} tokens")
     n = plan.n_tokens
-    accepted = sum(plan.loads)
+    language, vision = plan.loads
+    accepted = language + vision
     image_total = int(np.count_nonzero(tags.is_image))
     text_total = n - image_total
     image_accepted = sum(int(np.count_nonzero(tags.is_image[idx])) for idx in plan.accepted)
@@ -365,7 +353,8 @@ def allocation_stats(plan: AllocationPlan, tags: ModalityTags) -> AllocationStat
     return AllocationStats(
         n_tokens=n,
         capacity=plan.capacity,
-        loads=plan.loads,
+        accepted_language=language,
+        accepted_vision=vision,
         dropped=int(plan.dropped.size),
         redistributed=len(plan.redistributed),
         success_rate=accepted / n,

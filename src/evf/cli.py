@@ -283,7 +283,7 @@ def cmd_allocate_trace(run: RunConfig, fixture_path: str, out: Path) -> int:
         stats = allocation_stats(plan, tags)
         per_strategy[strategy.value] = {
             "plan": plan.to_json_dict(),
-            "stats": stats.to_json_dict(),
+            "stats": asdict(stats),
         }
 
     trace = {

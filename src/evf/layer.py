@@ -1,8 +1,9 @@
 """The elastic two-FFN transformer sub-layer.
 
 An EVF layer holds a frozen language FFN, a trainable vision FFN and a
-router. Multimodal batches are routed, capacity-allocated, processed by the
-FFN they were assigned to and scaled by that FFN's routing probability;
+router. Multimodal batches are routed, allocated under the capacity and
+strategy the caller passes (the model's config), processed by the FFN they
+were assigned to and scaled by that FFN's routing probability;
 tokens the allocation dropped contribute an exact zero row, so a residual
 connection around the layer passes them through unchanged.
 
@@ -13,7 +14,7 @@ from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,13 +62,11 @@ def ffn_forward(p: FfnParams, x: T.Tensor) -> T.Tensor:
 
 @dataclass(eq=False)
 class EvfLayerParams:
-    """Router plus the language/vision FFN pair and allocation settings."""
+    """Router plus the language/vision FFN pair; the allocation settings come from the caller."""
 
     router: RouterParams
     language_ffn: FfnParams
     vision_ffn: FfnParams
-    capacity: CapacityConfig = field(default_factory=CapacityConfig)
-    strategy: Strategy = Strategy.IMG_GBPR
 
     def __post_init__(self) -> None:
         if self.language_ffn.width != self.vision_ffn.width:
@@ -80,11 +79,7 @@ class EvfLayerParams:
             )
 
 
-def init_stage3_from_dense(
-    dense: FfnParams,
-    capacity: CapacityConfig | None = None,
-    strategy: Strategy = Strategy.IMG_GBPR,
-) -> EvfLayerParams:
+def init_stage3_from_dense(dense: FfnParams) -> EvfLayerParams:
     """Duplicate a dense FFN into an EVF layer.
 
     Both FFNs start as bit-exact copies of the dense block; the router is
@@ -95,17 +90,15 @@ def init_stage3_from_dense(
         router=RouterParams.zeros(dense.width),
         language_ffn=dense.copy(),
         vision_ffn=dense.copy(),
-        capacity=capacity if capacity is not None else CapacityConfig(),
-        strategy=strategy,
     )
 
 
-def route_and_allocate(layer: EvfLayerParams, tokens: T.Tensor, tags: ModalityTags,
-                       rng: RngKey) -> tuple[RoutingDecision, AllocationPlan]:
+def route_and_allocate(layer: EvfLayerParams, tokens: T.Tensor, tags: ModalityTags, capacity: CapacityConfig,
+                       strategy: Strategy, rng: RngKey) -> tuple[RoutingDecision, AllocationPlan]:
     """Route one flattened batch and allocate its tokens to the FFN pair under capacity."""
     decision = route(layer.router, tokens)
-    scores = priority_scores(decision, tags, layer.strategy)
-    return decision, allocate(decision, scores, tags, layer.capacity, layer.strategy, rng=rng)
+    scores = priority_scores(decision, tags, strategy)
+    return decision, allocate(decision, scores, tags, capacity, strategy, rng=rng)
 
 
 def run_expert(layer: EvfLayerParams, expert: int, tokens: T.Tensor, plan: AllocationPlan) -> T.Tensor:
@@ -114,15 +107,15 @@ def run_expert(layer: EvfLayerParams, expert: int, tokens: T.Tensor, plan: Alloc
     return ffn_forward(ffn, T.take_rows(tokens, plan.accepted[expert]))
 
 
-def forward_multimodal(layer: EvfLayerParams, tokens: T.Tensor, tags: ModalityTags,
-                       rng: RngKey) -> tuple[T.Tensor, RoutingDecision, AllocationPlan]:
+def forward_multimodal(layer: EvfLayerParams, tokens: T.Tensor, tags: ModalityTags, capacity: CapacityConfig,
+                       strategy: Strategy, rng: RngKey) -> tuple[T.Tensor, RoutingDecision, AllocationPlan]:
     """Route, allocate and apply the FFN pair to one flattened batch.
 
     Accepted tokens emit ``P(assigned FFN) * ffn(token)``; the probability
     factor keeps the router differentiable even though the assignment
     itself is discrete. Dropped tokens emit a zero row.
     """
-    decision, plan = route_and_allocate(layer, tokens, tags, rng)
+    decision, plan = route_and_allocate(layer, tokens, tags, capacity, strategy, rng)
     outputs = [run_expert(layer, expert, tokens, plan) for expert in (LANGUAGE_FFN, VISION_FFN)]
     return T.combine(decision.probabilities, outputs, plan.accepted), decision, plan
 

@@ -150,7 +150,7 @@ class SequenceSample:
 @dataclass(eq=False)
 class TokenBatch:
     sequences: list[SequenceSample]
-    _memo: list = field(default_factory=list, init=False, repr=False)  # the last forward's stages, see forward
+    _memo: list = field(default_factory=list, init=False, repr=False)  # the last forward's key and stages, see forward
 
     def __post_init__(self) -> None:
         if not self.sequences:
@@ -177,7 +177,6 @@ class AttentionParams:
     bv: T.Parameter
     wo: T.Parameter
     bo: T.Parameter
-    heads: int
 
     def parameters(self) -> list[tuple[str, T.Parameter]]:
         return [("wq", self.wq), ("bq", self.bq), ("wk", self.wk), ("bk", self.bk),
@@ -271,7 +270,6 @@ def build_model(cfg: ModelConfig) -> MicroModel:
             wk=normal((d, d)), bk=zeros((d,)),
             wv=normal((d, d)), bv=zeros((d,)),
             wo=normal((d, d)), bo=zeros((d,)),
-            heads=cfg.heads,
         )
         ln_ffn = LayerNormParams(T.Parameter(np.ones(d)), zeros((d,)))
         ffn = FfnParams(
@@ -306,7 +304,7 @@ def apply_stage(model: MicroModel, stage: int) -> None:
     if stage == 3 and model.stage != 3:
         for i in model.cfg.evf_layer_indices:
             block = model.blocks[i]
-            block.evf = init_stage3_from_dense(block.ffn, model.cfg.capacity, model.cfg.strategy)
+            block.evf = init_stage3_from_dense(block.ffn)
             block.ffn = None
     model.stage, model._reads = stage, None
     for _, p, group in model.named_parameters():
@@ -337,21 +335,21 @@ class ForwardResult:
         return tuple(plan.signature() for plan in self.plans)
 
 
-def _resume(memo: list, stage: int, params: tuple[T.Parameter, ...], settings: tuple, run):
+def _resume(memo: list, stage: int, params: tuple[T.Parameter, ...], run):
     """``run()``, or the last forward's result if this stage and all before it are unchanged.
 
     A stage is unchanged when it reads the very same value arrays, with the
-    same freeze flags and equal settings. Values are immutable and the entry
-    holds the arrays it compares, so the same array means the same bytes.
+    same freeze flags. Values are immutable and the entry holds the arrays it
+    compares, so the same array means the same bytes.
     """
     arrays, flags = [p.data for p in params], [p.requires_grad for p in params]
     if stage < len(memo):
         held = memo[stage]
-        if held[1] == flags and held[2] == settings and all(map(operator.is_, held[0], arrays)):
-            return held[3]
+        if held[1] == flags and all(map(operator.is_, held[0], arrays)):
+            return held[2]
         del memo[stage:]
     out = run()
-    memo.append((arrays, flags, settings, out))
+    memo.append((arrays, flags, out))
     return out
 
 
@@ -393,10 +391,10 @@ def _embed(model: MicroModel, text_ids: np.ndarray, features: np.ndarray | None,
     return x, tags, text_rows
 
 
-def _attention_stage(block: Block, x: T.Tensor, lengths: tuple[int, ...]) -> tuple[T.Tensor, T.Tensor]:
+def _attention_stage(block: Block, x: T.Tensor, lengths: tuple[int, ...], heads: int) -> tuple[T.Tensor, T.Tensor]:
     attn, normed = block.attn, T.layer_norm(x, block.ln_attn.gain, block.ln_attn.bias)
     q, k, v = (T.linear(normed, w, b) for w, b in ((attn.wq, attn.bq), (attn.wk, attn.bk), (attn.wv, attn.bv)))
-    x = x + T.linear(T.attention(q, k, v, lengths, attn.heads), attn.wo, attn.bo)
+    x = x + T.linear(T.attention(q, k, v, lengths, heads), attn.wo, attn.bo)
     return x, T.layer_norm(x, block.ln_ffn.gain, block.ln_ffn.bias)
 
 
@@ -408,11 +406,12 @@ def forward(model: MicroModel, batch: TokenBatch, mode: str = MULTIMODAL, rng: R
     runs the dense language path (no routing objects are ever built).
 
     Stages of the last forward on this batch are reused up to the first whose
-    parameter values, flags or settings differ. They are the embedding (which
-    also keys on the batch bytes, mode and rng), then per block its attention
-    and its FFN: one stage for a dense block or the language-only path, and
-    for a multimodal elastic block route + allocate (router weight, strategy,
-    capacity), the language expert, then the vision expert and the combine.
+    parameter values or flags differ. They are the embedding (which also keys
+    on the model config, so a replaced config recomputes everything, and on
+    the batch bytes, mode and rng), then per block its attention and its FFN:
+    one stage for a dense block or the language-only path, and for a
+    multimodal elastic block route + allocate, the language expert, then the
+    vision expert and the combine.
     """
     if mode not in (MULTIMODAL, LANGUAGE_ONLY):
         raise ContractError(f"unknown mode {mode!r}")
@@ -439,29 +438,31 @@ def forward(model: MicroModel, batch: TokenBatch, mode: str = MULTIMODAL, rng: R
     lengths = tuple(seq.length for seq in seqs)
     image_counts = tuple(seq.image_count for seq in seqs)
     features = np.concatenate([s.image_features for s in seqs if s.image_count]) if any(image_counts) else None
-    memo, stages = batch._memo, itertools.count()
+    memo, stages = batch._memo, itertools.count(1)
+    key = (cfg, lengths, image_counts, text_ids.tobytes(), None if features is None else features.tobytes(), mode, rng)
+    if memo[:1] != [key]:  # every setting and input of the forward: a change recomputes every stage
+        memo[:] = [key]
     embed = (model.embed_tokens, model.embed_positions, model.adapter_weight, model.adapter_bias)
-    content = (lengths, image_counts, text_ids.tobytes(), None if features is None else features.tobytes(), mode, rng)
-    x, tags, text_rows = _resume(memo, next(stages), embed, content,
+    x, tags, text_rows = _resume(memo, next(stages), embed,
                                  lambda: _embed(model, text_ids, features, lengths, image_counts))
     plans: list[AllocationPlan] = []
     decisions: list[RoutingDecision] = []
     for block, (attn_reads, *ffn_reads) in zip(model.blocks, _stage_reads(model)):
-        x, pre_ffn = _resume(memo, next(stages), attn_reads, (block.attn.heads,),
-                             lambda: _attention_stage(block, x, lengths))
+        x, pre_ffn = _resume(memo, next(stages), attn_reads,
+                             lambda: _attention_stage(block, x, lengths, cfg.heads))
         evf = block.evf
         if evf is None:
-            x = _resume(memo, next(stages), ffn_reads[0], (), lambda: x + ffn_forward(block.ffn, pre_ffn))
+            x = _resume(memo, next(stages), ffn_reads[0], lambda: x + ffn_forward(block.ffn, pre_ffn))
         elif mode == LANGUAGE_ONLY:
-            x = _resume(memo, next(stages), ffn_reads[1], (), lambda: x + forward_language_only(evf, pre_ffn))
+            x = _resume(memo, next(stages), ffn_reads[1], lambda: x + forward_language_only(evf, pre_ffn))
         else:
             # forward_multimodal in three stages, so a vision-FFN probe reuses the routing, the
             # allocation and the language expert.
-            decision, plan = _resume(memo, next(stages), ffn_reads[0], (evf.strategy, evf.capacity),
-                                     lambda: route_and_allocate(evf, pre_ffn, tags, rng.child(block.index)))
-            language = _resume(memo, next(stages), ffn_reads[1], (),
+            decision, plan = _resume(memo, next(stages), ffn_reads[0], lambda: route_and_allocate(
+                evf, pre_ffn, tags, cfg.capacity, cfg.strategy, rng.child(block.index)))
+            language = _resume(memo, next(stages), ffn_reads[1],
                                lambda: run_expert(evf, LANGUAGE_FFN, pre_ffn, plan))
-            x = _resume(memo, next(stages), ffn_reads[2], (), lambda: x + T.combine(
+            x = _resume(memo, next(stages), ffn_reads[2], lambda: x + T.combine(
                 decision.probabilities, [language, run_expert(evf, VISION_FFN, pre_ffn, plan)], plan.accepted))
             decisions.append(decision)
             plans.append(plan)
@@ -575,7 +576,7 @@ def _metrics_row(cfg: ModelConfig, step: int, lr: float, result: LossResult) -> 
             "layer": index,
             "strategy": plan.strategy.value,
             "vision_probability_histogram": _probability_histogram(decision.probabilities.data[:, VISION_FFN]),
-            **allocation_stats(plan, fwd.tags).to_json_dict(),
+            **asdict(allocation_stats(plan, fwd.tags)),
             **asdict(loads),
         })
     return {

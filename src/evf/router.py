@@ -1,8 +1,7 @@
 """Two-way token router: linear logits and a softmax over two FFN columns.
 
-Column 0 is the language FFN, column 1 the vision FFN. Probability ties are
-resolved toward language (column 0), which also makes a zero-initialized
-router send every token to the language side on its first forward.
+Column 0 is the language FFN, column 1 the vision FFN. Which FFN a token is
+a candidate for is the allocator's decision (:func:`evf.allocator.allocate`).
 """
 
 from __future__ import annotations
@@ -40,15 +39,10 @@ class RouterParams:
 
 @dataclass(eq=False)
 class RoutingDecision:
-    """Logits, probabilities and the per-token argmax for one batch.
-
-    probabilities stays attached to the compute graph; preferred_ffn is a
-    plain integer array because expert choice is not differentiable.
-    """
+    """Logits and probabilities for one batch; probabilities stays attached to the compute graph."""
 
     logits: T.Tensor
     probabilities: T.Tensor
-    preferred_ffn: np.ndarray
 
     @property
     def n(self) -> int:
@@ -67,8 +61,5 @@ def route(router: RouterParams, tokens: T.Tensor) -> RoutingDecision:
 
 
 def decision_from_logits(logits: T.Tensor) -> RoutingDecision:
-    """Softmax (n, 2) logits and take each token's argmax, ties to language."""
-    probabilities = T.softmax_rows(logits)
-    p = probabilities.data
-    preferred = np.where(p[:, VISION_FFN] > p[:, LANGUAGE_FFN], VISION_FFN, LANGUAGE_FFN)
-    return RoutingDecision(logits, probabilities, preferred.astype(np.int64))
+    """Softmax (n, 2) logits into their routing probabilities."""
+    return RoutingDecision(logits, T.softmax_rows(logits))

@@ -280,15 +280,18 @@ def combine(gates: Tensor, outputs: Sequence[Tensor], rows) -> Tensor:
     """The mixture-of-experts combine: gated expert rows placed in one (n, d) tensor.
 
     Row ``rows[e][j]`` of the result is ``gates[rows[e][j], e] * outputs[e][j]``.
-    The index lists must be disjoint; rows in none of them are zero.
+    The index lists must be disjoint and repeat no row; rows in none of them are zero.
     """
     _check_2d("combine", gates, *outputs)
     if not 0 < len(outputs) == len(rows) == gates.data.shape[1]:
         raise ShapeError(f"combine: gates {gates.data.shape} for {len(outputs)} outputs and {len(rows)} index lists")
     n, d = gates.data.shape[0], outputs[0].data.shape[1]
     rows = [_check_row_index("combine", idx, n) for idx in rows]
-    if np.unique(np.concatenate(rows)).size != sum(idx.size for idx in rows):
-        raise ContractError("combine: a row is in more than one index list")
+    marked = np.zeros(n, dtype=bool)
+    for idx in rows:
+        marked[idx] = True
+    if np.count_nonzero(marked) != sum(idx.size for idx in rows):
+        raise ContractError("combine: a row is in more than one index list, or twice in one")
     for y, idx in zip(outputs, rows):
         if y.data.shape != (idx.size, d):
             raise ShapeError(f"combine: output shape {y.data.shape} for {idx.size} rows of width {d}")

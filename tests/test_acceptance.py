@@ -55,8 +55,7 @@ def verdict(capsys):
 def _decision(probabilities: np.ndarray) -> RoutingDecision:
     p = np.asarray(probabilities, dtype=np.float64)
     logits = T.Tensor(np.log(np.maximum(p, 1e-300)))
-    preferred = np.where(p[:, VISION_FFN] > p[:, LANGUAGE_FFN], VISION_FFN, LANGUAGE_FFN)
-    return RoutingDecision(logits, T.Tensor(p), preferred.astype(np.int64))
+    return RoutingDecision(logits, T.Tensor(p))
 
 
 def _run_strategy(decision, tags, strategy, cfg, redistribution=None):

@@ -2,6 +2,8 @@
 redistribution, stability margins, stats, and full-plan equivalence against
 the straight-line oracle. Hypothesis drives the structural invariants."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,8 +29,7 @@ def make_decision(probabilities):
     """Build a decision from explicit probabilities (rows must sum to 1)."""
     p = np.asarray(probabilities, dtype=np.float64)
     logits = T.Tensor(np.log(np.maximum(p, 1e-300)))
-    preferred = np.where(p[:, VISION_FFN] > p[:, LANGUAGE_FFN], VISION_FFN, LANGUAGE_FFN)
-    return RoutingDecision(logits, T.Tensor(p), preferred.astype(np.int64))
+    return RoutingDecision(logits, T.Tensor(p))
 
 
 def random_decision(rng, n):
@@ -428,7 +429,7 @@ def test_allocation_stats_accounting():
     assert stats.drop_rate == pytest.approx(1 / 6)
     assert stats.image_acceptance == pytest.approx(3 / 4)
     assert stats.text_acceptance == 1.0
-    doc = stats.to_json_dict()
+    doc = asdict(stats)
     assert doc["accepted_language"] == 2 and doc["accepted_vision"] == 3
 
 

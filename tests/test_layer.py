@@ -48,7 +48,7 @@ def test_ffn_forward_matches_scalar_oracle():
 
 def test_stage3_init_duplicates_weights_bit_exactly():
     dense = dense_ffn()
-    layer = init_stage3_from_dense(dense, CapacityConfig(), Strategy.IMG_GBPR)
+    layer = init_stage3_from_dense(dense)
     for (_, a), (_, b), (_, c) in zip(
         dense.parameters(), layer.language_ffn.parameters(), layer.vision_ffn.parameters()
     ):
@@ -69,10 +69,11 @@ def test_zero_router_output_is_half_the_dense_output():
     the dense block, so the layer emits exactly half the dense output as
     long as nothing is dropped."""
     dense = dense_ffn(3)
-    layer = init_stage3_from_dense(dense, CapacityConfig(capacity_factor=2.0))
+    layer = init_stage3_from_dense(dense)
     x = np.random.default_rng(1).normal(size=(8, WIDTH))
     tags = tags_of("iittttit")
-    out, _, plan = forward_multimodal(layer, T.Tensor(x), tags, RngKey(0))
+    out, _, plan = forward_multimodal(layer, T.Tensor(x), tags, CapacityConfig(capacity_factor=2.0), Strategy.IMG_GBPR,
+                                      RngKey(0))
     assert plan.dropped.size == 0
     want = 0.5 * ffn_forward(dense, T.Tensor(x)).data
     np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
@@ -80,9 +81,10 @@ def test_zero_router_output_is_half_the_dense_output():
 
 
 def test_dropped_tokens_emit_exact_zero_rows():
-    layer = init_stage3_from_dense(dense_ffn(), CapacityConfig(capacity_factor=0.5, redistribution_fraction=0.0))
+    layer = init_stage3_from_dense(dense_ffn())
+    capacity = CapacityConfig(capacity_factor=0.5, redistribution_fraction=0.0)
     x = np.random.default_rng(2).normal(size=(10, WIDTH))
-    out, _, plan = forward_multimodal(layer, T.Tensor(x), tags_of("iiiiiiiiii"), RngKey(0))
+    out, _, plan = forward_multimodal(layer, T.Tensor(x), tags_of("iiiiiiiiii"), capacity, Strategy.IMG_GBPR, RngKey(0))
     assert plan.dropped.size > 0
     for tok in plan.dropped:
         np.testing.assert_array_equal(out.data[tok], np.zeros(WIDTH))
@@ -98,12 +100,11 @@ def test_layer_output_matches_token_by_token_oracle(strategy):
         router=router,
         language_ffn=dense_ffn(5),
         vision_ffn=dense_ffn(6),
-        capacity=CapacityConfig(capacity_factor=0.75, seed=31),
-        strategy=strategy,
     )
     x = rng.normal(size=(12, WIDTH))
     is_image = rng.integers(2, size=12).astype(bool)
-    out, decision, plan = forward_multimodal(layer, T.Tensor(x), ModalityTags(is_image), RngKey(31))
+    out, decision, plan = forward_multimodal(layer, T.Tensor(x), ModalityTags(is_image),
+                                             CapacityConfig(capacity_factor=0.75, seed=31), strategy, RngKey(31))
 
     oracle_plan = oracles.allocation_oracle(
         decision.probabilities.data, is_image, strategy.value,
@@ -126,7 +127,7 @@ def test_language_only_path_is_bitwise_dense_and_builds_no_routing_objects(routi
     dense_out = ffn_forward(dense, T.Tensor(x)).data
     assert out.data.tobytes() == dense_out.tobytes()
     # the counter sees the multimodal path, so the zero above is not vacuous
-    forward_multimodal(layer, T.Tensor(x), tags_of("iiitttt"), RngKey(0))
+    forward_multimodal(layer, T.Tensor(x), tags_of("iiitttt"), CapacityConfig(), Strategy.IMG_GBPR, RngKey(0))
     assert routing_objects_built == {"decisions": 1, "plans": 1}
 
 
@@ -142,11 +143,12 @@ def test_language_only_zero_input_gives_constant_rows():
 
 
 def test_gradients_flow_to_vision_and_router_but_not_language():
-    layer = init_stage3_from_dense(dense_ffn(7), CapacityConfig(capacity_factor=2.0))
+    layer = init_stage3_from_dense(dense_ffn(7))
     for _, p in layer.language_ffn.parameters():  # frozen as apply_stage(model, 3) freezes it
         p.set_trainable(False)
     x = np.random.default_rng(5).normal(size=(6, WIDTH))
-    out, _, _ = forward_multimodal(layer, T.Tensor(x), tags_of("iiittt"), RngKey(1))
+    out, _, _ = forward_multimodal(layer, T.Tensor(x), tags_of("iiittt"), CapacityConfig(capacity_factor=2.0),
+                                   Strategy.IMG_GBPR, RngKey(1))
     T.backward(T.sum_all(out))
     assert float(np.abs(layer.vision_ffn.w_up.grad).max()) > 0.0
     assert float(np.abs(layer.router.weight.grad).max()) > 0.0
@@ -167,10 +169,9 @@ def test_gate_gradient_matches_finite_differences_with_fixed_allocation():
             router=RouterParams(router_weight_param),
             language_ffn=dense_ffn(1),
             vision_ffn=dense_ffn(2),
-            capacity=CapacityConfig(capacity_factor=2.0),
-            strategy=Strategy.IMG_GBPR,
         )
-        out, _, _ = forward_multimodal(layer, T.Tensor(x), tags, RngKey(0))
+        out, _, _ = forward_multimodal(layer, T.Tensor(x), tags, CapacityConfig(capacity_factor=2.0), Strategy.IMG_GBPR,
+                                       RngKey(0))
         return T.sum_all(out)
 
     param = T.Parameter(weight0)
@@ -186,7 +187,8 @@ def test_gate_gradient_matches_finite_differences_with_fixed_allocation():
 def test_layer_shape_contracts():
     layer = init_stage3_from_dense(dense_ffn())
     with pytest.raises(ShapeError):
-        forward_multimodal(layer, T.Tensor(np.zeros((4, WIDTH + 1))), tags_of("tttt"), RngKey(0))
+        forward_multimodal(layer, T.Tensor(np.zeros((4, WIDTH + 1))), tags_of("tttt"), CapacityConfig(), Strategy.IMG_GBPR,
+                           RngKey(0))
     with pytest.raises(ShapeError):
         EvfLayerParams(
             router=RouterParams.zeros(WIDTH + 1),

@@ -5,7 +5,7 @@ synthetic task, training loop artifacts, and the checkpoint container."""
 import json
 import os
 import weakref
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -432,14 +432,15 @@ def test_a_changed_rng_mode_model_or_token_recomputes_from_the_embedding(tensor_
     assert ops(lambda: forward(model, text, MULTIMODAL))[0] == multimodal
 
 
-def test_changed_heads_or_strategy_recompute_their_stage():
+def test_a_replaced_config_recomputes_from_the_embedding():
     model, batch = grad_check_setup()
     forward(model, batch, MULTIMODAL, RngKey(1))
-    model.blocks[2].evf.strategy = Strategy.GBPR
-    assert forward(model, batch, MULTIMODAL, RngKey(1)).plans[1].strategy is Strategy.GBPR
-    model.blocks[1].attn.heads = 4
+    model.cfg = replace(model.cfg, strategy=Strategy.GBPR)
+    two_heads = forward(model, batch, MULTIMODAL, RngKey(1))
+    assert [plan.strategy for plan in two_heads.plans] == [Strategy.GBPR, Strategy.GBPR]
+    model.cfg = replace(model.cfg, heads=4)
     resumed, again = forward(model, batch, MULTIMODAL, RngKey(1)), forward(model, fresh(batch), MULTIMODAL, RngKey(1))
-    assert resumed.logits.data.tobytes() == again.logits.data.tobytes()
+    assert resumed.logits.data.tobytes() == again.logits.data.tobytes() != two_heads.logits.data.tobytes()
 
 
 def test_the_cached_graph_is_freed_with_the_batch():

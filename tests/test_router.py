@@ -1,4 +1,7 @@
-"""Routing: probability values, tie behavior, argmax invariances, gradients."""
+"""Routing: probability values, tie behavior, argmax invariances, gradients.
+
+Which FFN a token prefers is read from a slack-capacity allocation, where
+every token is accepted by its candidate FFN: the allocator owns that rule."""
 
 import math
 
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from evf import tensor as T
+from evf.allocator import CapacityConfig, ModalityTags, Strategy, allocate, priority_scores
 from evf.errors import ShapeError
 from evf.router import LANGUAGE_FFN, VISION_FFN, RouterParams, route
 
@@ -17,12 +21,28 @@ def make_router(weight):
     return RouterParams(T.Parameter(np.asarray(weight, dtype=np.float64)))
 
 
+def candidate_ffn(decision):
+    """Each token's FFN in a capacity_factor=2.0 plan, the same under random and gbpr."""
+    tags = ModalityTags(np.zeros(decision.n, dtype=bool))
+    assigned = []
+    for strategy in (Strategy.RANDOM, Strategy.GBPR):
+        scores = priority_scores(decision, tags, strategy)
+        plan = allocate(decision, scores, tags, CapacityConfig(capacity_factor=2.0), strategy)
+        assert plan.dropped.size == 0
+        ffn = np.empty(decision.n, dtype=np.int64)
+        for expert, rows in enumerate(plan.accepted):
+            ffn[rows] = expert
+        assigned.append(ffn)
+    np.testing.assert_array_equal(*assigned)
+    return assigned[0]
+
+
 def test_zero_router_emits_half_half_and_prefers_language():
     router = RouterParams.zeros(width=5)
     tokens = T.Tensor(np.random.default_rng(1).normal(size=(7, 5)))
     decision = route(router, tokens)
     np.testing.assert_array_equal(decision.probabilities.data, np.full((7, 2), 0.5))
-    np.testing.assert_array_equal(decision.preferred_ffn, np.zeros(7, dtype=np.int64))
+    np.testing.assert_array_equal(candidate_ffn(decision), np.zeros(7, dtype=np.int64))
 
 
 def test_known_logit_gap_gives_quarter_three_quarter():
@@ -30,7 +50,7 @@ def test_known_logit_gap_gives_quarter_three_quarter():
     router = make_router([[0.0, math.log(3.0)]])
     decision = route(router, T.Tensor([[1.0]]))
     np.testing.assert_allclose(decision.probabilities.data, [[0.25, 0.75]], rtol=0, atol=1e-15)
-    assert decision.preferred_ffn[0] == VISION_FFN
+    assert candidate_ffn(decision)[0] == VISION_FFN
 
 
 def test_probabilities_match_scalar_softmax_of_logits():
@@ -88,14 +108,14 @@ def test_scaling_logits_never_flips_the_argmax(entries, lam):
     for decision in (base, scaled):
         gap = np.abs(decision.logits.data[:, 1] - decision.logits.data[:, 0])
         assume(np.all((gap == 0) | (gap > 1e-12)))
-    np.testing.assert_array_equal(base.preferred_ffn, scaled.preferred_ffn)
+    np.testing.assert_array_equal(candidate_ffn(base), candidate_ffn(scaled))
 
 
 def test_exact_tie_resolves_to_language():
     router = make_router([[1.0, 1.0], [0.5, 0.5]])
     decision = route(router, T.Tensor([[2.0, -1.0]]))
     assert decision.probabilities.data[0, 0] == decision.probabilities.data[0, 1]
-    assert decision.preferred_ffn[0] == LANGUAGE_FFN
+    assert candidate_ffn(decision)[0] == LANGUAGE_FFN
 
 
 def test_router_gradient_matches_finite_differences():

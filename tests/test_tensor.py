@@ -496,8 +496,9 @@ def test_index_contracts():
     with pytest.raises(ContractError):
         T.take_rows(x, [0, 3])
     gates, y = T.Tensor(rand(3, 2)), T.Tensor(rand(1, 2))
-    with pytest.raises(ContractError, match="more than one"):
-        T.combine(gates, [y, y], [[1], [1]])
+    for rows in ([[1], [1]], [[1, 1], []]):
+        with pytest.raises(ContractError, match="more than one"):
+            T.combine(gates, [y, y], rows)
     with pytest.raises(ContractError, match="out of range"):
         T.combine(gates, [y, y], [[0], [3]])
 

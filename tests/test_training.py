@@ -27,8 +27,7 @@ from evf.training import (
 
 def decision_of(probabilities):
     p = np.asarray(probabilities, dtype=np.float64)
-    preferred = np.where(p[:, 1] > p[:, 0], 1, 0).astype(np.int64)
-    return RoutingDecision(T.Tensor(np.log(np.maximum(p, 1e-300))), T.Tensor(p), preferred)
+    return RoutingDecision(T.Tensor(np.log(np.maximum(p, 1e-300))), T.Tensor(p))
 
 
 def plan_for(decision, pattern, factor=1.5, strategy=Strategy.GBPR):
@@ -85,9 +84,7 @@ def test_aux_matches_recount_oracle_across_layers():
 def test_aux_gradient_reaches_router_through_column_means():
     logits_param = T.Parameter(np.random.default_rng(3).normal(size=(6, 2)))
     probs = T.softmax_rows(logits_param)
-    p = probs.data
-    preferred = np.where(p[:, 1] > p[:, 0], 1, 0).astype(np.int64)
-    decision = RoutingDecision(logits_param, probs, preferred)
+    decision = RoutingDecision(logits_param, probs)
     plan = plan_for(decision, "tttttt", factor=2.0)
     aux, _ = aux_loss([plan], [decision])
     T.backward(aux)
@@ -95,7 +92,7 @@ def test_aux_gradient_reaches_router_through_column_means():
 
     def f(logits):
         pr = T.softmax_rows(T.Tensor(np.asarray(logits)))
-        d = RoutingDecision(T.Tensor(np.asarray(logits)), pr, preferred)
+        d = RoutingDecision(T.Tensor(np.asarray(logits)), pr)
         a, _ = aux_loss([plan], [d])
         return a.item()
 
