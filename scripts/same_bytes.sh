@@ -11,8 +11,10 @@
 #   evf train --set model.capacity.capacity_factor=0.6 --set train.steps=30
 #     --set model.strategy=S, for S in gbpr, img_gbpr and random
 #   evf grad-check
-#   evf allocate-trace over an inline fixture: at capacity factor 0.6 every
-#     strategy drops tokens and img_gbpr redistributes one
+#   evf allocate-trace over tests/allocate_trace_fixture.json, read from the
+#     working tree for both sides: eight image and two text tokens at capacity
+#     factor 0.6 (3 per FFN), so every strategy drops tokens and img_gbpr
+#     redistributes one; token 6 ties, so it is a language candidate
 # and compares run_config.json, metrics.jsonl, telemetry.jsonl,
 # model_final.ckpt, grad_check_report.json and allocate_trace.json with cmp
 # (24 files). Exits 0 when every file is identical, 1 on any difference and
@@ -36,28 +38,6 @@ unset EVF_OUTPUT_ROOT
 
 drop_strategies="gbpr img_gbpr random"
 
-# Eight image and two text tokens: capacity ceil(0.6 * 10 / 2) = 3 per FFN.
-# Token 6 ties, so it is a language candidate.
-cat > "$work/fixture.json" <<'EOF'
-{
-  "capacity_factor": 0.6,
-  "redistribution_fraction": 0.5,
-  "seed": 7,
-  "tokens": [
-    {"modality": "image", "logits": [0.1, 1.3]},
-    {"modality": "image", "logits": [0.2, 0.9]},
-    {"modality": "image", "logits": [1.5, 0.3]},
-    {"modality": "image", "logits": [0.0, 2.1]},
-    {"modality": "image", "logits": [0.4, 0.5]},
-    {"modality": "image", "logits": [-0.3, 0.8]},
-    {"modality": "image", "logits": [0.7, 0.7]},
-    {"modality": "image", "logits": [0.2, 1.6]},
-    {"modality": "text", "logits": [2.0, 0.4]},
-    {"modality": "text", "logits": [0.3, 1.1]}
-  ]
-}
-EOF
-
 run_all() {  # run_all SRC_TREE OUT_DIR
     local evf=(env PYTHONPATH="$1/src" python3 -m evf)
     "${evf[@]}" train --out "$2/train" >/dev/null
@@ -67,7 +47,7 @@ run_all() {  # run_all SRC_TREE OUT_DIR
             --set model.strategy=$s --out "$2/train_c06_$s" >/dev/null
     done
     "${evf[@]}" grad-check --out "$2/grad_check" >/dev/null
-    "${evf[@]}" allocate-trace --fixture "$work/fixture.json" --out "$2/allocate_trace" >/dev/null
+    "${evf[@]}" allocate-trace --fixture "$repo/tests/allocate_trace_fixture.json" --out "$2/allocate_trace" >/dev/null
 }
 
 run_all "$work/base" "$work/out_base" || { echo "run failed in $rev" >&2; exit 2; }

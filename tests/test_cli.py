@@ -3,6 +3,7 @@ placement, exit codes, and byte-stable artifacts."""
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -11,7 +12,9 @@ import struct
 import tempfile
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -233,6 +236,45 @@ def test_train_writes_reproducible_artifacts(tmp_path):
     assert run_cfg["command"] == "train"
     assert run_cfg["train"]["steps"] == 4
     assert run_cfg["model"]["depth"] == 2
+
+
+TESTS_DIR = Path(__file__).parent
+ALLOCATE_TRACE_FIXTURE = TESTS_DIR / "allocate_trace_fixture.json"
+ARTIFACT_SHA256 = TESTS_DIR / "artifact_sha256.json"
+TRAIN_FILES = ("run_config.json", "metrics.jsonl", "telemetry.jsonl", "model_final.ckpt")
+DROP_HEAVY = ["--set", "model.capacity.capacity_factor=0.6", "--set", "train.steps=30"]
+# Small versions of the runs of scripts/same_bytes.sh: (run, evf arguments, files written).
+BYTE_CONTRACT_RUNS = [
+    ("train", ["train", "--set", "train.steps=20"], TRAIN_FILES),
+    ("train_s32", ["train", "--set", "model.batch_sequences=32", "--set", "train.steps=10"], TRAIN_FILES),
+    *((f"train_c06_{s}", ["train", *DROP_HEAVY, "--set", f"model.strategy={s}"], TRAIN_FILES)
+      for s in ("gbpr", "img_gbpr", "random")),
+    ("grad_check", ["grad-check", *TINY_MODEL, "--set", "grad_check.instances=1"],
+     ("run_config.json", "grad_check_report.json")),
+    ("allocate_trace", ["allocate-trace", "--fixture", str(ALLOCATE_TRACE_FIXTURE)],
+     ("run_config.json", "allocate_trace.json")),
+]
+
+
+def test_artifacts_keep_their_committed_bytes(tmp_path, capsys):
+    # The same seeds give the same bytes, from one revision to the next. A
+    # deliberate bit change replaces tests/artifact_sha256.json with the
+    # digests this test prints, in the same diff, and says why.
+    got = {}
+    for run, args, files in BYTE_CONTRACT_RUNS:
+        assert main([*args, "--out", str(tmp_path / run)]) == 0, run
+        for name in files:
+            got[f"{run}/{name}"] = hashlib.sha256((tmp_path / run / name).read_bytes()).hexdigest()
+    capsys.readouterr()
+    expected = json.loads(ARTIFACT_SHA256.read_text())
+    if got != expected:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        differ = sorted(k for k in got.keys() | expected.keys() if got.get(k) != expected.get(k))
+        pytest.fail(
+            f"artifact digests differ from {ARTIFACT_SHA256.name} for {differ} "
+            f"(numpy {np.__version__}, BLAS {blas['name']} {blas['version']}); digests written:\n"
+            + json.dumps(got, indent=2, sort_keys=True)
+        )
 
 
 def test_train_resumes_from_checkpoint(tmp_path):
