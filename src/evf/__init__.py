@@ -37,7 +37,6 @@ from .layer import (
     FfnParams,
     ffn_forward,
     forward_language_only,
-    forward_multimodal,
     init_stage3_from_dense,
 )
 from .training import (
@@ -69,63 +68,3 @@ from .model import (
 from .checkpoint import load_model, save_model
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdamW",
-    "AllocationPlan",
-    "AllocationStats",
-    "CapacityConfig",
-    "ConfigError",
-    "ContractError",
-    "EvfError",
-    "EvfLayerParams",
-    "FfnParams",
-    "FixtureError",
-    "GradCheckReport",
-    "LANGUAGE_FFN",
-    "MicroModel",
-    "ModalityTags",
-    "ModelConfig",
-    "NumericError",
-    "OptimizerConfig",
-    "Parameter",
-    "PriorityScores",
-    "RngKey",
-    "RouterParams",
-    "RoutingDecision",
-    "STAGE_GROUPS",
-    "SequenceSample",
-    "ShapeError",
-    "Strategy",
-    "SyntheticTask",
-    "Tensor",
-    "TokenBatch",
-    "TrainConfig",
-    "UnstableInstanceError",
-    "VISION_FFN",
-    "allocate",
-    "allocation_stats",
-    "apply_stage",
-    "aux_loss",
-    "backward",
-    "build_model",
-    "combined_digest",
-    "compute_capacity",
-    "compute_loss",
-    "enter_stage3",
-    "ffn_forward",
-    "forward",
-    "forward_language_only",
-    "forward_multimodal",
-    "grad_check",
-    "init_stage3_from_dense",
-    "learning_rate_at",
-    "load_model",
-    "parameter_digests",
-    "priority_scores",
-    "route",
-    "save_model",
-    "tensor_digest",
-    "train",
-    "zero_grads",
-]

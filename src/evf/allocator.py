@@ -42,7 +42,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .router import FFN_NAMES, LANGUAGE_FFN, VISION_FFN, RoutingDecision
+from .router import LANGUAGE_FFN, VISION_FFN, RoutingDecision
 from .seeds import RngKey
 
 _SELECTION_DOMAIN = 0
@@ -89,15 +89,6 @@ class ModalityTags:
             raise ContractError(f"modality tags must be 1-d, got shape {arr.shape}")
         object.__setattr__(self, "is_image", arr)
 
-    @classmethod
-    def from_labels(cls, labels) -> "ModalityTags":
-        flags = []
-        for i, label in enumerate(labels):
-            if label not in ("image", "text"):
-                raise ContractError(f"modality label {label!r} at position {i} (expected 'image' or 'text')")
-            flags.append(label == "image")
-        return cls(np.asarray(flags, dtype=bool))
-
     @property
     def n(self) -> int:
         return int(self.is_image.shape[0])
@@ -123,7 +114,7 @@ class AllocationPlan:
     Token index lists are ascending. ``margin`` is the smallest
     |vision - language| score gap over the tokens and, for score-ranked
     selection, the gap at each over-capacity boundary; it is diagnostic
-    only, so it stays out of :meth:`signature` and :meth:`to_json_dict`.
+    only, so it stays out of :meth:`signature` and of ``allocate_trace.json``.
     """
 
     strategy: Strategy
@@ -148,23 +139,6 @@ class AllocationPlan:
             tuple(self.dropped.tolist()),
             self.redistributed,
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "strategy": self.strategy.value,
-            "n_tokens": int(self.n_tokens),
-            "capacity": int(self.capacity),
-            "accepted": {
-                "language": [int(i) for i in self.accepted[LANGUAGE_FFN]],
-                "vision": [int(i) for i in self.accepted[VISION_FFN]],
-            },
-            "dropped": [int(i) for i in self.dropped],
-            "redistributed": [
-                {"token": t, "from": FFN_NAMES[src], "to": FFN_NAMES[dst]}
-                for t, src, dst in self.redistributed
-            ],
-            "loads": {"language": self.loads[0], "vision": self.loads[1]},
-        }
 
 
 @dataclass(frozen=True)

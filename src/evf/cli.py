@@ -31,12 +31,12 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .allocator import CapacityConfig, ModalityTags, Strategy, allocate, allocation_stats, priority_scores
+from .allocator import AllocationPlan, CapacityConfig, ModalityTags, Strategy, allocate, allocation_stats, priority_scores
 from .checkpoint import load_model
 from .config import decode
 from .errors import ConfigError, ContractError, EvfError, FixtureError, NumericError, UnstableInstanceError
 from .model import MicroModel, ModelConfig, SyntheticTask, TrainConfig, apply_stage, build_model, compute_loss, train
-from .router import decision_from_logits
+from .router import FFN_NAMES, LANGUAGE_FFN, VISION_FFN, decision_from_logits
 from .seeds import RngKey
 from .training import OptimizerConfig, grad_check
 
@@ -234,8 +234,8 @@ def cmd_grad_check(run: RunConfig, model: MicroModel, out: Path) -> int:
     return 0 if doc["passed"] else 3
 
 
-def _parse_fixture(path: str, capacity: CapacityConfig) -> tuple[CapacityConfig, list[str], np.ndarray]:
-    """The fixture's tokens, with its capacity fields overlaid on ``capacity``."""
+def _parse_fixture(path: str, capacity: CapacityConfig) -> tuple[CapacityConfig, list[bool], np.ndarray]:
+    """The fixture's capacity fields overlaid on ``capacity``, its is-image flags and its logits."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.loads(fh.read())
@@ -251,7 +251,7 @@ def _parse_fixture(path: str, capacity: CapacityConfig) -> tuple[CapacityConfig,
     tokens = doc.get("tokens")
     if not isinstance(tokens, list) or not tokens:
         raise FixtureError(f"{path}: field 'tokens' must be a non-empty list")
-    labels = []
+    is_image = []
     logits = []
     for i, tok in enumerate(tokens):
         if not isinstance(tok, dict):
@@ -260,20 +260,40 @@ def _parse_fixture(path: str, capacity: CapacityConfig) -> tuple[CapacityConfig,
         if modality not in ("image", "text"):
             raise FixtureError(f"{path}: tokens[{i}].modality must be 'image' or 'text', got {modality!r}")
         pair = tok.get("logits")
+        # As in the config decoder, a bool is not a number and an int must fit a float64.
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(v, (int, float)) for v in pair)
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) < 2**1023 for v in pair)
         ):
-            raise FixtureError(f"{path}: tokens[{i}].logits must be a [language, vision] number pair")
-        labels.append(modality)
+            raise FixtureError(f"{path}: tokens[{i}].logits must be a [language, vision] pair of finite numbers")
+        is_image.append(modality == "image")
         logits.append([float(pair[0]), float(pair[1])])
-    return capacity, labels, np.asarray(logits, dtype=np.float64)
+    return capacity, is_image, np.asarray(logits, dtype=np.float64)
+
+
+def _plan_record(plan: AllocationPlan) -> dict:
+    """A plan as allocate_trace.json records it; the diagnostic margin stays out."""
+    return {
+        "strategy": plan.strategy.value,
+        "n_tokens": int(plan.n_tokens),
+        "capacity": int(plan.capacity),
+        "accepted": {
+            "language": [int(i) for i in plan.accepted[LANGUAGE_FFN]],
+            "vision": [int(i) for i in plan.accepted[VISION_FFN]],
+        },
+        "dropped": [int(i) for i in plan.dropped],
+        "redistributed": [
+            {"token": t, "from": FFN_NAMES[src], "to": FFN_NAMES[dst]}
+            for t, src, dst in plan.redistributed
+        ],
+        "loads": {"language": plan.loads[0], "vision": plan.loads[1]},
+    }
 
 
 def cmd_allocate_trace(run: RunConfig, fixture_path: str, out: Path) -> int:
-    capacity_cfg, labels, logits = _parse_fixture(fixture_path, run.model.capacity)
-    tags = ModalityTags.from_labels(labels)
+    capacity_cfg, is_image, logits = _parse_fixture(fixture_path, run.model.capacity)
+    tags = ModalityTags(is_image)
     decision = decision_from_logits(T.Tensor(logits))
 
     per_strategy = {}
@@ -282,7 +302,7 @@ def cmd_allocate_trace(run: RunConfig, fixture_path: str, out: Path) -> int:
         plan = allocate(decision, scores, tags, capacity_cfg, strategy)
         stats = allocation_stats(plan, tags)
         per_strategy[strategy.value] = {
-            "plan": plan.to_json_dict(),
+            "plan": _plan_record(plan),
             "stats": asdict(stats),
         }
 

@@ -1,10 +1,11 @@
 """The elastic two-FFN transformer sub-layer.
 
 An EVF layer holds a frozen language FFN, a trainable vision FFN and a
-router. Multimodal batches are routed, allocated under the capacity and
-strategy the caller passes (the model's config), processed by the FFN they
-were assigned to and scaled by that FFN's routing probability;
-tokens the allocation dropped contribute an exact zero row, so a residual
+router. ``model.forward`` runs a multimodal batch through it in three
+stages: :func:`route_and_allocate`, :func:`run_expert` for each FFN, and
+``tensor.combine``, which scales each row by its FFN's routing probability
+(so the router gets a gradient although the assignment is discrete). Tokens
+the allocation dropped contribute an exact zero row, so a residual
 connection around the layer passes them through unchanged.
 
 Language-only batches skip routing entirely and run the language FFN alone,
@@ -16,12 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import tensor as T
 from .allocator import AllocationPlan, CapacityConfig, ModalityTags, Strategy, allocate, priority_scores
 from .errors import ShapeError
-from .router import LANGUAGE_FFN, VISION_FFN, RouterParams, RoutingDecision, route
+from .router import VISION_FFN, RouterParams, RoutingDecision, route
 from .seeds import RngKey
 
 
@@ -105,19 +104,6 @@ def run_expert(layer: EvfLayerParams, expert: int, tokens: T.Tensor, plan: Alloc
     """One FFN of the pair on the tokens the plan accepted for it; none gives a (0, width) input."""
     ffn = layer.vision_ffn if expert == VISION_FFN else layer.language_ffn
     return ffn_forward(ffn, T.take_rows(tokens, plan.accepted[expert]))
-
-
-def forward_multimodal(layer: EvfLayerParams, tokens: T.Tensor, tags: ModalityTags, capacity: CapacityConfig,
-                       strategy: Strategy, rng: RngKey) -> tuple[T.Tensor, RoutingDecision, AllocationPlan]:
-    """Route, allocate and apply the FFN pair to one flattened batch.
-
-    Accepted tokens emit ``P(assigned FFN) * ffn(token)``; the probability
-    factor keeps the router differentiable even though the assignment
-    itself is discrete. Dropped tokens emit a zero row.
-    """
-    decision, plan = route_and_allocate(layer, tokens, tags, capacity, strategy, rng)
-    outputs = [run_expert(layer, expert, tokens, plan) for expert in (LANGUAGE_FFN, VISION_FFN)]
-    return T.combine(decision.probabilities, outputs, plan.accepted), decision, plan
 
 
 def forward_language_only(layer: EvfLayerParams, tokens: T.Tensor) -> T.Tensor:

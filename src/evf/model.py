@@ -20,7 +20,7 @@ import json
 import math
 import operator
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
 
@@ -42,6 +42,7 @@ _HISTOGRAM_EDGES = np.linspace(0.0, 1.0, _HISTOGRAM_BINS + 1)  # np.histogram's,
 # Far above any depth this model is trained at, and low enough that resolving
 # the default elastic-layer indices never asks for gigabytes.
 _MAX_DEPTH = 1024
+_MAX_PARAMETERS = 2**25  # far above any model trained here; values, gradients and AdamW moments fit in 1 GiB
 
 # RngKey domains under a model's seed.
 _INIT_DOMAIN = 0
@@ -62,6 +63,15 @@ STAGE_GROUPS = {
 
 def _default_evf_indices(depth: int) -> tuple[int, ...]:
     return tuple(range(0, depth, 2))
+
+
+def _parameter_count(cfg: ModelConfig) -> int:
+    """Scalars in the stage-3 model that cfg builds, worked out before any array exists."""
+    d, h = cfg.width, cfg.hidden
+    ffn = 2 * d * h + h + d
+    block = 4 * d * d + 8 * d + ffn  # attention, two layer norms, FFN
+    outer = (2 * cfg.vocab + cfg.max_seq_len + cfg.image_feature_dim + 3) * d + cfg.vocab  # embeddings, adapter, head
+    return outer + cfg.depth * block + len(cfg.evf_layer_indices) * (ffn + 2 * d)  # + vision FFN and router
 
 
 @dataclass(frozen=True)
@@ -112,6 +122,8 @@ class ModelConfig:
             object.__setattr__(self, "evf_layer_indices", indices)
         if not isinstance(self.strategy, Strategy):
             object.__setattr__(self, "strategy", Strategy(self.strategy))
+        if (count := _parameter_count(self)) > _MAX_PARAMETERS:
+            raise ConfigError(f"the model would have {count} parameters, more than {_MAX_PARAMETERS}")
 
 
 @dataclass(eq=False)
@@ -456,8 +468,8 @@ def forward(model: MicroModel, batch: TokenBatch, mode: str = MULTIMODAL, rng: R
         elif mode == LANGUAGE_ONLY:
             x = _resume(memo, next(stages), ffn_reads[1], lambda: x + forward_language_only(evf, pre_ffn))
         else:
-            # forward_multimodal in three stages, so a vision-FFN probe reuses the routing, the
-            # allocation and the language expert.
+            # Route + allocate, the language expert, then the vision expert + combine: three
+            # stages, so a vision-FFN probe reuses the routing, the allocation and the language expert.
             decision, plan = _resume(memo, next(stages), ffn_reads[0], lambda: route_and_allocate(
                 evf, pre_ffn, tags, cfg.capacity, cfg.strategy, rng.child(block.index)))
             language = _resume(memo, next(stages), ffn_reads[1],
@@ -576,8 +588,8 @@ def _metrics_row(cfg: ModelConfig, step: int, lr: float, result: LossResult) -> 
             "layer": index,
             "strategy": plan.strategy.value,
             "vision_probability_histogram": _probability_histogram(decision.probabilities.data[:, VISION_FFN]),
-            **asdict(allocation_stats(plan, fwd.tags)),
-            **asdict(loads),
+            **vars(allocation_stats(plan, fwd.tags)),  # scalar fields: vars() is asdict() without the deep copy
+            **vars(loads),
         })
     return {
         "step": step,

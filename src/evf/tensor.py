@@ -88,10 +88,6 @@ class Tensor:
             out._vjps = ()
         return out
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() requires a single element, got shape {self.data.shape}")
@@ -102,13 +98,6 @@ class Tensor:
 
     def __add__(self, other: "Tensor") -> "Tensor":
         return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
 
 
 class Parameter(Tensor):

@@ -190,7 +190,7 @@ def test_a3_plans_match_the_independent_reimplementation(verdict):
 
 def test_a4_modality_aware_allocation_drops_least_under_skew(verdict):
     n = 128
-    tags = ModalityTags.from_labels(["image"] * (n // 2) + ["text"] * (n // 2))
+    tags = ModalityTags(np.array([True] * (n // 2) + [False] * (n // 2), dtype=bool))
     skews = (0.5, 0.6, 0.7, 0.8, 0.9)
     seeds = 100
     medians: dict[Strategy, dict[float, float]] = {s: {} for s in Strategy}

@@ -20,6 +20,7 @@ from evf.allocator import (
     compute_capacity,
     priority_scores,
 )
+from evf.cli import _plan_record
 from evf.errors import ConfigError, ContractError
 from evf.router import LANGUAGE_FFN, VISION_FFN, RoutingDecision
 from evf.seeds import RngKey
@@ -40,7 +41,7 @@ def random_decision(rng, n):
 
 def tags_of(pattern):
     """'i' / 't' shorthand per token, e.g. tags_of('iitt')."""
-    return ModalityTags.from_labels(["image" if c == "i" else "text" for c in pattern])
+    return ModalityTags(np.array([c == "i" for c in pattern], dtype=bool))
 
 
 def run_full(decision, tags, strategy, cfg, redistribution=None):
@@ -436,7 +437,7 @@ def test_allocation_stats_accounting():
 def test_plan_json_round_trip_field_names():
     decision = make_decision(np.tile([[0.5, 0.5]], (4, 1)))
     plan = run_full(decision, tags_of("iiii"), Strategy.IMG_GBPR, CapacityConfig(capacity_factor=1.0))
-    doc = plan.to_json_dict()
+    doc = _plan_record(plan)
     assert set(doc) == {
         "strategy", "n_tokens", "capacity", "accepted", "dropped", "redistributed", "loads",
     }

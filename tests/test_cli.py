@@ -212,6 +212,16 @@ def test_allocate_trace_validates_token_fields(tmp_path, capsys):
     assert main(["allocate-trace", "--fixture", fixture2, "--out", str(tmp_path / "r2")]) == 2
     assert "tokens[0].logits" in capsys.readouterr().err
 
+    # A bool is not a number, and a logit must be finite.
+    for bad in ([True, False], [math.inf, 0], [0, -math.inf], [math.nan, 0], [10**400, 0]):
+        tokens = [{"modality": "text", "logits": [1, 0]}, {"modality": "image", "logits": bad}]
+        fixture3 = write_fixture(tmp_path / "h.json", tokens)
+        assert main(["allocate-trace", "--fixture", fixture3, "--out", str(tmp_path / "r3")]) == 2, bad
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "tokens[1].logits" in err
+    assert not (tmp_path / "r3" / "allocate_trace.json").exists()
+
 
 def test_missing_fixture_file_is_an_io_error(tmp_path):
     rc = main(["allocate-trace", "--fixture", str(tmp_path / "absent.json"), "--out", str(tmp_path / "r")])
@@ -364,6 +374,13 @@ def assert_one_error_line(err):
         ("grad-check", "grad_check.tolerance=0"),
         ("grad-check", "grad_check.stability_margin=NaN"),
         ("grad-check", "grad_check.stability_margin=-1"),
+        # Refused from the dimensions alone, before any array exists.
+        ("train", f"model.width={2**62}"),
+        ("train", f"model.vocab={2**62}"),
+        ("train", f"model.max_seq_len={2**62}"),
+        ("train", f"model.hidden={2**62}"),
+        ("grad-check", f"model.width={2**62}"),
+        ("grad-check", f"model.hidden={2**62}"),
     ],
 )
 def test_mistyped_config_values_exit_2_and_write_nothing(tmp_path, capsys, command, override):

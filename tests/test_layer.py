@@ -13,8 +13,9 @@ from evf.layer import (
     FfnParams,
     ffn_forward,
     forward_language_only,
-    forward_multimodal,
     init_stage3_from_dense,
+    route_and_allocate,
+    run_expert,
 )
 from evf.model import ModelConfig, apply_stage, build_model
 from evf.router import LANGUAGE_FFN, VISION_FFN, RouterParams
@@ -32,7 +33,14 @@ def dense_ffn(seed=0):
 
 
 def tags_of(pattern):
-    return ModalityTags.from_labels(["image" if c == "i" else "text" for c in pattern])
+    return ModalityTags(np.array([c == "i" for c in pattern], dtype=bool))
+
+
+def elastic_forward(layer, tokens, tags, capacity, strategy, rng):
+    """The multimodal layer as model.forward composes it: route + allocate, both experts, combine."""
+    decision, plan = route_and_allocate(layer, tokens, tags, capacity, strategy, rng)
+    outputs = [run_expert(layer, expert, tokens, plan) for expert in (LANGUAGE_FFN, VISION_FFN)]
+    return T.combine(decision.probabilities, outputs, plan.accepted), decision, plan
 
 
 def ffn_arrays(ffn):
@@ -72,8 +80,8 @@ def test_zero_router_output_is_half_the_dense_output():
     layer = init_stage3_from_dense(dense)
     x = np.random.default_rng(1).normal(size=(8, WIDTH))
     tags = tags_of("iittttit")
-    out, _, plan = forward_multimodal(layer, T.Tensor(x), tags, CapacityConfig(capacity_factor=2.0), Strategy.IMG_GBPR,
-                                      RngKey(0))
+    out, _, plan = elastic_forward(layer, T.Tensor(x), tags, CapacityConfig(capacity_factor=2.0), Strategy.IMG_GBPR,
+                                   RngKey(0))
     assert plan.dropped.size == 0
     want = 0.5 * ffn_forward(dense, T.Tensor(x)).data
     np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
@@ -84,7 +92,7 @@ def test_dropped_tokens_emit_exact_zero_rows():
     layer = init_stage3_from_dense(dense_ffn())
     capacity = CapacityConfig(capacity_factor=0.5, redistribution_fraction=0.0)
     x = np.random.default_rng(2).normal(size=(10, WIDTH))
-    out, _, plan = forward_multimodal(layer, T.Tensor(x), tags_of("iiiiiiiiii"), capacity, Strategy.IMG_GBPR, RngKey(0))
+    out, _, plan = elastic_forward(layer, T.Tensor(x), tags_of("iiiiiiiiii"), capacity, Strategy.IMG_GBPR, RngKey(0))
     assert plan.dropped.size > 0
     for tok in plan.dropped:
         np.testing.assert_array_equal(out.data[tok], np.zeros(WIDTH))
@@ -103,8 +111,8 @@ def test_layer_output_matches_token_by_token_oracle(strategy):
     )
     x = rng.normal(size=(12, WIDTH))
     is_image = rng.integers(2, size=12).astype(bool)
-    out, decision, plan = forward_multimodal(layer, T.Tensor(x), ModalityTags(is_image),
-                                             CapacityConfig(capacity_factor=0.75, seed=31), strategy, RngKey(31))
+    out, decision, plan = elastic_forward(layer, T.Tensor(x), ModalityTags(is_image),
+                                          CapacityConfig(capacity_factor=0.75, seed=31), strategy, RngKey(31))
 
     oracle_plan = oracles.allocation_oracle(
         decision.probabilities.data, is_image, strategy.value,
@@ -127,7 +135,7 @@ def test_language_only_path_is_bitwise_dense_and_builds_no_routing_objects(routi
     dense_out = ffn_forward(dense, T.Tensor(x)).data
     assert out.data.tobytes() == dense_out.tobytes()
     # the counter sees the multimodal path, so the zero above is not vacuous
-    forward_multimodal(layer, T.Tensor(x), tags_of("iiitttt"), CapacityConfig(), Strategy.IMG_GBPR, RngKey(0))
+    elastic_forward(layer, T.Tensor(x), tags_of("iiitttt"), CapacityConfig(), Strategy.IMG_GBPR, RngKey(0))
     assert routing_objects_built == {"decisions": 1, "plans": 1}
 
 
@@ -147,8 +155,8 @@ def test_gradients_flow_to_vision_and_router_but_not_language():
     for _, p in layer.language_ffn.parameters():  # frozen as apply_stage(model, 3) freezes it
         p.set_trainable(False)
     x = np.random.default_rng(5).normal(size=(6, WIDTH))
-    out, _, _ = forward_multimodal(layer, T.Tensor(x), tags_of("iiittt"), CapacityConfig(capacity_factor=2.0),
-                                   Strategy.IMG_GBPR, RngKey(1))
+    out, _, _ = elastic_forward(layer, T.Tensor(x), tags_of("iiittt"), CapacityConfig(capacity_factor=2.0),
+                                Strategy.IMG_GBPR, RngKey(1))
     T.backward(T.sum_all(out))
     assert float(np.abs(layer.vision_ffn.w_up.grad).max()) > 0.0
     assert float(np.abs(layer.router.weight.grad).max()) > 0.0
@@ -170,8 +178,8 @@ def test_gate_gradient_matches_finite_differences_with_fixed_allocation():
             language_ffn=dense_ffn(1),
             vision_ffn=dense_ffn(2),
         )
-        out, _, _ = forward_multimodal(layer, T.Tensor(x), tags, CapacityConfig(capacity_factor=2.0), Strategy.IMG_GBPR,
-                                       RngKey(0))
+        out, _, _ = elastic_forward(layer, T.Tensor(x), tags, CapacityConfig(capacity_factor=2.0), Strategy.IMG_GBPR,
+                                    RngKey(0))
         return T.sum_all(out)
 
     param = T.Parameter(weight0)
@@ -187,8 +195,8 @@ def test_gate_gradient_matches_finite_differences_with_fixed_allocation():
 def test_layer_shape_contracts():
     layer = init_stage3_from_dense(dense_ffn())
     with pytest.raises(ShapeError):
-        forward_multimodal(layer, T.Tensor(np.zeros((4, WIDTH + 1))), tags_of("tttt"), CapacityConfig(), Strategy.IMG_GBPR,
-                           RngKey(0))
+        elastic_forward(layer, T.Tensor(np.zeros((4, WIDTH + 1))), tags_of("tttt"), CapacityConfig(), Strategy.IMG_GBPR,
+                        RngKey(0))
     with pytest.raises(ShapeError):
         EvfLayerParams(
             router=RouterParams.zeros(WIDTH + 1),

@@ -25,6 +25,7 @@ from evf.model import (
     SyntheticTask,
     TokenBatch,
     TrainConfig,
+    _parameter_count,
     _probability_histogram,
     apply_stage,
     build_model,
@@ -103,6 +104,14 @@ def test_model_config_validation_and_round_trip():
     assert cfg.strategy is Strategy.GBPR
     again = decode(ModelConfig, json.loads(json.dumps(asdict(cfg))), "model")
     assert again == cfg
+
+
+@pytest.mark.parametrize("overrides", [{}, {"depth": 3, "evf_layer_indices": (1, 2)}, {"evf_layer_indices": ()}])
+def test_parameter_count_is_that_of_the_built_stage3_model(overrides):
+    cfg = tiny_cfg(**overrides)
+    model = build_model(cfg)
+    apply_stage(model, 3)
+    assert _parameter_count(cfg) == sum(p.data.size for _, p, _ in model.named_parameters())
 
 
 def test_stage_freeze_flags():

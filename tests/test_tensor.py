@@ -243,7 +243,7 @@ def test_grad_col_mean_and_mean_all():
     w = T.Tensor(rand(3))
 
     def build(x):
-        return T.sum_all(T.mul(T.col_mean(x), w)) + T.scale(T.sum_all(x), 1.0 / x.size)
+        return T.sum_all(T.mul(T.col_mean(x), w)) + T.scale(T.sum_all(x), 1.0 / x.data.size)
 
     check_grads(build, [rand(5, 3)])
 
@@ -439,10 +439,10 @@ def test_set_trainable_toggles_gradient_flow():
     p = T.Parameter(rand(2, 2))
     p.set_trainable(False)
     assert not p.requires_grad
-    T.backward(T.sum_all(p * p))
+    T.backward(T.sum_all(T.mul(p, p)))
     np.testing.assert_array_equal(p.grad, np.zeros((2, 2)))
     p.set_trainable(True)
-    T.backward(T.sum_all(p * p))
+    T.backward(T.sum_all(T.mul(p, p)))
     np.testing.assert_allclose(p.grad, 2 * p.data)
 
 
@@ -523,7 +523,7 @@ def test_item_requires_single_element():
 
 # Operators that library code writes in place of a named op; the Tensor
 # method behind each one names the ops it calls.
-OPERATOR_METHODS = {ast.Add: "__add__", ast.Mult: "__mul__"}
+OPERATOR_METHODS = {ast.Add: "__add__"}
 
 
 def _names_called_by(fn):

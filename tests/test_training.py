@@ -31,7 +31,7 @@ def decision_of(probabilities):
 
 
 def plan_for(decision, pattern, factor=1.5, strategy=Strategy.GBPR):
-    tags = ModalityTags.from_labels(["image" if c == "i" else "text" for c in pattern])
+    tags = ModalityTags(np.array([c == "i" for c in pattern], dtype=bool))
     scores = priority_scores(decision, tags, strategy)
     return allocate(decision, scores, tags, CapacityConfig(capacity_factor=factor), strategy,
                     redistribution=False)
