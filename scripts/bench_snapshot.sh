@@ -6,15 +6,20 @@
 #
 # Runs `python3 evfbench/run.py --workload all --seed 1 --seconds 25 --trace 0`
 # from the root of this checkout, then the default stage-3 `train` (500 steps)
-# at 8 sequences a batch in one process with one BLAS thread, then the tier-1
-# suite with `--durations=0`. Merges the four per-workload records the
+# at 8 sequences a batch in one process with one BLAS thread, then, in a
+# separate process so that those step times stay untraced, a 20-step default
+# stage-3 `train` at 2, 8 and 32 sequences under `tracemalloc`, then the
+# tier-1 suite with `--durations=0`. Merges the four per-workload records the
 # benchmark leaves in .evfbench_work/results/ (checks, metrics and
 # environment stamp), a "train_s8" entry (median step time in ms, from one
-# clock stamp per batch drawn, and the step count) and a "tier1" entry (tests
-# passed, suite wall time, and the seconds of the A5 and A8 acceptance tests,
-# setup and teardown included) into BENCH_<LABEL>.json at the root. Exits
-# non-zero, writing nothing, when the benchmark, the train run or a test
-# fails or a record is missing.
+# clock stamp per batch drawn, and the step count), a "train_traced_peak_mb"
+# entry (the traced peak of each of those trains in MiB, counted from after
+# the model and task are built: the part of the benchmark's peak_rss_mb that
+# the training loop controls) and a "tier1" entry (tests passed, suite wall
+# time, and the seconds of the A5 and A8 acceptance tests, setup and teardown
+# included) into BENCH_<LABEL>.json at the root. Exits non-zero, writing
+# nothing, when the benchmark, a train run or a test fails or a record is
+# missing.
 set -euo pipefail
 
 if [ $# -ne 1 ] || [ -z "$1" ]; then
@@ -61,6 +66,26 @@ print(json.dumps({"step_ms_p50": round(statistics.median(steps_ms), 4), "steps":
 EOF
 )
 
+train_traced_peak_mb=$(OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
+    python3 - <<'EOF'
+import json
+import tracemalloc
+
+from evf.model import ModelConfig, SyntheticTask, TrainConfig, build_model, train
+
+tcfg = TrainConfig(steps=20)
+peaks = {}
+for sequences in (2, 8, 32):
+    cfg = ModelConfig(batch_sequences=sequences)
+    model, task = build_model(cfg), SyntheticTask(cfg)
+    tracemalloc.start()
+    train(model, task, tcfg)
+    peaks[f"s{sequences}"] = round(tracemalloc.get_traced_memory()[1] / 2**20, 3)
+    tracemalloc.stop()
+print(json.dumps({**peaks, "steps": tcfg.steps}))
+EOF
+)
+
 tier1_log=$(mktemp)
 trap 'rm -f "$tier1_log"' EXIT
 if ! PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -m pytest -q --continue-on-collection-errors \
@@ -70,12 +95,13 @@ if ! PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -m pytest -q --continue-o
     exit 1
 fi
 
-python3 - "BENCH_$label.json" "$tier1_log" "$train_s8" $workloads <<'EOF'
+python3 - "BENCH_$label.json" "$tier1_log" "$train_s8" "$train_traced_peak_mb" $workloads <<'EOF'
 import json
 import re
 import sys
 
-out, tier1_log, train_s8, workloads = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4:]
+out, tier1_log, train_s8, train_traced_peak_mb = sys.argv[1:5]
+workloads = sys.argv[5:]
 snapshot = {}
 for name in workloads:
     with open(f".evfbench_work/results/{name}-seed1-trace0.json", encoding="utf-8") as fh:
@@ -93,6 +119,7 @@ def seconds(test):
 
 
 snapshot["train_s8"] = json.loads(train_s8)
+snapshot["train_traced_peak_mb"] = json.loads(train_traced_peak_mb)
 snapshot["tier1"] = {"passed": int(passed), "wall_s": float(wall), "a5_s": seconds("a5"), "a8_s": seconds("a8")}
 with open(out, "w", encoding="utf-8") as fh:
     fh.write(json.dumps(snapshot, sort_keys=True, indent=1) + "\n")

@@ -35,7 +35,7 @@ from .allocator import AllocationPlan, CapacityConfig, ModalityTags, Strategy, a
 from .checkpoint import load_model
 from .config import decode
 from .errors import ConfigError, ContractError, EvfError, FixtureError, NumericError, UnstableInstanceError
-from .model import MicroModel, ModelConfig, SyntheticTask, TrainConfig, apply_stage, build_model, compute_loss, train
+from .model import MicroModel, ModelConfig, SyntheticTask, TrainConfig, apply_stage, build_model, check_batch, compute_loss, train
 from .router import FFN_NAMES, LANGUAGE_FFN, VISION_FFN, decision_from_logits
 from .seeds import RngKey
 from .training import OptimizerConfig, grad_check
@@ -291,8 +291,8 @@ def _plan_record(plan: AllocationPlan) -> dict:
     }
 
 
-def cmd_allocate_trace(run: RunConfig, fixture_path: str, out: Path) -> int:
-    capacity_cfg, is_image, logits = _parse_fixture(fixture_path, run.model.capacity)
+def cmd_allocate_trace(run: RunConfig, fixture: tuple[CapacityConfig, list[bool], np.ndarray], out: Path) -> int:
+    capacity_cfg, is_image, logits = fixture
     tags = ModalityTags(is_image)
     decision = decision_from_logits(T.Tensor(logits))
 
@@ -449,17 +449,25 @@ def main(argv: list[str] | None = None) -> int:
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         try:
             cfg, run = _load_config(args.config, args.overrides)
-            model = None
+            # Every input is read and checked before --out exists, so a refused one writes nothing.
+            model = fixture = None
             if args.command in ("grad-check", "train"):
-                model = _initial_model(run)  # a checkpoint that fails to load writes nothing
+                model = _initial_model(run)
                 if run.train.init_checkpoint:  # record the model that runs, not the ignored section
                     cfg = {**cfg, "model": asdict(model.cfg)}
+            if args.command == "grad-check":
+                try:
+                    check_batch(model.cfg, run.grad_check.batch_sequences, run.grad_check.text_len)
+                except ConfigError as exc:
+                    raise ConfigError(f"grad_check: {exc}") from exc
+            if args.command == "allocate-trace":
+                fixture = _parse_fixture(args.fixture, run.model.capacity)
             out = _resolve_out_dir(args.out, run, args.command)
             _write_run_config(out, cfg, args.command)
             if args.command == "grad-check":
                 return cmd_grad_check(run, model, out)
             if args.command == "allocate-trace":
-                return cmd_allocate_trace(run, args.fixture, out)
+                return cmd_allocate_trace(run, fixture, out)
             if args.command == "train":
                 return cmd_train(run, model, out)
             if args.command == "telemetry-report":

@@ -43,6 +43,10 @@ _HISTOGRAM_EDGES = np.linspace(0.0, 1.0, _HISTOGRAM_BINS + 1)  # np.histogram's,
 # the default elastic-layer indices never asks for gigabytes.
 _MAX_DEPTH = 1024
 _MAX_PARAMETERS = 2**25  # far above any model trained here; values, gradients and AdamW moments fit in 1 GiB
+# Far above any batch or task here, and small enough that the Python loops of
+# SyntheticTask (one draw per key, one per sequence) end in seconds.
+_MAX_BATCH_TOKENS = 2**16
+_MAX_TASK_ENTRIES = 2**22  # of its permutation and key-vector tables
 
 # RngKey domains under a model's seed.
 _INIT_DOMAIN = 0
@@ -106,10 +110,7 @@ class ModelConfig:
             raise ConfigError(f"depth must be at most {_MAX_DEPTH}, got {self.depth}")
         if self.width % self.heads != 0:
             raise ConfigError(f"width {self.width} is not divisible by heads {self.heads}")
-        if self.image_tokens + self.text_len > self.max_seq_len:
-            raise ConfigError(
-                f"max_seq_len {self.max_seq_len} cannot hold {self.image_tokens} image + {self.text_len} text tokens"
-            )
+        check_batch(self, self.batch_sequences, self.text_len)
         if self.evf_layer_indices is None:
             object.__setattr__(self, "evf_layer_indices", _default_evf_indices(self.depth))
         else:
@@ -124,6 +125,18 @@ class ModelConfig:
             object.__setattr__(self, "strategy", Strategy(self.strategy))
         if (count := _parameter_count(self)) > _MAX_PARAMETERS:
             raise ConfigError(f"the model would have {count} parameters, more than {_MAX_PARAMETERS}")
+        if (entries := self.num_keys * (self.vocab + self.image_feature_dim)) > _MAX_TASK_ENTRIES:
+            raise ConfigError(f"the task tables would have {entries} entries, more than {_MAX_TASK_ENTRIES}")
+
+
+def check_batch(cfg: ModelConfig, sequences: int, text_len: int) -> None:
+    """Refuse, before any is sampled, batches of ``sequences`` sequences of cfg.image_tokens image
+    and ``text_len`` text tokens that cfg cannot run."""
+    length = cfg.image_tokens + text_len
+    if length > cfg.max_seq_len:
+        raise ConfigError(f"max_seq_len {cfg.max_seq_len} cannot hold {cfg.image_tokens} image + {text_len} text tokens")
+    if (tokens := sequences * length) > _MAX_BATCH_TOKENS:
+        raise ConfigError(f"a batch of {sequences} sequences would have {tokens} tokens, more than {_MAX_BATCH_TOKENS}")
 
 
 @dataclass(eq=False)
@@ -639,6 +652,9 @@ def train(model: MicroModel, task: SyntheticTask, tcfg: TrainConfig, out_dir: Pa
             T.backward(result.total)
             lr = optimizer.step(step)
             record(step, lr, result)
+            # The batch (its forward memo) and the result (its loss) are the only owners of this
+            # step's graph: drop both, so the next step builds its own with no other alive.
+            del batch, result
 
         final_batch = task.sample_batch(base.child(_DATA_DOMAIN, tcfg.steps))
         final = compute_loss(model, final_batch, base.child(_ALLOC_DOMAIN, tcfg.steps), tcfg.aux_weight)

@@ -418,9 +418,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, lengths: Sequence[int], heads: in
         out = np.ascontiguousarray(a.transpose(0, 2, 1, 3)).reshape(B * L, d)
         return out if real is None else out[real]
 
-    qh, vh = split(q.data), split(v.data)
-    kt = split(k.data, (0, 2, 3, 1))
-    p = qh @ kt  # scores, then their row softmax, in one buffer
+    p = split(q.data) @ split(k.data, (0, 2, 3, 1))  # scores, then their row softmax, in one buffer
     p *= c
     p += _causal_mask(L)
     p -= p.max(axis=3, keepdims=True)
@@ -428,11 +426,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, lengths: Sequence[int], heads: in
     p /= p.sum(axis=3, keepdims=True)
     memo: list = []
 
+    # The closures re-split q, k and v, which the graph holds as the node's
+    # parents, rather than keep a second, per-head copy of each.
     def d_scores(g: Array) -> Array:
         # Shared by the q and k closures. The memo holds g itself, so no
         # later gradient can match it by a reused id.
         if not memo or memo[0] is not g:
-            ds = split(g) @ vh.transpose(0, 1, 3, 2)
+            ds = split(g) @ split(v.data).transpose(0, 1, 3, 2)
             ds -= (ds * p).sum(axis=3, keepdims=True)
             ds *= p
             ds *= c
@@ -440,11 +440,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, lengths: Sequence[int], heads: in
         return memo[1]
 
     return Tensor._from_op(
-        merge(p @ vh),
+        merge(p @ split(v.data)),
         (q, k, v),
         (
-            lambda g: merge(d_scores(g) @ kt.transpose(0, 1, 3, 2)),
-            lambda g: merge((qh.transpose(0, 1, 3, 2) @ d_scores(g)).transpose(0, 1, 3, 2)),
+            lambda g: merge(d_scores(g) @ split(k.data, (0, 2, 3, 1)).transpose(0, 1, 3, 2)),
+            lambda g: merge((split(q.data).transpose(0, 1, 3, 2) @ d_scores(g)).transpose(0, 1, 3, 2)),
             lambda g: merge(p.transpose(0, 1, 3, 2) @ split(g)),
         ),
     )

@@ -201,6 +201,7 @@ def test_allocate_trace_rejects_bad_capacity_fields(tmp_path, capsys, fields, ov
     assert rc == 2
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
 
 
 def test_allocate_trace_validates_token_fields(tmp_path, capsys):
@@ -220,7 +221,8 @@ def test_allocate_trace_validates_token_fields(tmp_path, capsys):
         err = capsys.readouterr().err
         assert_one_error_line(err)
         assert "tokens[1].logits" in err
-    assert not (tmp_path / "r3" / "allocate_trace.json").exists()
+    for out in ("r", "r2", "r3"):  # a refused fixture leaves no run directory
+        assert not (tmp_path / out).exists()
 
 
 def test_missing_fixture_file_is_an_io_error(tmp_path):
@@ -381,6 +383,12 @@ def assert_one_error_line(err):
         ("train", f"model.hidden={2**62}"),
         ("grad-check", f"model.width={2**62}"),
         ("grad-check", f"model.hidden={2**62}"),
+        # The task tables and one batch's tokens, likewise.
+        ("train", f"model.num_keys={2**62}"),
+        ("train", f"model.batch_sequences={2**62}"),
+        ("grad-check", f"model.num_keys={2**62}"),
+        ("grad-check", f"grad_check.batch_sequences={2**62}"),
+        ("grad-check", f"grad_check.text_len={2**62}"),
     ],
 )
 def test_mistyped_config_values_exit_2_and_write_nothing(tmp_path, capsys, command, override):
@@ -389,7 +397,7 @@ def test_mistyped_config_values_exit_2_and_write_nothing(tmp_path, capsys, comma
     rc = main([command, *extra, *TINY_MODEL, "--set", override, "--out", str(tmp_path / "run")])
     assert rc == 2
     assert_one_error_line(capsys.readouterr().err)
-    assert not (tmp_path / "run" / "run_config.json").exists()
+    assert not (tmp_path / "run").exists()
 
 
 BIG_INT = "7" * 5000  # over the interpreter's 4300-digit limit for int()

@@ -589,6 +589,54 @@ def test_training_keeps_frozen_tensors_bit_identical():
     assert any("vision_ffn" in n for n in trainable_after)
 
 
+class _WatchedMemo(list):
+    """A forward memo that keeps a weak reference to the array of every tensor a stage returns."""
+
+    def __init__(self, arrays):
+        super().__init__()
+        self.arrays = arrays
+
+    def append(self, entry):
+        super().append(entry)
+        out = entry[2]
+        for value in out if isinstance(out, tuple) else (out,):
+            if isinstance(value, T.Tensor):
+                self.arrays.append(weakref.ref(value.data))
+
+
+class OneGraphTask(SyntheticTask):
+    """Asserts, as each batch is drawn, that the batch drawn before it and every stage
+    output of its forward are gone. No gc.collect(): reference counting alone must free them."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.batches, self.arrays = [], []
+
+    def assert_released(self):
+        assert self.batches[-1]() is None, f"batch {len(self.batches) - 1} is still alive"
+        alive = sum(ref() is not None for ref in self.arrays)
+        assert not alive, f"{alive} of {len(self.arrays)} stage outputs of batch {len(self.batches) - 1} are alive"
+
+    def sample_batch(self, *args, **kwargs):
+        if self.batches:
+            self.assert_released()
+        batch = super().sample_batch(*args, **kwargs)
+        self.arrays = []
+        batch._memo = _WatchedMemo(self.arrays)
+        self.batches.append(weakref.ref(batch))
+        return batch
+
+
+@pytest.mark.parametrize("sequences, steps", [(2, 3), (32, 3), (2, 0)])
+def test_train_frees_each_steps_graph_before_the_next_batch(sequences, steps):
+    cfg = tiny_cfg(batch_sequences=sequences)
+    task = OneGraphTask(cfg)
+    train(build_model(cfg), task, TrainConfig(steps=steps))
+    assert len(task.batches) == steps + 1
+    assert task.arrays  # the memo was watched
+    task.assert_released()  # the final evaluation's graph does not outlive train either
+
+
 def test_cannot_return_to_dense_after_stage3():
     cfg = tiny_cfg()
     model = build_model(cfg)

@@ -4,6 +4,7 @@ central finite differences, and the bookkeeping contracts around backward."""
 import ast
 import inspect
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +229,25 @@ def test_attention_backward_twice_through_one_node():
     T.backward(T.sum_all(T.mul(T.attention(*once, [2, 2], 2), T.Tensor(w1 + w2))))
     for got, want in zip((q, k, v), once):
         np.testing.assert_allclose(got.grad, want.grad, rtol=1e-12, atol=1e-12)
+
+
+def test_attention_node_holds_one_copy_of_its_inputs():
+    # The graph holds q, k and v as the node's parents; the VJPs re-split them
+    # on demand, so the node itself keeps only its output and probabilities.
+    B, H, L, hd = 2, 2, 32, 16
+    gen = np.random.default_rng(3)  # its own generator, so the draws of the other tests stay as they were
+    q, k, v = (T.Parameter(gen.normal(size=(B * L, H * hd))) for _ in range(3))
+    T.attention(q, k, v, [L] * B, H)  # fills the causal-mask cache outside the trace
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = T.attention(q, k, v, [L] * B, H)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    probabilities, allowance = B * H * L * L * 8, 4096
+    assert 3 * q.data.nbytes > allowance  # so per-head copies of q, k and v would show
+    assert held <= out.data.nbytes + probabilities + allowance, held
 
 
 def test_grad_layer_norm_all_inputs():
