@@ -6,13 +6,16 @@
 #
 # Runs `python3 evfbench/run.py --workload all --seed 1 --seconds 25 --trace 0`
 # from the root of this checkout, then the default stage-3 `train` (500 steps)
-# at 8 sequences a batch in one process with one BLAS thread, then, in a
-# separate process so that those step times stay untraced, a 20-step default
-# stage-3 `train` at 2, 8 and 32 sequences under `tracemalloc`, then the
-# tier-1 suite with `--durations=0`. Merges the four per-workload records the
-# benchmark leaves in .evfbench_work/results/ (checks, metrics and
-# environment stamp), a "train_s8" entry (median step time in ms, from one
-# clock stamp per batch drawn, and the step count), a "train_traced_peak_mb"
+# at 8, 2 and 32 sequences a batch, each in its own process with one BLAS
+# thread, then, in a separate process so that those step times stay untraced,
+# a 20-step default stage-3 `train` at 2, 8 and 32 sequences under
+# `tracemalloc`, then the tier-1 suite with `--durations=0`. Merges the four
+# per-workload records the benchmark leaves in .evfbench_work/results/
+# (checks, metrics and environment stamp), a "train_s8" entry (median step
+# time in ms, from one clock stamp per batch drawn, and the step count), a
+# "train_minflt_per_step" entry (the minor page faults of each untraced
+# train, from getrusage at its first batch and at its last, per step), a
+# "train_traced_peak_mb"
 # entry (the traced peak of each of those trains in MiB, counted from after
 # the model and task are built: the part of the benchmark's peak_rss_mb that
 # the training loop controls) and a "tier1" entry (tests passed, suite wall
@@ -36,15 +39,18 @@ for w in $workloads; do  # no record from an earlier run may stand in for this o
 done
 python3 evfbench/run.py --workload all --seed 1 --seconds 25 --trace 0
 
-train_s8=$(OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-    python3 - <<'EOF'
+untraced_train() {  # untraced_train SEQUENCES: one JSON line with the step time and faults per step
+    OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
+        python3 - "$1" <<'EOF'
 import json
+import resource
 import statistics
+import sys
 import time
 
 from evf.model import ModelConfig, SyntheticTask, TrainConfig, build_model, train
 
-stamps = []
+stamps, faults = [], []
 
 
 class ClockedTask(SyntheticTask):
@@ -53,18 +59,23 @@ class ClockedTask(SyntheticTask):
 
     def sample_batch(self, *args, **kwargs):
         stamps.append(time.perf_counter_ns())
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
         return super().sample_batch(*args, **kwargs)
 
 
-cfg = ModelConfig(batch_sequences=8)
+cfg = ModelConfig(batch_sequences=int(sys.argv[1]))
 tcfg = TrainConfig()
 train(build_model(cfg), ClockedTask(cfg), tcfg)
 steps_ms = [(b - a) / 1e6 for a, b in zip(stamps, stamps[1:])]
 if len(steps_ms) != tcfg.steps:
-    raise SystemExit(f"train_s8: {len(steps_ms)} step stamps for {tcfg.steps} steps")
-print(json.dumps({"step_ms_p50": round(statistics.median(steps_ms), 4), "steps": tcfg.steps}))
+    raise SystemExit(f"train: {len(steps_ms)} step stamps for {tcfg.steps} steps")
+print(json.dumps({"step_ms_p50": round(statistics.median(steps_ms), 4), "steps": tcfg.steps,
+                  "minflt_per_step": round((faults[-1] - faults[0]) / tcfg.steps, 1)}))
 EOF
-)
+}
+train_s8=$(untraced_train 8)
+train_s2=$(untraced_train 2)
+train_s32=$(untraced_train 32)
 
 train_traced_peak_mb=$(OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
     python3 - <<'EOF'
@@ -95,13 +106,13 @@ if ! PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -m pytest -q --continue-o
     exit 1
 fi
 
-python3 - "BENCH_$label.json" "$tier1_log" "$train_s8" "$train_traced_peak_mb" $workloads <<'EOF'
+python3 - "BENCH_$label.json" "$tier1_log" "$train_s2" "$train_s8" "$train_s32" "$train_traced_peak_mb" $workloads <<'EOF'
 import json
 import re
 import sys
 
-out, tier1_log, train_s8, train_traced_peak_mb = sys.argv[1:5]
-workloads = sys.argv[5:]
+out, tier1_log, train_s2, train_s8, train_s32, train_traced_peak_mb = sys.argv[1:7]
+workloads = sys.argv[7:]
 snapshot = {}
 for name in workloads:
     with open(f".evfbench_work/results/{name}-seed1-trace0.json", encoding="utf-8") as fh:
@@ -118,7 +129,10 @@ def seconds(test):
     return round(sum(float(s) for s, node in durations if f"::test_{test}_" in node), 2)
 
 
-snapshot["train_s8"] = json.loads(train_s8)
+untraced = {"s2": json.loads(train_s2), "s8": json.loads(train_s8), "s32": json.loads(train_s32)}
+snapshot["train_s8"] = {key: untraced["s8"][key] for key in ("step_ms_p50", "steps")}
+snapshot["train_minflt_per_step"] = {**{s: run["minflt_per_step"] for s, run in untraced.items()},
+                                     "steps": untraced["s8"]["steps"]}
 snapshot["train_traced_peak_mb"] = json.loads(train_traced_peak_mb)
 snapshot["tier1"] = {"passed": int(passed), "wall_s": float(wall), "a5_s": seconds("a5"), "a8_s": seconds("a8")}
 with open(out, "w", encoding="utf-8") as fh:

@@ -373,13 +373,12 @@ def _layer_records(paths: list[str]) -> list[_LayerRecord]:
                     records.append(_layer_record(row, "row"))
             except ConfigError as exc:
                 raise FixtureError(f"{path}: line {line_no}: {exc}") from exc
+    if not records:
+        raise ContractError("telemetry-report: no layer telemetry records found in the given metrics files")
     return records
 
 
-def cmd_telemetry_report(metrics_paths: list[str], out: Path) -> int:
-    records = _layer_records(metrics_paths)
-    if not records:
-        raise ContractError("telemetry-report: no layer telemetry records found in the given metrics files")
+def cmd_telemetry_report(records: list[_LayerRecord], out: Path) -> int:
     grouped: dict[tuple[int, str], list[_LayerRecord]] = {}
     for rec in records:
         grouped.setdefault((rec.layer, rec.strategy), []).append(rec)
@@ -450,7 +449,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             cfg, run = _load_config(args.config, args.overrides)
             # Every input is read and checked before --out exists, so a refused one writes nothing.
-            model = fixture = None
+            model = fixture = records = None
             if args.command in ("grad-check", "train"):
                 model = _initial_model(run)
                 if run.train.init_checkpoint:  # record the model that runs, not the ignored section
@@ -462,6 +461,8 @@ def main(argv: list[str] | None = None) -> int:
                     raise ConfigError(f"grad_check: {exc}") from exc
             if args.command == "allocate-trace":
                 fixture = _parse_fixture(args.fixture, run.model.capacity)
+            if args.command == "telemetry-report":
+                records = _layer_records(args.metrics)
             out = _resolve_out_dir(args.out, run, args.command)
             _write_run_config(out, cfg, args.command)
             if args.command == "grad-check":
@@ -471,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "train":
                 return cmd_train(run, model, out)
             if args.command == "telemetry-report":
-                return cmd_telemetry_report(args.metrics, out)
+                return cmd_telemetry_report(records, out)
             raise ContractError(f"unknown command {args.command!r}")
         except (NumericError, FloatingPointError) as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -648,13 +648,14 @@ def train(model: MicroModel, task: SyntheticTask, tcfg: TrainConfig, out_dir: Pa
         for step in range(tcfg.steps):
             batch = task.sample_batch(base.child(_DATA_DOMAIN, step))
             result = compute_loss(model, batch, base.child(_ALLOC_DOMAIN, step), tcfg.aux_weight)
+            # The batch's forward memo is the only other owner of the stage outputs, and nothing
+            # resumes on it: drop it, so backward runs with only what the graph's VJPs read.
+            del batch
             T.zero_grads(optimizer.params.values())
             T.backward(result.total)
             lr = optimizer.step(step)
             record(step, lr, result)
-            # The batch (its forward memo) and the result (its loss) are the only owners of this
-            # step's graph: drop both, so the next step builds its own with no other alive.
-            del batch, result
+            del result  # the only owner of this step's graph, so the next step builds its own with no other alive
 
         final_batch = task.sample_batch(base.child(_DATA_DOMAIN, tcfg.steps))
         final = compute_loss(model, final_batch, base.child(_ALLOC_DOMAIN, tcfg.steps), tcfg.aux_weight)

@@ -1,13 +1,18 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 Deliberately small: row-major numpy storage, explicit shape checks, no
-implicit broadcasting. Each differentiable operation records its inputs and
-one vector-Jacobian closure per input; :func:`backward` walks the recording
-once in reverse topological order and accumulates gradients into leaves.
+implicit broadcasting. Each differentiable operation records a graph node:
+an edge to each input that requires a gradient and one vector-Jacobian
+closure per edge; :func:`backward` walks the nodes once in reverse
+topological order and accumulates gradients into leaves. The graph holds
+nodes and the arrays its closures read, never an op's output for its own
+sake: an output that no closure reads is freed with its tensor.
 
 Gradient flow is cut per parameter (``set_trainable(False)``, called only by
-:func:`evf.model.apply_stage`), which is how frozen parameters are excluded
-from the walk; the optimizer refuses them.
+:func:`evf.model.apply_stage`): an op reads its inputs' flags when it runs
+and records no edge, and keeps no closure, for an input that needs no
+gradient. That is how frozen parameters are excluded from the walk; the
+optimizer refuses them.
 
 Parameter values are immutable: a :class:`Parameter` owns a private,
 read-only copy of each value it is given (the optimizer and the gradient
@@ -49,15 +54,20 @@ def _frozen_copy(values) -> Array:
 
 
 class Tensor:
-    """A value node in the compute graph.
+    """A value in the compute graph.
 
-    ``data`` is always float64 and C-contiguous. Tensors built by library
-    operations keep references to their inputs; leaves keep none. Leaf
-    construction rejects non-finite values so NaN/Inf cannot enter a graph
-    through inputs.
+    ``data`` is always float64 and C-contiguous. A tensor built by a library
+    operation that needs a gradient holds its graph node in ``_node``: a
+    tuple of one (edge, vjp) pair per input that requires a gradient, where
+    the edge is that input's own node, or the :class:`Parameter` itself for
+    a leaf, and the vjp maps this tensor's gradient onto that input. A node
+    never holds a tensor, so an output array lives only as long as its
+    tensor or a closure that reads it. Other tensors, leaves included, hold
+    None. Leaf construction rejects non-finite values so NaN/Inf cannot
+    enter a graph through inputs.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, values):
         data = _as_float64(values)
@@ -66,8 +76,7 @@ class Tensor:
         self.data = data
         self.grad: Array | None = None
         self.requires_grad = False
-        self._parents: tuple["Tensor", ...] = ()
-        self._vjps: tuple[Callable[[Array], Array], ...] = ()
+        self._node: tuple | None = None
 
     @classmethod
     def _from_op(
@@ -79,13 +88,10 @@ class Tensor:
         out = object.__new__(Tensor)
         out.data = data
         out.grad = None
-        out.requires_grad = any(p.requires_grad for p in parents)
-        if out.requires_grad:
-            out._parents = parents
-            out._vjps = vjps
-        else:
-            out._parents = ()
-            out._vjps = ()
+        # An edge, and its closure, only for a parent that requires grad; a parameter is its own edge.
+        node = [(p._node or p, vjp) for p, vjp in zip(parents, vjps) if p.requires_grad]
+        out.requires_grad = bool(node)
+        out._node = tuple(node) if node else None
         return out
 
     def item(self) -> float:
@@ -188,10 +194,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
+    shape = a.data.shape
     return Tensor._from_op(
         np.asarray(a.data.sum()),
         (a,),
-        (lambda g: np.full(a.data.shape, float(g)),),
+        (lambda g: np.full(shape, float(g)),),
     )
 
 
@@ -256,9 +263,10 @@ def take_rows(x: Tensor, idx) -> Tensor:
     """Gather rows of a 2-d tensor; repeats allowed (gradients accumulate)."""
     _check_2d("take_rows", x)
     idx = _check_row_index("take_rows", idx, x.data.shape[0])
+    shape = x.data.shape
 
     def vjp(g: Array) -> Array:
-        out = np.zeros_like(x.data)
+        out = np.zeros(shape)
         np.add.at(out, idx, g)
         return out
 
@@ -290,7 +298,7 @@ def combine(gates: Tensor, outputs: Sequence[Tensor], rows) -> Tensor:
         data[idx] += y.data * col
 
     def vjp_gates(g: Array) -> Array:
-        out = np.zeros_like(gates.data)
+        out = np.zeros((n, len(rows)))
         for e, (y, idx) in enumerate(zip(outputs, rows)):
             out[idx, e] += (g[idx] * y.data).sum(axis=1)
         return out
@@ -317,16 +325,17 @@ def gelu(x: Tensor) -> Tensor:
 
     def vjp(g: Array) -> Array:
         # g * (0.5 * (1 + t) + 0.5 * a * (1 - t²) * C * (1 + 3A * a²)); only
-        # t is kept from the forward, the rest is recomputed here.
-        du = a * a
-        du *= 3.0 * _GELU_A
-        du += 1.0
-        du *= _GELU_C
+        # t is kept from the forward, the rest is recomputed here, in two
+        # buffers: ``out`` holds 1 - t², then C * (1 + 3A * a²), then the result.
         out = t * t
         np.subtract(1.0, out, out=out)
         tail = 0.5 * a
         tail *= out
-        tail *= du
+        np.multiply(a, a, out=out)
+        out *= 3.0 * _GELU_A
+        out += 1.0
+        out *= _GELU_C
+        tail *= out
         np.add(t, 1.0, out=out)
         out *= 0.5
         out += tail
@@ -426,8 +435,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, lengths: Sequence[int], heads: in
     p /= p.sum(axis=3, keepdims=True)
     memo: list = []
 
-    # The closures re-split q, k and v, which the graph holds as the node's
-    # parents, rather than keep a second, per-head copy of each.
+    # The closures re-split the (n, d) arrays of q, k and v rather than keep
+    # a second, per-head copy of each.
     def d_scores(g: Array) -> Array:
         # Shared by the q and k closures. The memo holds g itself, so no
         # later gradient can match it by a reused id.
@@ -520,17 +529,18 @@ def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every reachable trainable leaf.
 
     The loss must hold exactly one element. Each recorded node is visited
-    once, in reverse topological order; branches that do not require
-    gradients are never entered, and a loss that needs none writes nothing.
+    once, in reverse topological order; the graph has no edge into a branch
+    that does not require gradients, and a loss that needs none writes nothing.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         return
 
-    topo: list[Tensor] = []
+    root = loss._node or loss
+    topo: list = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[object, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -540,19 +550,18 @@ def backward(loss: Tensor) -> None:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
-            if parent.requires_grad and id(parent) not in seen:
-                stack.append((parent, False))
+        if node.__class__ is tuple:
+            for parent, _ in node:
+                if id(parent) not in seen:
+                    stack.append((parent, False))
 
-    grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
+    grads: dict[int, Array] = {id(root): np.ones_like(loss.data)}
     for node in reversed(topo):
         g = grads.pop(id(node))
-        if not node._parents:  # a leaf that requires grad is a trainable Parameter
+        if node.__class__ is not tuple:  # the other edge ends are trainable Parameters
             node.grad = node.grad + g
             continue
-        for parent, vjp in zip(node._parents, node._vjps):
-            if not parent.requires_grad:
-                continue
+        for parent, vjp in node:
             contrib = vjp(g)
             acc = grads.get(id(parent))
             # Out of place: contrib may be g itself or a view of it.

@@ -634,6 +634,14 @@ def test_telemetry_report_rejects_empty_input(tmp_path, capsys):
     rc = main(["telemetry-report", "--metrics", str(empty), "--out", str(tmp_path / "rep")])
     assert rc == 2
     assert "no layer telemetry" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()  # a refused input leaves no run directory
+
+
+def test_telemetry_report_missing_input_is_an_io_error(tmp_path, capsys):
+    rc = main(["telemetry-report", "--metrics", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path / "rep")])
+    assert rc == 4
+    assert_one_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "rep").exists()
 
 
 GOOD_ROW = {"layer": 0, "strategy": "gbpr", "success_rate": 1, "drop_rate": 0}
@@ -662,6 +670,7 @@ def test_telemetry_report_rejects_malformed_rows(tmp_path, capsys, row):
     assert rc == 2
     assert_one_error_line(err)
     assert f"{stream}: line 2" in err
+    assert not (tmp_path / "rep").exists()
 
 
 # ---------------------------------------------------------------------------

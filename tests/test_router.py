@@ -83,7 +83,7 @@ def test_router_softmax_and_vjp_give_the_bytes_of_the_plain_numpy_formulas(n, se
     p = e / e.sum(axis=1, keepdims=True)
     out = T.softmax_rows(T.Parameter(x))
     assert out.data.tobytes() == p.tobytes()
-    assert out._vjps[0](g).tobytes() == (p * (g - (g * p).sum(axis=1, keepdims=True))).tobytes()
+    assert out._node[0][1](g).tobytes() == (p * (g - (g * p).sum(axis=1, keepdims=True))).tobytes()
 
 
 @settings(max_examples=50, deadline=None)

@@ -5,6 +5,7 @@ import ast
 import inspect
 import textwrap
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -232,8 +233,8 @@ def test_attention_backward_twice_through_one_node():
 
 
 def test_attention_node_holds_one_copy_of_its_inputs():
-    # The graph holds q, k and v as the node's parents; the VJPs re-split them
-    # on demand, so the node itself keeps only its output and probabilities.
+    # The VJPs hold q, k and v, which they read, and re-split them on demand,
+    # so the node itself keeps only its output and probabilities.
     B, H, L, hd = 2, 2, 32, 16
     gen = np.random.default_rng(3)  # its own generator, so the draws of the other tests stay as they were
     q, k, v = (T.Parameter(gen.normal(size=(B * L, H * hd))) for _ in range(3))
@@ -300,7 +301,7 @@ def test_in_place_kernels_give_the_bits_of_the_plain_expressions():
     out = T.gelu(px)
     np.testing.assert_array_equal(out.data, 0.5 * x * (1.0 + t))
     du = C * (1.0 + 3.0 * A * (x * x))
-    np.testing.assert_array_equal(out._vjps[0](g), g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du))
+    np.testing.assert_array_equal(out._node[0][1](g), g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du))
 
     xc = x - x.mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + 1e-5)
@@ -309,7 +310,7 @@ def test_in_place_kernels_give_the_bits_of_the_plain_expressions():
     np.testing.assert_array_equal(out.data, xhat * gain + bias)
     gx = g * gain
     want = inv * (gx - gx.mean(axis=1, keepdims=True) - xhat * (gx * xhat).mean(axis=1, keepdims=True))
-    np.testing.assert_array_equal(out._vjps[0](g), want)
+    np.testing.assert_array_equal(out._node[0][1](g), want)
 
     targets, rows = gen.integers(d, size=n), np.arange(n)
     z = x - x.max(axis=1, keepdims=True)
@@ -319,7 +320,7 @@ def test_in_place_kernels_give_the_bits_of_the_plain_expressions():
     assert out.item() == -(z - np.log(denom))[rows, targets].mean()
     want = e / denom
     want[rows, targets] -= 1.0
-    np.testing.assert_array_equal(out._vjps[0](np.asarray(0.7)), want * (0.7 / n))
+    np.testing.assert_array_equal(out._node[0][1](np.asarray(0.7)), want * (0.7 / n))
 
     def split(a, axes=(0, 2, 1, 3)):
         return np.ascontiguousarray(a.reshape(B, L, H, hd).transpose(axes))
@@ -336,7 +337,7 @@ def test_in_place_kernels_give_the_bits_of_the_plain_expressions():
     np.testing.assert_array_equal(out.data, merge(p @ vh))
     dp = gh @ vh.transpose(0, 1, 3, 2)
     ds = p * (dp - (dp * p).sum(axis=3, keepdims=True)) * c
-    dq, dk, dv = (vjp(g) for vjp in out._vjps)
+    dq, dk, dv = (vjp(g) for _, vjp in out._node)
     np.testing.assert_array_equal(dq, merge(ds @ kt.transpose(0, 1, 3, 2)))
     np.testing.assert_array_equal(dk, merge((qh.transpose(0, 1, 3, 2) @ ds).transpose(0, 1, 3, 2)))
     np.testing.assert_array_equal(dv, merge(p.transpose(0, 1, 3, 2) @ gh))
@@ -418,7 +419,31 @@ def test_frozen_parameter_gets_no_gradient_and_prunes_graph():
     np.testing.assert_allclose(live.grad, frozen.data)
     # a graph with no differentiable inputs records nothing at all
     a, b = T.Tensor(rand(2, 2)), T.Tensor(rand(2, 2))
-    assert (a + b)._parents == ()
+    assert (a + b)._node is None
+
+
+def test_an_output_no_vjp_reads_is_freed_with_its_tensor():
+    # h feeds only a frozen linear, whose one live VJP (to h) reads the weight,
+    # not h: the graph keeps an edge to h's node but not h's array. No
+    # gc.collect(): reference counting alone must free it.
+    gen = np.random.default_rng(5)  # its own generator, so the draws of the other tests stay as they were
+    c = T.Tensor(gen.normal(size=(6, 4)))
+    p, b, w, wb = (T.Parameter(gen.normal(size=shape)) for shape in ((4, 5), (5,), (5, 3), (3,)))
+    w.set_trainable(False)
+    wb.set_trainable(False)
+    grads = []
+    for keep in (True, False):
+        T.zero_grads([p, b])
+        h = T.linear(c, p, b)
+        y = T.linear(h, w, wb)
+        array, kept = weakref.ref(h.data), h if keep else None
+        del h
+        assert (array() is not None) == keep
+        T.backward(T.sum_all(y))
+        grads.append((p.grad.tobytes(), b.grad.tobytes()))
+        del kept
+    assert grads[0] == grads[1]
+    assert np.abs(p.grad).max() > 0.0
 
 
 def test_backward_on_a_loss_that_needs_no_gradient_writes_no_grad():
