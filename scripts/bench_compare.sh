@@ -15,8 +15,13 @@
 # For each workload and each end-to-end metric in the working tree's
 # BENCHMARK.json it prints both medians, both min-max ranges, the
 # revision's quartiles and the number of pairs the change won. A change
-# median inside the revision's own range reads "unresolved". Exits 0 when
-# every run passed its checks, 1 when any failed and 2 on a usage error.
+# median inside the revision's own range reads "unresolved". Beside that
+# range verdict, the claim column applies the pairing rule for claiming a
+# gain: "met" when the change wins at least 9/10 of the PAIRS (ties count
+# for neither side, and a pair with a failed run is not won) and its median
+# is better than the revision's by more than the revision's q1-q3 spread,
+# "not met" otherwise. Exits 0 when every run passed its checks, 1 when any
+# failed and 2 on a usage error.
 set -euo pipefail
 
 if [ $# -lt 2 ] || ! [[ $2 =~ ^[1-9][0-9]*$ ]]; then
@@ -82,7 +87,7 @@ def load(workload, pair, side):
 
 
 print(f"{'workload':22s} {'metric':14s} {'parent median':>14s} {'change median':>14s} "
-      f"{'parent min-max':>22s} {'change min-max':>22s} {'parent q1-q3':>22s} {'won':>6s}  verdict")
+      f"{'parent min-max':>22s} {'change min-max':>22s} {'parent q1-q3':>22s} {'won':>6s}  {'verdict':10s}  claim")
 for workload in workloads:
     both = [(load(workload, i, "parent"), load(workload, i, "change")) for i in range(pairs)]
     both = [(p, c) for p, c in both if p is not None and c is not None]
@@ -99,9 +104,11 @@ for workload in workloads:
             verdict = "unresolved"
         else:
             verdict = "better" if (cm > pm) == higher else "worse"
+        gain = cm - pm if higher else pm - cm
+        claim = "met" if 10 * won >= 9 * pairs and gain > q3 - q1 else "not met"
         print(f"{workload:22s} {name:14s} {pm:14.6g} {cm:14.6g} "
               f"{min(parent):10.4g}-{max(parent):<11.4g} {min(change):10.4g}-{max(change):<11.4g} "
               f"{q1:10.4g}-{q3:<11.4g} "
-              f"{won:>3d}/{len(both):<2d}  {verdict}")
+              f"{won:>3d}/{len(both):<2d}  {verdict:10s}  {claim}")
 sys.exit(1 if failed else 0)
 EOF

@@ -32,7 +32,7 @@ from .errors import ConfigError, ContractError, NumericError
 from .layer import EvfLayerParams, FfnParams, ffn_forward, forward_language_only, init_stage3_from_dense, route_and_allocate, run_expert
 from .router import LANGUAGE_FFN, VISION_FFN, RoutingDecision
 from .seeds import RngKey
-from .training import AdamW, LayerLoadStats, OptimizerConfig, aux_loss, learning_rate_at
+from .training import AdamW, LayerLoadStats, OptimizerConfig, aux_loss, layer_aux, learning_rate_at
 
 MULTIMODAL = "multimodal"
 LANGUAGE_ONLY = "language_only"
@@ -352,6 +352,7 @@ class ForwardResult:
     logits: T.Tensor
     plans: list[AllocationPlan]
     decisions: list[RoutingDecision]
+    aux_terms: list[tuple[T.Tensor, LayerLoadStats]]  # per elastic layer, see training.layer_aux
     tags: ModalityTags
     text_rows: np.ndarray
     targets: np.ndarray | None
@@ -423,6 +424,13 @@ def _attention_stage(block: Block, x: T.Tensor, lengths: tuple[int, ...], heads:
     return x, T.layer_norm(x, block.ln_ffn.gain, block.ln_ffn.bias)
 
 
+def _route_stage(evf: EvfLayerParams, x: T.Tensor, tags: ModalityTags, cfg: ModelConfig,
+                 rng: RngKey) -> tuple[RoutingDecision, AllocationPlan, tuple[T.Tensor, LayerLoadStats]]:
+    """Route + allocate one elastic layer, with the balance term that its routing and plan fix."""
+    decision, plan = route_and_allocate(evf, x, tags, cfg.capacity, cfg.strategy, rng)
+    return decision, plan, layer_aux(plan, decision)
+
+
 def forward(model: MicroModel, batch: TokenBatch, mode: str = MULTIMODAL, rng: RngKey | None = None) -> ForwardResult:
     """Run the packed batch through the transformer.
 
@@ -433,10 +441,12 @@ def forward(model: MicroModel, batch: TokenBatch, mode: str = MULTIMODAL, rng: R
     Stages of the last forward on this batch are reused up to the first whose
     parameter values or flags differ. They are the embedding (which also keys
     on the model config, so a replaced config recomputes everything, and on
-    the batch bytes, mode and rng), then per block its attention and its FFN:
-    one stage for a dense block or the language-only path, and for a
-    multimodal elastic block route + allocate, the language expert, then the
-    vision expert and the combine.
+    the batch bytes, mode and rng, and on whether ops record a graph, so a
+    forward that needs one never resumes a stage built without), then per
+    block its attention and its FFN: one stage for a dense block or the
+    language-only path, and for a multimodal elastic block route + allocate
+    (with the layer's balance term), the language expert, then the vision
+    expert and the combine.
     """
     if mode not in (MULTIMODAL, LANGUAGE_ONLY):
         raise ContractError(f"unknown mode {mode!r}")
@@ -464,7 +474,8 @@ def forward(model: MicroModel, batch: TokenBatch, mode: str = MULTIMODAL, rng: R
     image_counts = tuple(seq.image_count for seq in seqs)
     features = np.concatenate([s.image_features for s in seqs if s.image_count]) if any(image_counts) else None
     memo, stages = batch._memo, itertools.count(1)
-    key = (cfg, lengths, image_counts, text_ids.tobytes(), None if features is None else features.tobytes(), mode, rng)
+    key = (cfg, lengths, image_counts, text_ids.tobytes(), None if features is None else features.tobytes(), mode, rng,
+           T._recording)
     if memo[:1] != [key]:  # every setting and input of the forward: a change recomputes every stage
         memo[:] = [key]
     embed = (model.embed_tokens, model.embed_positions, model.adapter_weight, model.adapter_bias)
@@ -472,6 +483,7 @@ def forward(model: MicroModel, batch: TokenBatch, mode: str = MULTIMODAL, rng: R
                                  lambda: _embed(model, text_ids, features, lengths, image_counts))
     plans: list[AllocationPlan] = []
     decisions: list[RoutingDecision] = []
+    aux_terms: list[tuple[T.Tensor, LayerLoadStats]] = []
     for block, (attn_reads, *ffn_reads) in zip(model.blocks, _stage_reads(model)):
         x, pre_ffn = _resume(memo, next(stages), attn_reads,
                              lambda: _attention_stage(block, x, lengths, cfg.heads))
@@ -481,21 +493,22 @@ def forward(model: MicroModel, batch: TokenBatch, mode: str = MULTIMODAL, rng: R
         elif mode == LANGUAGE_ONLY:
             x = _resume(memo, next(stages), ffn_reads[1], lambda: x + forward_language_only(evf, pre_ffn))
         else:
-            # Route + allocate, the language expert, then the vision expert + combine: three
-            # stages, so a vision-FFN probe reuses the routing, the allocation and the language expert.
-            decision, plan = _resume(memo, next(stages), ffn_reads[0], lambda: route_and_allocate(
-                evf, pre_ffn, tags, cfg.capacity, cfg.strategy, rng.child(block.index)))
+            # Route + allocate, the language expert, then the vision expert + combine: three stages, so a
+            # vision-FFN probe reuses the routing, the allocation, the balance term and the language expert.
+            decision, plan, aux = _resume(memo, next(stages), ffn_reads[0],
+                                          lambda: _route_stage(evf, pre_ffn, tags, cfg, rng.child(block.index)))
             language = _resume(memo, next(stages), ffn_reads[1],
                                lambda: run_expert(evf, LANGUAGE_FFN, pre_ffn, plan))
             x = _resume(memo, next(stages), ffn_reads[2], lambda: x + T.combine(
                 decision.probabilities, [language, run_expert(evf, VISION_FFN, pre_ffn, plan)], plan.accepted))
             decisions.append(decision)
             plans.append(plan)
+            aux_terms.append(aux)
 
     final = T.layer_norm(x, model.ln_final.gain, model.ln_final.bias)
     logits = T.linear(final, model.head_weight, model.head_bias)
     targets = [seq.targets for seq in seqs]
-    return ForwardResult(logits, plans, decisions, tags, text_rows,
+    return ForwardResult(logits, plans, decisions, aux_terms, tags, text_rows,
                          None if any(t is None for t in targets) else np.concatenate(targets))
 
 
@@ -521,7 +534,7 @@ def compute_loss(model: MicroModel, batch: TokenBatch, rng: RngKey | None = None
         raise ContractError("compute_loss requires targets on every sequence")
     reg = T.cross_entropy(T.take_rows(fwd.logits, fwd.text_rows), fwd.targets)
     if fwd.plans:
-        aux, per_layer = aux_loss(fwd.plans, fwd.decisions)
+        aux, per_layer = aux_loss(fwd.aux_terms)
         total, aux_value = reg + T.scale(aux, aux_weight), aux.item()
     else:
         total, aux_value, per_layer = reg, 0.0, ()

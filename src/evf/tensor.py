@@ -8,6 +8,12 @@ topological order and accumulates gradients into leaves. The graph holds
 nodes and the arrays its closures read, never an op's output for its own
 sake: an output that no closure reads is freed with its tensor.
 
+No op records a node inside ``with _no_graph():``, the graph-free mode for
+forwards that nothing differentiates (grad-check probes): its outputs need no gradient and hold no closure. The mode is
+one module slot that the context manager sets for its scope and restores on
+the way out, an exception included; it is private so that no caller takes
+it for an op.
+
 Gradient flow is cut per parameter (``set_trainable(False)``, called only by
 :func:`evf.model.apply_stage`): an op reads its inputs' flags when it runs
 and records no edge, and keeps no closure, for an input that needs no
@@ -28,6 +34,7 @@ plain expression they replace, so they give the same bits.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from typing import Callable, Iterable, Sequence
 
@@ -41,6 +48,21 @@ Array = np.ndarray
 #   gelu(x) = 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x^3)))
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
+
+
+# False inside ``_no_graph()``: ops then record no graph nodes.
+_recording = True
+
+
+@contextlib.contextmanager
+def _no_graph():
+    """Build no graph nodes in this scope; the mode in force before it comes back on exit."""
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
 
 
 def _as_float64(values) -> Array:
@@ -88,6 +110,9 @@ class Tensor:
         out = object.__new__(Tensor)
         out.data = data
         out.grad = None
+        if not _recording:
+            out.requires_grad, out._node = False, None
+            return out
         # An edge, and its closure, only for a parent that requires grad; a parameter is its own edge.
         node = [(p._node or p, vjp) for p, vjp in zip(parents, vjps) if p.requires_grad]
         out.requires_grad = bool(node)
@@ -283,11 +308,14 @@ def combine(gates: Tensor, outputs: Sequence[Tensor], rows) -> Tensor:
     if not 0 < len(outputs) == len(rows) == gates.data.shape[1]:
         raise ShapeError(f"combine: gates {gates.data.shape} for {len(outputs)} outputs and {len(rows)} index lists")
     n, d = gates.data.shape[0], outputs[0].data.shape[1]
-    rows = [_check_row_index("combine", idx, n) for idx in rows]
-    marked = np.zeros(n, dtype=bool)
+    rows = [np.asarray(idx, dtype=np.int64) for idx in rows]
     for idx in rows:
-        marked[idx] = True
-    if np.count_nonzero(marked) != sum(idx.size for idx in rows):
+        if idx.ndim != 1:
+            raise ContractError(f"combine: index must be 1-d, got shape {idx.shape}")
+    flat = _check_row_index("combine", np.concatenate(rows), n)  # every list, range-checked in one pass
+    marked = np.zeros(n, dtype=bool)
+    marked[flat] = True
+    if np.count_nonzero(marked) != flat.size:
         raise ContractError("combine: a row is in more than one index list, or twice in one")
     for y, idx in zip(outputs, rows):
         if y.data.shape != (idx.size, d):
@@ -403,16 +431,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, lengths: Sequence[int], heads: in
     _check_same_shape("attention", q, k)
     _check_same_shape("attention", q, v)
     n, d = q.data.shape
-    sizes = np.asarray(lengths, dtype=np.int64)
-    if sizes.ndim != 1 or not sizes.size or sizes.min() < 1 or sizes.sum() != n:
-        raise ShapeError(f"attention: lengths {tuple(sizes.tolist())} do not split the rows of {q.data.shape}")
+    lengths = tuple(lengths)
+    if not lengths or min(lengths) < 1 or sum(lengths) != n:
+        raise ShapeError(f"attention: lengths {lengths} do not split the rows of {q.data.shape}")
     if heads < 1 or d % heads:
         raise ShapeError(f"attention: width {d} of {q.data.shape} does not split into {heads} heads")
-    B, L, hd = sizes.size, int(sizes.max()), d // heads
+    B, L, hd = len(lengths), int(max(lengths)), d // heads
     c = float(1.0 / np.sqrt(hd))
     # Rows of the padded (B * L, d) layout that hold real tokens; with equal
     # lengths there is no padding and the reshapes below are views.
-    real = None if B * L == n else np.flatnonzero(np.arange(L) < sizes[:, None])
+    real = None if B * L == n else np.flatnonzero(np.arange(L) < np.array(lengths)[:, None])
 
     # Contiguous per-head copies in and contiguous (n, d) arrays out, so the
     # batched products make the same BLAS calls, bit for bit, as 2-d ones.
@@ -433,20 +461,27 @@ def attention(q: Tensor, k: Tensor, v: Tensor, lengths: Sequence[int], heads: in
     p -= p.max(axis=3, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=3, keepdims=True)
+    # With q and k both in the graph, backward calls their closures one after
+    # the other with the same g: the first computes the score gradient and
+    # holds it with g itself (so no later gradient can match it by a reused
+    # id), the second takes it out, so the node keeps neither after backward.
+    shared = q.requires_grad and k.requires_grad
     memo: list = []
 
     # The closures re-split the (n, d) arrays of q, k and v rather than keep
     # a second, per-head copy of each.
     def d_scores(g: Array) -> Array:
-        # Shared by the q and k closures. The memo holds g itself, so no
-        # later gradient can match it by a reused id.
-        if not memo or memo[0] is not g:
-            ds = split(g) @ split(v.data).transpose(0, 1, 3, 2)
-            ds -= (ds * p).sum(axis=3, keepdims=True)
-            ds *= p
-            ds *= c
+        if memo and memo[0] is g:
+            ds = memo[1]
+            memo.clear()
+            return ds
+        ds = split(g) @ split(v.data).transpose(0, 1, 3, 2)
+        ds -= (ds * p).sum(axis=3, keepdims=True)
+        ds *= p
+        ds *= c
+        if shared:
             memo[:] = (g, ds)
-        return memo[1]
+        return ds
 
     return Tensor._from_op(
         merge(p @ split(v.data)),
@@ -476,7 +511,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = np.add.reduce(xhat * xhat, axis=1, keepdims=True) / d
     if not np.isfinite(var).all():  # an overflow would give inv = 0 and a silent zero row
         raise NumericError("layer_norm: non-finite row variance")
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = var  # 1 / sqrt(var + eps), in var's buffer
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
     xhat *= inv
     data = xhat * gain.data
     data += bias.data

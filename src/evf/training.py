@@ -37,40 +37,37 @@ class LayerLoadStats:
     aux: float
 
 
-def aux_loss(
-    plans: Sequence[AllocationPlan],
-    decisions: Sequence[RoutingDecision],
-) -> tuple[T.Tensor, tuple[LayerLoadStats, ...]]:
-    """Balance loss averaged over the elastic layers of one forward pass.
+def layer_aux(plan: AllocationPlan, decision: RoutingDecision) -> tuple[T.Tensor, LayerLoadStats]:
+    """One elastic layer's balance term ``F_lang * G_lang + F_vis * G_vis`` and its F/G snapshot."""
+    if plan.n_tokens != decision.n:
+        raise ContractError(f"layer_aux: plan covers {plan.n_tokens} tokens, decision {decision.n}")
+    n = plan.n_tokens
+    f_lang = plan.loads[LANGUAGE_FFN] / n
+    f_vis = plan.loads[VISION_FFN] / n
+    g = T.col_mean(decision.probabilities)
+    term = T.sum_all(T.mul(g, T.Tensor(np.array([f_lang, f_vis]))))
+    stats = LayerLoadStats(
+        f_vision=f_vis,
+        f_language=f_lang,
+        g_vision=float(g.data[VISION_FFN]),
+        g_language=float(g.data[LANGUAGE_FFN]),
+        aux=term.item(),
+    )
+    return term, stats
+
+
+def aux_loss(layers: Sequence[tuple[T.Tensor, LayerLoadStats]]) -> tuple[T.Tensor, tuple[LayerLoadStats, ...]]:
+    """Balance loss averaged over the elastic layers of one forward pass, from their
+    :func:`layer_aux` terms in layer order.
 
     Returns the differentiable scalar plus per-layer F/G snapshots.
     """
-    if not plans:
+    if not layers:
         raise ContractError("aux_loss: at least one layer is required")
-    if len(plans) != len(decisions):
-        raise ContractError(f"aux_loss: {len(plans)} plans for {len(decisions)} decisions")
-    acc: T.Tensor | None = None
-    per_layer: list[LayerLoadStats] = []
-    for plan, decision in zip(plans, decisions):
-        if plan.n_tokens != decision.n:
-            raise ContractError(f"aux_loss: plan covers {plan.n_tokens} tokens, decision {decision.n}")
-        n = plan.n_tokens
-        f_lang = plan.loads[LANGUAGE_FFN] / n
-        f_vis = plan.loads[VISION_FFN] / n
-        g = T.col_mean(decision.probabilities)
-        layer_term = T.sum_all(T.mul(g, T.Tensor(np.array([f_lang, f_vis]))))
-        acc = layer_term if acc is None else acc + layer_term
-        per_layer.append(
-            LayerLoadStats(
-                f_vision=f_vis,
-                f_language=f_lang,
-                g_vision=float(g.data[VISION_FFN]),
-                g_language=float(g.data[LANGUAGE_FFN]),
-                aux=layer_term.item(),
-            )
-        )
-    total = T.scale(acc, 1.0 / len(plans))
-    return total, tuple(per_layer)
+    acc = layers[0][0]
+    for term, _ in layers[1:]:
+        acc = acc + term
+    return T.scale(acc, 1.0 / len(layers)), tuple(stats for _, stats in layers)
 
 
 @dataclass(frozen=True)
@@ -189,11 +186,13 @@ def grad_check(
     """Compare analytic gradients with central finite differences.
 
     ``loss_fn`` must return (loss tensor, allocation signature) for the
-    parameters' current values on every call. If a perturbation changes the
-    signature, the instance sits too close to a capacity or preference
-    boundary and :class:`UnstableInstanceError` is raised so the caller can
-    resample. Relative error is |analytic - fd| / max(|analytic|, |fd|,
-    _REL_FLOOR).
+    parameters' current values on every call. Its first call, the base loss,
+    builds the graph that gives the analytic gradients; every later call, a
+    probe, runs in the graph-free mode of :mod:`evf.tensor`. If a
+    perturbation changes the signature, the instance sits too close to a
+    capacity or preference boundary and :class:`UnstableInstanceError` is
+    raised so the caller can resample. Relative error is
+    |analytic - fd| / max(|analytic|, |fd|, _REL_FLOOR).
 
     ``subset`` restricts the check to scalars whose global flat index is
     congruent to ``offset`` modulo ``stride``; callers that run several
@@ -241,7 +240,8 @@ def grad_check(
         perturbed.reshape(-1)[flat_index] += delta
         p._adopt(perturbed)
         try:
-            loss, signature = loss_fn()
+            with T._no_graph():  # nothing differentiates a probe
+                loss, signature = loss_fn()
         finally:
             p._adopt(original)
         if signature != base_signature:

@@ -232,6 +232,27 @@ def test_attention_backward_twice_through_one_node():
         np.testing.assert_allclose(got.grad, want.grad, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("k_in_graph", [True, False])
+def test_attention_backward_releases_its_score_gradient(k_in_graph):
+    # The score gradient, and the incoming gradient it came from, stay held
+    # only until the last of the q and k closures has read them.
+    gen = np.random.default_rng(4)  # its own generator, so the draws of the other tests stay as they were
+    q, k, v = (T.Parameter(gen.normal(size=(4, 4))) for _ in range(3))
+    k.set_trainable(k_in_graph)
+    out = T.attention(q, k, v, [2, 2], 2)
+    incoming = []
+
+    def vjp(g):
+        mine = g.copy()
+        incoming.append(weakref.ref(mine))
+        return mine
+
+    top = T.Tensor._from_op(out.data.copy(), (out,), (vjp,))
+    T.backward(T.sum_all(top))
+    assert len(incoming) == 1 and np.abs(q.grad).max() > 0.0
+    assert incoming[0]() is None, "the attention node still holds its incoming gradient"
+
+
 def test_attention_node_holds_one_copy_of_its_inputs():
     # The VJPs hold q, k and v, which they read, and re-split them on demand,
     # so the node itself keeps only its output and probabilities.

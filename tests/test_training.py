@@ -19,6 +19,7 @@ from evf.training import (
     aux_loss,
     combined_digest,
     grad_check,
+    layer_aux,
     learning_rate_at,
     parameter_digests,
     tensor_digest,
@@ -41,13 +42,18 @@ def plan_for(decision, pattern, factor=1.5, strategy=Strategy.GBPR):
 # auxiliary balance loss
 
 
+def aux_of(plans, decisions):
+    """The balance loss of layers with these plans and decisions, folded as compute_loss folds it."""
+    return aux_loss([layer_aux(plan, decision) for plan, decision in zip(plans, decisions)])
+
+
 def test_aux_all_tokens_on_one_ffn_equals_that_column_mean():
     # every token accepted by language: F = (1, 0), so aux = G_language
     p = np.array([[0.9, 0.1], [0.7, 0.3], [0.6, 0.4]])
     decision = decision_of(p)
     plan = plan_for(decision, "ttt", factor=2.0)
     assert plan.loads == (3, 0)
-    aux, stats = aux_loss([plan], [decision])
+    aux, stats = aux_of([plan], [decision])
     assert aux.item() == pytest.approx(p[:, 0].mean(), abs=1e-15)
     assert stats[0].f_language == 1.0 and stats[0].f_vision == 0.0
     assert stats[0].g_language + stats[0].g_vision == pytest.approx(1.0, abs=1e-12)
@@ -58,7 +64,7 @@ def test_aux_balanced_split_gives_half():
     decision = decision_of(p)
     plan = plan_for(decision, "tttt", factor=1.0)
     assert plan.loads == (2, 2)
-    aux, _ = aux_loss([plan], [decision])
+    aux, _ = aux_of([plan], [decision])
     # F = (1/2, 1/2) and G_l + G_v = 1, so F.G = 1/2 exactly
     assert aux.item() == pytest.approx(0.5, abs=1e-12)
 
@@ -75,7 +81,7 @@ def test_aux_matches_recount_oracle_across_layers():
         decisions.append(d)
         raw_p.append(p)
         loads.append(plan.loads)
-    aux, stats = aux_loss(plans, decisions)
+    aux, stats = aux_of(plans, decisions)
     want = oracles.aux_loss_recount(raw_p, loads)
     assert aux.item() == pytest.approx(want, abs=1e-14)
     assert len(stats) == 3
@@ -86,14 +92,14 @@ def test_aux_gradient_reaches_router_through_column_means():
     probs = T.softmax_rows(logits_param)
     decision = RoutingDecision(logits_param, probs)
     plan = plan_for(decision, "tttttt", factor=2.0)
-    aux, _ = aux_loss([plan], [decision])
+    aux, _ = aux_of([plan], [decision])
     T.backward(aux)
     assert float(np.abs(logits_param.grad).max()) > 0.0
 
     def f(logits):
         pr = T.softmax_rows(T.Tensor(np.asarray(logits)))
         d = RoutingDecision(T.Tensor(np.asarray(logits)), pr)
-        a, _ = aux_loss([plan], [d])
+        a, _ = aux_of([plan], [d])
         return a.item()
 
     (fd,) = oracles.finite_difference_grads(f, [logits_param.data], eps=1e-6)
@@ -111,7 +117,7 @@ def test_aux_minimized_near_balanced_router():
         # jitter so the argmax is strict per token only when biased
         decision = decision_of(p)
         plan = plan_for(decision, "t" * n, factor=2.0)
-        aux, _ = aux_loss([plan], [decision])
+        aux, _ = aux_of([plan], [decision])
         values[round(float(bias), 3)] = aux.item()
     best = min(values, key=values.get)
     assert abs(best) < 0.3
@@ -120,11 +126,10 @@ def test_aux_minimized_near_balanced_router():
 
 def test_aux_contract_errors():
     with pytest.raises(ContractError):
-        aux_loss([], [])
-    d = decision_of([[0.5, 0.5]])
-    plan = plan_for(d, "t")
-    with pytest.raises(ContractError):
-        aux_loss([plan], [])
+        aux_loss([])
+    plan = plan_for(decision_of([[0.5, 0.5]]), "t")
+    with pytest.raises(ContractError, match="1 tokens, decision 2"):
+        layer_aux(plan, decision_of([[0.5, 0.5], [0.5, 0.5]]))
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +292,32 @@ def test_grad_check_raises_on_signature_flip():
 
     with pytest.raises(UnstableInstanceError):
         grad_check(loss_fn, [("p", p)])
+
+
+class ProbeFault(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fault", ["flipped signature", "raising loss_fn"])
+def test_grad_check_probes_record_no_graph_and_a_failing_probe_ends_that(fault):
+    p = T.Parameter(np.array([[0.5]]))
+    base = p.data
+    recorded = []
+
+    def loss_fn():
+        loss = T.sum_all(T.mul(p, p))
+        recorded.append(loss.requires_grad)
+        if p.data is base:
+            return loss, ("base",)
+        if fault == "raising loss_fn":
+            raise ProbeFault
+        return loss, ("flipped",)
+
+    with pytest.raises(UnstableInstanceError if fault == "flipped signature" else ProbeFault):
+        grad_check(loss_fn, [("p", p)])
+    assert recorded == [True, False]  # the base loss is a graph, the probe is not
+    assert p.data is base
+    assert T.mul(p, p).requires_grad
 
 
 def test_grad_check_restores_parameters_and_handles_empty():
