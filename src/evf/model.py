@@ -15,14 +15,13 @@ the image pathway.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import operator
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -232,7 +231,7 @@ class MicroModel:
     head_weight: T.Parameter
     head_bias: T.Parameter
     stage: int = field(default=2, init=False)
-    _reads: list | None = field(default=None, init=False, repr=False)  # see _stage_reads
+    _stages: dict = field(default_factory=dict, init=False, repr=False)  # per mode, see forward_stages
 
     def named_parameters(self) -> Iterator[tuple[str, T.Parameter, str]]:
         """Yields (name, parameter, stage group) in a fixed order."""
@@ -331,7 +330,7 @@ def apply_stage(model: MicroModel, stage: int) -> None:
             block = model.blocks[i]
             block.evf = init_stage3_from_dense(block.ffn)
             block.ffn = None
-    model.stage, model._reads = stage, None
+    model.stage, model._stages = stage, {}
     for _, p, group in model.named_parameters():
         p.set_trainable(group in STAGE_GROUPS[stage])
 
@@ -361,92 +360,125 @@ class ForwardResult:
         return tuple(plan.signature() for plan in self.plans)
 
 
-def _resume(memo: list, stage: int, params: tuple[T.Parameter, ...], run):
-    """``run()``, or the last forward's result if this stage and all before it are unchanged.
+def _resume(memo: list, index: int, params: tuple[T.Parameter, ...], run: Callable, state):
+    """``run(state)``, or the last forward's result if stage ``index`` and all before it are unchanged.
 
     A stage is unchanged when it reads the very same value arrays, with the
     same freeze flags. Values are immutable and the entry holds the arrays it
     compares, so the same array means the same bytes.
     """
     arrays, flags = [p.data for p in params], [p.requires_grad for p in params]
-    if stage < len(memo):
-        held = memo[stage]
+    if index < len(memo):
+        held = memo[index]
         if held[1] == flags and all(map(operator.is_, held[0], arrays)):
             return held[2]
-        del memo[stage:]
-    out = run()
+        del memo[index:]
+    out = run(state)
     memo.append((arrays, flags, out))
     return out
 
 
-def _stage_reads(model: MicroModel) -> list[tuple[tuple[T.Parameter, ...], ...]]:
-    """Per block, the parameters its attention stage reads, then those of its dense FFN stage or of
-    its route, language FFN and vision FFN stages. Only apply_stage replaces parameter objects, so
-    the lists are gathered once per stage switch."""
-    if model._reads is None:
-        def values(group) -> tuple[T.Parameter, ...]:
-            return tuple(p for _, p in group.parameters())
+class _State(NamedTuple):
+    """What a forward stage hands the next; each stage returns a copy with the fields it sets replaced."""
 
-        model._reads = []
+    x: T.Tensor  # the residual stream
+    normed: T.Tensor | None  # the block's ln_ffn output, which its FFN stages read
+    language: T.Tensor | None  # the elastic block's language expert output, which its vision stage combines
+    decisions: tuple[RoutingDecision, ...]  # per elastic layer routed so far
+    plans: tuple[AllocationPlan, ...]
+    aux_terms: tuple[tuple[T.Tensor, LayerLoadStats], ...]
+    tags: ModalityTags
+    text_rows: np.ndarray
+    lengths: tuple[int, ...]
+    rng: RngKey
+    cfg: ModelConfig
+
+
+def forward_stages(model: MicroModel, mode: str) -> list[tuple[str, tuple[T.Parameter, ...], Callable]]:
+    """The forward in order, as (name, parameters read, state -> state) stages, built once per stage switch and mode.
+
+    The functions hold parameter containers, never the model, and take every
+    per-forward value from the state that the embedding builds.
+    """
+    if mode not in model._stages:
+        embed = (model.embed_tokens, model.embed_positions, model.adapter_weight, model.adapter_bias)
+        stages = [("embed", embed, lambda inputs: _embed(*embed, *inputs))]
         for block in model.blocks:
-            evf = block.evf
-            attn = (block.ln_attn.gain, block.ln_attn.bias, *values(block.attn), block.ln_ffn.gain, block.ln_ffn.bias)
-            if evf is None:
-                model._reads.append((attn, values(block.ffn)))
-            else:
-                model._reads.append((attn, (evf.router.weight,), values(evf.language_ffn), values(evf.vision_ffn)))
-    return model._reads
+            stages += _block_stages(block, mode)
+        model._stages[mode] = stages
+    return model._stages[mode]
 
 
-def _embed(model: MicroModel, text_ids: np.ndarray, features: np.ndarray | None,
-           lengths: tuple[int, ...], image_counts: tuple[int, ...]) -> tuple[T.Tensor, ModalityTags, np.ndarray]:
+def _embed(tokens: T.Parameter, positions_table: T.Parameter, adapter_weight: T.Parameter, adapter_bias: T.Parameter,
+           text_ids: np.ndarray, features: np.ndarray | None, lengths: tuple[int, ...], image_counts: tuple[int, ...],
+           rng: RngKey, cfg: ModelConfig) -> _State:
     positions = np.arange(sum(lengths)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     tags = ModalityTags(positions < np.repeat(image_counts, lengths))
     text_rows = np.flatnonzero(~tags.is_image)
     # One gather embeds the whole batch: image rows are projected together and
     # stacked above the token table, so row j of the table is image row j and
     # row n_img + t is token t.
-    table, rows = model.embed_tokens, text_ids
+    table, rows = tokens, text_ids
     if features is not None:
-        images = T.linear(T.Tensor(features), model.adapter_weight, model.adapter_bias)
-        table = T.concat_rows([images, model.embed_tokens])
+        images = T.linear(T.Tensor(features), adapter_weight, adapter_bias)
+        table = T.concat_rows([images, tokens])
         rows = np.empty(positions.size, dtype=np.int64)
         rows[tags.is_image] = np.arange(len(features))
         rows[text_rows] = text_ids + len(features)
-    x = T.take_rows(table, rows) + T.take_rows(model.embed_positions, positions)
-    return x, tags, text_rows
+    x = T.take_rows(table, rows) + T.take_rows(positions_table, positions)
+    return _State(x, None, None, (), (), (), tags, text_rows, lengths, rng, cfg)
 
 
-def _attention_stage(block: Block, x: T.Tensor, lengths: tuple[int, ...], heads: int) -> tuple[T.Tensor, T.Tensor]:
-    attn, normed = block.attn, T.layer_norm(x, block.ln_attn.gain, block.ln_attn.bias)
-    q, k, v = (T.linear(normed, w, b) for w, b in ((attn.wq, attn.bq), (attn.wk, attn.bk), (attn.wv, attn.bv)))
-    x = x + T.linear(T.attention(q, k, v, lengths, heads), attn.wo, attn.bo)
-    return x, T.layer_norm(x, block.ln_ffn.gain, block.ln_ffn.bias)
+def _block_stages(block: Block, mode: str) -> list:
+    """attn, then ffn for a dense block or the language-only path, or else route, language_ffn and vision_ffn, so
+    that a vision-FFN probe reuses the routing, the allocation, the balance term and the language expert."""
+    prefix, ln_attn, attn, ln_ffn, evf = f"blocks.{block.index}", block.ln_attn, block.attn, block.ln_ffn, block.evf
 
+    def values(group) -> tuple[T.Parameter, ...]:
+        return tuple(p for _, p in group.parameters())
 
-def _route_stage(evf: EvfLayerParams, x: T.Tensor, tags: ModalityTags, cfg: ModelConfig,
-                 rng: RngKey) -> tuple[RoutingDecision, AllocationPlan, tuple[T.Tensor, LayerLoadStats]]:
-    """Route + allocate one elastic layer, with the balance term that its routing and plan fix."""
-    decision, plan = route_and_allocate(evf, x, tags, cfg.capacity, cfg.strategy, rng)
-    return decision, plan, layer_aux(plan, decision)
+    def attention(s: _State) -> _State:
+        normed = T.layer_norm(s.x, ln_attn.gain, ln_attn.bias)
+        q, k, v = (T.linear(normed, w, b) for w, b in ((attn.wq, attn.bq), (attn.wk, attn.bk), (attn.wv, attn.bv)))
+        x = s.x + T.linear(T.attention(q, k, v, s.lengths, s.cfg.heads), attn.wo, attn.bo)
+        return s._replace(x=x, normed=T.layer_norm(x, ln_ffn.gain, ln_ffn.bias))
+
+    def route(s: _State) -> _State:
+        decision, plan = route_and_allocate(evf, s.normed, s.tags, s.cfg.capacity, s.cfg.strategy,
+                                            s.rng.child(block.index))
+        return s._replace(decisions=(*s.decisions, decision), plans=(*s.plans, plan),
+                          aux_terms=(*s.aux_terms, layer_aux(plan, decision)))
+
+    def vision(s: _State) -> _State:
+        outputs = [s.language, run_expert(evf, VISION_FFN, s.normed, s.plans[-1])]
+        return s._replace(x=s.x + T.combine(s.decisions[-1].probabilities, outputs, s.plans[-1].accepted))
+
+    stages = [(f"{prefix}.attn", (ln_attn.gain, ln_attn.bias, *values(attn), ln_ffn.gain, ln_ffn.bias), attention)]
+    if evf is None:
+        ffn = block.ffn
+        return stages + [(f"{prefix}.ffn", values(ffn), lambda s: s._replace(x=s.x + ffn_forward(ffn, s.normed)))]
+    if mode == LANGUAGE_ONLY:
+        return stages + [(f"{prefix}.ffn", values(evf.language_ffn),
+                          lambda s: s._replace(x=s.x + forward_language_only(evf, s.normed)))]
+    return stages + [
+        (f"{prefix}.route", (evf.router.weight,), route),
+        (f"{prefix}.language_ffn", values(evf.language_ffn),
+         lambda s: s._replace(language=run_expert(evf, LANGUAGE_FFN, s.normed, s.plans[-1]))),
+        (f"{prefix}.vision_ffn", values(evf.vision_ffn), vision),
+    ]
 
 
 def forward(model: MicroModel, batch: TokenBatch, mode: str = MULTIMODAL, rng: RngKey | None = None) -> ForwardResult:
-    """Run the packed batch through the transformer.
+    """Run the packed batch through the stages of :func:`forward_stages`, then the final layer norm and the head.
 
     multimodal mode exercises routing and allocation at every elastic
     layer; language_only mode rejects batches containing image features and
     runs the dense language path (no routing objects are ever built).
 
     Stages of the last forward on this batch are reused up to the first whose
-    parameter values or flags differ. They are the embedding (which also keys
-    on the model config, so a replaced config recomputes everything, and on
-    the batch bytes, mode and rng, and on whether ops record a graph, so a
-    forward that needs one never resumes a stage built without), then per
-    block its attention and its FFN: one stage for a dense block or the
-    language-only path, and for a multimodal elastic block route + allocate
-    (with the layer's balance term), the language expert, then the vision
-    expert and the combine.
+    parameter values or flags differ; any other change to the key below
+    recomputes them all, so a forward that needs a graph never resumes a
+    stage built without.
     """
     if mode not in (MULTIMODAL, LANGUAGE_ONLY):
         raise ContractError(f"unknown mode {mode!r}")
@@ -473,43 +505,20 @@ def forward(model: MicroModel, batch: TokenBatch, mode: str = MULTIMODAL, rng: R
     lengths = tuple(seq.length for seq in seqs)
     image_counts = tuple(seq.image_count for seq in seqs)
     features = np.concatenate([s.image_features for s in seqs if s.image_count]) if any(image_counts) else None
-    memo, stages = batch._memo, itertools.count(1)
+    memo = batch._memo
     key = (cfg, lengths, image_counts, text_ids.tobytes(), None if features is None else features.tobytes(), mode, rng,
            T._recording)
     if memo[:1] != [key]:  # every setting and input of the forward: a change recomputes every stage
         memo[:] = [key]
-    embed = (model.embed_tokens, model.embed_positions, model.adapter_weight, model.adapter_bias)
-    x, tags, text_rows = _resume(memo, next(stages), embed,
-                                 lambda: _embed(model, text_ids, features, lengths, image_counts))
-    plans: list[AllocationPlan] = []
-    decisions: list[RoutingDecision] = []
-    aux_terms: list[tuple[T.Tensor, LayerLoadStats]] = []
-    for block, (attn_reads, *ffn_reads) in zip(model.blocks, _stage_reads(model)):
-        x, pre_ffn = _resume(memo, next(stages), attn_reads,
-                             lambda: _attention_stage(block, x, lengths, cfg.heads))
-        evf = block.evf
-        if evf is None:
-            x = _resume(memo, next(stages), ffn_reads[0], lambda: x + ffn_forward(block.ffn, pre_ffn))
-        elif mode == LANGUAGE_ONLY:
-            x = _resume(memo, next(stages), ffn_reads[1], lambda: x + forward_language_only(evf, pre_ffn))
-        else:
-            # Route + allocate, the language expert, then the vision expert + combine: three stages, so a
-            # vision-FFN probe reuses the routing, the allocation, the balance term and the language expert.
-            decision, plan, aux = _resume(memo, next(stages), ffn_reads[0],
-                                          lambda: _route_stage(evf, pre_ffn, tags, cfg, rng.child(block.index)))
-            language = _resume(memo, next(stages), ffn_reads[1],
-                               lambda: run_expert(evf, LANGUAGE_FFN, pre_ffn, plan))
-            x = _resume(memo, next(stages), ffn_reads[2], lambda: x + T.combine(
-                decision.probabilities, [language, run_expert(evf, VISION_FFN, pre_ffn, plan)], plan.accepted))
-            decisions.append(decision)
-            plans.append(plan)
-            aux_terms.append(aux)
+    state = (text_ids, features, lengths, image_counts, rng, cfg)
+    for index, (_, reads, run) in enumerate(forward_stages(model, mode), 1):
+        state = _resume(memo, index, reads, run, state)
 
-    final = T.layer_norm(x, model.ln_final.gain, model.ln_final.bias)
+    final = T.layer_norm(state.x, model.ln_final.gain, model.ln_final.bias)
     logits = T.linear(final, model.head_weight, model.head_bias)
     targets = [seq.targets for seq in seqs]
-    return ForwardResult(logits, plans, decisions, aux_terms, tags, text_rows,
-                         None if any(t is None for t in targets) else np.concatenate(targets))
+    return ForwardResult(logits, list(state.plans), list(state.decisions), list(state.aux_terms), state.tags,
+                         state.text_rows, None if any(t is None for t in targets) else np.concatenate(targets))
 
 
 @dataclass(eq=False)
@@ -595,7 +604,7 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class TrainResult:
-    metrics: list[dict]
+    metrics: list[dict]  # the first row and the final evaluation row
     model: MicroModel
     checkpoint_path: Path | None
 
@@ -631,10 +640,10 @@ def train(model: MicroModel, task: SyntheticTask, tcfg: TrainConfig, out_dir: Pa
     """Run one curriculum stage for tcfg.steps updates.
 
     Emits one metrics row per step (loss measured before the update) plus a
-    final evaluation row at index tcfg.steps. When out_dir is given, each row
-    is appended to metrics.jsonl and telemetry.jsonl (one line per elastic
-    layer per step) as soon as it is produced, and a final checkpoint is
-    written at the end.
+    final evaluation row at index tcfg.steps, and returns the first and the
+    final row. When out_dir is given, each row is appended to metrics.jsonl
+    and telemetry.jsonl (one line per elastic layer per step) as soon as it
+    is produced, and a final checkpoint is written at the end.
     """
     from . import checkpoint as ckpt
 
@@ -652,6 +661,7 @@ def train(model: MicroModel, task: SyntheticTask, tcfg: TrainConfig, out_dir: Pa
 
         def record(step: int, lr: float, result: LossResult) -> None:
             row = _metrics_row(model.cfg, step, lr, result)
+            del rows[1:]  # keep the first row and the latest, so memory does not grow with the steps
             rows.append(row)
             if streams:
                 metrics, telemetry = streams

@@ -9,10 +9,10 @@ nodes and the arrays its closures read, never an op's output for its own
 sake: an output that no closure reads is freed with its tensor.
 
 No op records a node inside ``with _no_graph():``, the graph-free mode for
-forwards that nothing differentiates (grad-check probes): its outputs need no gradient and hold no closure. The mode is
-one module slot that the context manager sets for its scope and restores on
-the way out, an exception included; it is private so that no caller takes
-it for an op.
+forwards that nothing differentiates (grad-check probes): its outputs need
+no gradient and hold no closure. The mode is one module slot that the
+context manager sets for its scope and restores on the way out, an
+exception included; it is private so that no caller takes it for an op.
 
 Gradient flow is cut per parameter (``set_trainable(False)``, called only by
 :func:`evf.model.apply_stage`): an op reads its inputs' flags when it runs

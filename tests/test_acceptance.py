@@ -64,19 +64,21 @@ def _run_strategy(decision, tags, strategy, cfg, redistribution=None):
 
 
 @pytest.fixture(scope="module")
-def stage3_run():
-    """One 500-step stage-3 run on the default model, plus an untouched
-    stage-3 twin built from the same seed as the pre-training baseline."""
+def stage3_run(tmp_path_factory):
+    """One 500-step stage-3 run on the default model, with its metrics.jsonl
+    rows, plus an untouched stage-3 twin built from the same seed as the
+    pre-training baseline."""
     cfg = ModelConfig()
     baseline = build_model(cfg)
     enter_stage3(baseline)
     trained = build_model(cfg)
-    result = train(trained, SyntheticTask(cfg), TrainConfig(stage=3, steps=500))
+    out = tmp_path_factory.mktemp("stage3_run")
+    result = train(trained, SyntheticTask(cfg), TrainConfig(stage=3, steps=500), out_dir=out)
     return {
         "cfg": cfg,
         "baseline": baseline,
         "trained": result.model,
-        "metrics": result.metrics,
+        "metrics": [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()],
     }
 
 
@@ -344,7 +346,7 @@ def test_a8_stage3_training_reduces_regressive_loss(stage3_run, verdict):
         result = train(model, SyntheticTask(cfg), TrainConfig(stage=3, steps=500))
         per_seed.append((
             result.metrics[0]["loss_regressive"],
-            result.metrics[500]["loss_regressive"],
+            result.metrics[-1]["loss_regressive"],  # the final row: row 500
             before,
             held_out_eval(result.model, cfg),
         ))

@@ -20,10 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evf.checkpoint import load_model
-from evf.cli import RunConfig, _load_config, main
+from evf.cli import GradCheckSection, RunConfig, _load_config, main
 from evf.errors import ConfigError
 from evf.model import SyntheticTask, compute_loss
 from evf.seeds import RngKey
+from evf.training import grad_check
 
 TINY_MODEL = [
     "--set", "model.depth=2",
@@ -126,8 +127,60 @@ def test_grad_check_from_a_trained_checkpoint_covers_dropped_and_moved_tokens(
         assert moved > 0
 
 
+def test_grad_check_reports_what_grad_check_gives_on_each_instance_seed(tmp_path):
+    # Under random allocation the plan depends on the allocation key, so the
+    # report reproduces only from the key that each instance seed names.
+    routing = ["--set", 'model.strategy="random"', "--set", "model.capacity.capacity_factor=0.6"]
+    assert main(["train", *TINY_MODEL, *routing, "--set", "train.steps=5", "--out", str(tmp_path / "train")]) == 0
+    ckpt = tmp_path / "train" / "model_final.ckpt"
+    overrides = ["--set", f'train.init_checkpoint="{ckpt}"', "--set", "grad_check.instances=1"]
+    assert main(["grad-check", *TINY_MODEL, *routing, *overrides, "--out", str(tmp_path / "check")]) == 0
+    (instance,) = json.loads((tmp_path / "check" / "grad_check_report.json").read_text())["instances"]
+
+    gc = GradCheckSection(instances=1)
+    model = load_model(ckpt)
+    key = RngKey(gc.seed).child(instance.pop("instance_seed"))
+    batch = SyntheticTask(model.cfg).sample_batch(key.child(0), sequences=gc.batch_sequences, text_len=gc.text_len)
+
+    def loss_fn():
+        result = compute_loss(model, batch, key.child(1))
+        return result.total, result.forward.allocation_signature()
+
+    assert asdict(grad_check(loss_fn, model.trainable_parameters(), epsilon=gc.epsilon, subset=(0, 1))) == instance
+
+
+def test_an_instance_whose_margin_equals_stability_margin_is_checked(tmp_path):
+    # A fresh img_gbpr plan with nothing over capacity has margin 1.0 on every batch.
+    rc = main([
+        "grad-check", *TINY_MODEL,
+        "--set", "grad_check.stability_margin=1.0",
+        "--set", "grad_check.instances=1",
+        "--set", "grad_check.max_tries=1",
+        "--out", str(tmp_path),
+    ])
+    assert rc == 0
+
+
+def test_a_max_rel_err_equal_to_the_tolerance_fails(tmp_path):
+    args = ["grad-check", *TINY_MODEL, "--set", "grad_check.instances=1"]
+    assert main([*args, "--out", str(tmp_path / "a")]) == 0
+    max_rel = json.loads((tmp_path / "a" / "grad_check_report.json").read_text())["max_rel_err"]
+    assert main([*args, "--set", f"grad_check.tolerance={max_rel!r}", "--out", str(tmp_path / "b")]) == 3
+    assert json.loads((tmp_path / "b" / "grad_check_report.json").read_text())["passed"] is False
+
+
 # ---------------------------------------------------------------------------
 # allocate-trace
+
+
+def test_allocate_trace_prints_the_file_it_writes_with_each_ffns_load(tmp_path, capsys):
+    tokens = [{"modality": "image", "logits": [0.0, 1.0]}] + [{"modality": "text", "logits": [1.0, 0.0]}] * 2
+    fixture = write_fixture(tmp_path / "f.json", tokens, capacity_factor=2.0)
+    assert main(["allocate-trace", "--fixture", fixture, "--out", str(tmp_path / "run")]) == 0
+    written = (tmp_path / "run" / "allocate_trace.json").read_text()
+    assert capsys.readouterr().out == written
+    for name, entry in json.loads(written)["strategies"].items():
+        assert entry["plan"]["loads"] == {"language": 2, "vision": 1}, name
 
 
 def test_allocate_trace_under_capacity_accepts_all(tmp_path, capsys):
@@ -424,6 +477,46 @@ def test_integer_literal_over_the_digit_limit_exits_2(tmp_path, capsys, command,
     assert_one_error_line(err)
     # The line does not grow with the value; an input file's path is not counted.
     assert len(err.replace(text, "<path>").encode()) < 200, err
+
+
+def test_a_float_field_takes_an_integer_below_2_to_the_1023_only():
+    below = 2**1023 - 1
+    assert _load_config(None, [f"model.image_noise={below}"])[1].model.image_noise == float(below)
+    for value in (2**1023, -(2**1023)):
+        with pytest.raises(ConfigError, match="image_noise must be float"):
+            _load_config(None, [f"model.image_noise={value}"])
+
+
+def test_a_refused_value_is_quoted_whole_up_to_60_characters():
+    for text, quoted in (("x" * 58, repr("x" * 58)), ("x" * 59, f"{repr('x' * 59)[:60]}... (61 characters)")):
+        with pytest.raises(ConfigError) as refused:
+            _load_config(None, [f'model.image_noise="{text}"'])
+        assert str(refused.value) == f"model.image_noise must be float, got {quoted}"
+
+
+def test_a_fixture_logit_takes_an_integer_below_2_to_the_1023_only(tmp_path, capsys):
+    fixture = write_fixture(tmp_path / "f.json", [{"modality": "image", "logits": [2**1023 - 1, 0]}])
+    assert main(["allocate-trace", "--fixture", fixture, "--out", str(tmp_path / "r")]) == 0
+    for bad in ([2**1023, 0], [0, -(2**1023)]):
+        fixture = write_fixture(tmp_path / "g.json", [{"modality": "image", "logits": bad}])
+        assert main(["allocate-trace", "--fixture", fixture, "--out", str(tmp_path / "r2")]) == 2, bad
+        assert "tokens[0].logits" in capsys.readouterr().err
+    assert not (tmp_path / "r2").exists()
+
+
+def test_grad_check_section_takes_its_lower_bounds():
+    section = GradCheckSection(instances=1, batch_sequences=1, text_len=1, seed=0)
+    assert (section.instances, section.batch_sequences, section.text_len, section.seed) == (1, 1, 1, 0)
+
+
+def test_a_set_value_keeps_every_equals_sign_after_the_first():
+    assert _load_config(None, ["output_dir=a=b"])[1].output_dir == "a=b"
+
+
+def test_grad_check_epsilon_may_be_1e_2_and_no_more():
+    assert GradCheckSection(epsilon=1e-2).epsilon == 1e-2
+    with pytest.raises(ConfigError, match="epsilon"):
+        GradCheckSection(epsilon=math.nextafter(1e-2, 1.0))
 
 
 def _leaf_paths(doc, prefix=""):

@@ -2,6 +2,7 @@
 the plain-numpy reference, stage-3 surgery, language preservation, the
 synthetic task, training loop artifacts, and the checkpoint container."""
 
+import gc
 import json
 import os
 import tracemalloc
@@ -33,6 +34,7 @@ from evf.model import (
     compute_loss,
     enter_stage3,
     forward,
+    forward_stages,
     train,
 )
 from evf.seeds import RngKey
@@ -370,6 +372,47 @@ def perturbed(p, delta=1e-5, index=0):
     return value
 
 
+def test_the_stages_name_the_forward_in_order_and_read_every_parameter_once():
+    def names(model, mode):
+        return [name for name, _, _ in forward_stages(model, mode)]
+
+    def reads(model, mode):
+        stages = [p for _, params, _ in forward_stages(model, mode) for p in params]
+        return [id(p) for p in stages + [model.ln_final.gain, model.ln_final.bias, model.head_weight, model.head_bias]]
+
+    dense, elastic = build_model(ModelConfig()), build_model(ModelConfig())
+    apply_stage(elastic, 3)
+    dense_names = ["embed", *(f"blocks.{i}.{stage}" for i in range(4) for stage in ("attn", "ffn"))]
+    assert names(dense, MULTIMODAL) == dense_names
+    assert names(elastic, MULTIMODAL) == [
+        "embed", "blocks.0.attn", "blocks.0.route", "blocks.0.language_ffn", "blocks.0.vision_ffn",
+        "blocks.1.attn", "blocks.1.ffn",
+        "blocks.2.attn", "blocks.2.route", "blocks.2.language_ffn", "blocks.2.vision_ffn",
+        "blocks.3.attn", "blocks.3.ffn",
+    ]
+    assert names(elastic, LANGUAGE_ONLY) == dense_names
+    for model in (dense, elastic):
+        assert reads(model, MULTIMODAL) == [id(p) for _, p, _ in model.named_parameters()]
+    language = [id(p) for _, p, group in elastic.named_parameters() if group not in ("router", "vision_ffn")]
+    assert reads(elastic, LANGUAGE_ONLY) == language
+    apply_stage(dense, 3)  # a stage switch rebuilds the list
+    assert names(dense, MULTIMODAL) == names(elastic, MULTIMODAL)
+
+
+def test_the_cached_stages_do_not_keep_their_model_alive():
+    model = build_model(tiny_cfg())
+    apply_stage(model, 3)
+    forward(model, SyntheticTask(model.cfg).sample_batch(RngKey(1)))
+    forward_stages(model, LANGUAGE_ONLY)
+    alive = weakref.ref(model)
+    gc.disable()  # reference counting alone must free it
+    try:
+        del model
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
 def test_perturbed_loss_resumes_bit_identically_for_every_trainable_tensor():
     model, batch = grad_check_setup()
     rng = RngKey(8)
@@ -598,7 +641,7 @@ def test_task_sampling_is_deterministic_and_text_batches_are_bare():
 # training loop
 
 
-def test_short_training_reduces_loss_on_a_fixed_batch():
+def test_short_training_reduces_loss_on_a_fixed_batch(tmp_path):
     """Stage 2 trains every parameter, so a short run must clearly beat the
     initial loss on a held-out batch (single-batch metrics are too noisy)."""
     cfg = tiny_cfg()
@@ -606,9 +649,9 @@ def test_short_training_reduces_loss_on_a_fixed_batch():
     task = SyntheticTask(cfg)
     probe = task.sample_batch(RngKey(777), sequences=8)
     before = compute_loss(model, probe, RngKey(778)).regressive
-    result = train(model, task, TrainConfig(stage=2, steps=150, optimizer=OptimizerConfig(learning_rate=5e-3)))
+    train(model, task, TrainConfig(stage=2, steps=150, optimizer=OptimizerConfig(learning_rate=5e-3)), out_dir=tmp_path)
     after = compute_loss(model, probe, RngKey(778)).regressive
-    assert len(result.metrics) == 151
+    assert len((tmp_path / "metrics.jsonl").read_text().splitlines()) == 151
     assert after < before - 0.1
 
 
@@ -713,6 +756,26 @@ def test_the_graph_held_after_a_default_32_sequence_loss_is_bounded():
         tracemalloc.stop()
     assert result.total.requires_grad
     assert held <= 4.0 * 2**20, f"{held / 2**20:.2f} MiB"
+
+
+def test_train_holds_as_much_memory_after_400_steps_as_after_50():
+    # Every row is in metrics.jsonl: train returns the first and the final row only.
+    def held(steps):
+        cfg = tiny_cfg()
+        model, task = build_model(cfg), SyntheticTask(cfg)
+        tracemalloc.start()
+        try:
+            gc.collect()  # a full collection empties the interpreter's free lists, which tracemalloc counts as held
+            before = tracemalloc.get_traced_memory()[0]
+            result = train(model, task, TrainConfig(steps=steps))
+            assert [row["step"] for row in result.metrics] == [0, steps]
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    held(1)  # fills the module caches outside the measured runs
+    assert abs(held(400) - held(50)) <= 64 * 2**10
 
 
 def test_cannot_return_to_dense_after_stage3():
