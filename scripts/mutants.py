@@ -87,7 +87,7 @@ def main() -> int:
     parser.add_argument("tests", nargs="*", default=["tests"], help="pytest arguments (default: tests)")
     parser.add_argument("--rev", default="HEAD", help="revision to copy with git archive (default: HEAD)")
     parser.add_argument("--timeout", type=float, default=300.0, help="seconds per test run (default: 300)")
-    args = parser.parse_args()
+    args = parser.parse_intermixed_args()  # options may follow MODULE, as the usage line shows
 
     repo = Path(subprocess.run(["git", "rev-parse", "--show-toplevel"], capture_output=True, text=True,
                                check=True).stdout.strip())

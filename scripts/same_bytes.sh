@@ -17,8 +17,10 @@
 #     redistributes one; token 6 ties, so it is a language candidate
 # and compares run_config.json, metrics.jsonl, telemetry.jsonl,
 # model_final.ckpt, grad_check_report.json and allocate_trace.json with cmp
-# (24 files). Exits 0 when every file is identical, 1 on any difference and
-# 2 on a usage or run error.
+# (24 files). Under a DIFFERS line it names the dotted keys whose values
+# differ, for a .json file, and for a .ckpt the differing manifest keys and
+# whether the tensor data after the manifest is byte-identical. Exits 0 when
+# every file is identical, 1 on any difference and 2 on a usage or run error.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -53,6 +55,34 @@ run_all() {  # run_all SRC_TREE OUT_DIR
 run_all "$work/base" "$work/out_base" || { echo "run failed in $rev" >&2; exit 2; }
 run_all "$repo" "$work/out_work" || { echo "run failed in the working tree" >&2; exit 2; }
 
+explain() {  # explain BASE_FILE WORK_FILE: what differs inside a .json or .ckpt file
+    python3 - "$1" "$2" <<'PY'
+import json, struct, sys
+
+def flat(doc, at=""):
+    if isinstance(doc, dict) and doc:
+        return {k: v for key, value in doc.items() for k, v in flat(value, f"{at}.{key}".lstrip(".")).items()}
+    if isinstance(doc, list) and doc:
+        return {k: v for i, value in enumerate(doc) for k, v in flat(value, f"{at}[{i}]").items()}
+    return {at: json.dumps(doc)}
+
+def read(path):  # (document, tensor data or None)
+    raw = open(path, "rb").read()
+    if path.endswith(".ckpt"):
+        (size,) = struct.unpack("<I", raw[4:8])
+        return json.loads(raw[8 : 8 + size]), raw[8 + size :]
+    return json.loads(raw), None
+
+(base, base_data), (work, work_data) = read(sys.argv[1]), read(sys.argv[2])
+a, b = flat(base), flat(work)
+keys = ", ".join(sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))) or "none"
+if base_data is None:
+    print(f"         keys: {keys}")
+else:
+    print(f"         manifest keys: {keys}; tensor data {'same' if base_data == work_data else 'DIFFERS'}")
+PY
+}
+
 status=0
 for run in train train_s32 $(printf 'train_c06_%s ' $drop_strategies) grad_check allocate_trace; do
     case $run in
@@ -65,6 +95,9 @@ for run in train train_s32 $(printf 'train_c06_%s ' $drop_strategies) grad_check
             echo "same     $run/$f"
         else
             echo "DIFFERS  $run/$f"
+            case $f in
+                *.json | *.ckpt) explain "$work/out_base/$run/$f" "$work/out_work/$run/$f" || true ;;
+            esac
             status=1
         fi
     done

@@ -1,7 +1,7 @@
 """Capacity-constrained token allocation for a two-FFN layer.
 
-Given a routing decision over n tokens, each FFN may accept at most
-``capacity = ceil(capacity_factor * n / num_ffns)`` of them. Three selection
+Given a routing decision over n tokens, each of the two FFNs may accept at
+most ``capacity = ceil(capacity_factor * n / 2)`` of them. Three selection
 strategies decide which candidates survive when a side is over capacity:
 
 * ``random``   - a seeded uniform subset of the candidates;
@@ -28,9 +28,9 @@ the lower token index. Kept and rejected tokens are picked by masks over
 the ascending pool, so both lists come out ascending without a sort.
 
 Determinism contract (relied on by trace tooling and reference oracles):
-all draws descend from ``CapacityConfig.seed`` via ``RngKey`` children,
-``child(0, ffn_index)`` for the random-selection subset of each FFN and
-``child(1)`` for the redistribution draw over the combined reject pool.
+all draws descend from the ``rng`` key the caller hands :func:`allocate`,
+``rng.child(0, ffn_index)`` for the random-selection subset of each FFN and
+``rng.child(1)`` for the redistribution draw over the combined reject pool.
 """
 
 from __future__ import annotations
@@ -60,21 +60,15 @@ class CapacityConfig:
     """Static allocation settings for one model or allocate-trace run."""
 
     capacity_factor: float = 1.5
-    num_ffns: int = 2
     redistribution_fraction: float = 1.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (self.capacity_factor > 0.0 and math.isfinite(self.capacity_factor)):
             raise ConfigError(f"capacity_factor must be positive and finite, got {self.capacity_factor}")
-        if self.num_ffns != 2:
-            raise ConfigError(f"num_ffns must be 2, got {self.num_ffns}")
         if not (0.0 <= self.redistribution_fraction <= 1.0):
             raise ConfigError(
                 f"redistribution_fraction must lie in [0, 1], got {self.redistribution_fraction}"
             )
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,14 +156,14 @@ class AllocationStats:
 
 
 def compute_capacity(n: int, cfg: CapacityConfig) -> int:
-    """Per-FFN token budget: ceil(capacity_factor * n / num_ffns), at least 1.
+    """Per-FFN token budget: ceil(capacity_factor * n / 2), at least 1.
 
     A tiny epsilon guards the ceil against float dust pushing an exact
     integer product upward.
     """
     if n <= 0:
         raise ContractError(f"compute_capacity: batch must contain at least one token, got n={n}")
-    raw = cfg.capacity_factor * n / cfg.num_ffns
+    raw = cfg.capacity_factor * n / 2
     return max(1, int(math.ceil(raw - 1e-9)))
 
 
@@ -214,13 +208,13 @@ def allocate(
     cfg: CapacityConfig,
     strategy: Strategy,
     *,
-    rng: RngKey | None = None,
+    rng: RngKey,
     redistribution: bool | None = None,
 ) -> AllocationPlan:
     """Assign each token to one FFN's accepted list, or drop it.
 
     Each token is a candidate for the FFN its scores prefer, ties to
-    language. An over-capacity side keeps a seeded subset
+    language. An over-capacity side keeps a subset drawn from ``rng``
     (random) or its top scores (gbpr, img_gbpr). With ``redistribution``
     the rejects are then offered to the opposite FFN (see
     :func:`_redistribute`); left at None it is on only for img_gbpr.
@@ -231,8 +225,6 @@ def allocate(
     if scores.values.shape[0] != n:
         raise ContractError(f"allocate: {scores.values.shape[0]} score rows for {n} tokens")
     capacity = compute_capacity(n, cfg)
-    if rng is None:
-        rng = RngKey(cfg.seed)
     if redistribution is None:
         redistribution = strategy is Strategy.IMG_GBPR
 

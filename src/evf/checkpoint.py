@@ -5,8 +5,9 @@ JSON (sorted keys), then each tensor's C-order ``<f8`` bytes at the offset
 the manifest records. Writing the same model twice produces byte-identical
 files. A file is renamed into place only once it is complete, and its
 directory is synced after the rename, so the new file survives a crash.
-Loading validates the layout and the manifest before reading any tensor, so a
-truncated or corrupt file raises :class:`ContractError`. The stage alone sets
+Loading validates the layout and the manifest before reading any tensor, and
+each tensor's shape and finiteness before assigning it, so a truncated or
+corrupt file raises :class:`ContractError`. The stage alone sets
 the freeze flags; each tensor's recorded ``trainable`` flag must agree with it.
 """
 
@@ -106,15 +107,20 @@ def load_model(path: Path | str) -> MicroModel:
     for entry in manifest.tensors:
         count = math.prod(entry.shape)
         fits = entry.nbytes == 8 * count and 0 <= entry.offset <= data_len - entry.nbytes
-        if min(entry.shape, default=0) < 0 or not fits:
+        if any(n < 0 for n in entry.shape) or not fits:
             raise ContractError(f"{path}: tensor {entry.name!r} does not match its shape or the {data_len}-byte data")
         if entry.name not in params:
             raise ContractError(f"{path}: checkpoint tensor {entry.name!r} not present in model structure")
         if entry.name in seen:
             raise ContractError(f"{path}: checkpoint tensor {entry.name!r} appears twice in the manifest")
+        param = params[entry.name]
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=data_start + entry.offset).reshape(entry.shape)
-        params[entry.name].assign(arr)
-        if entry.trainable != params[entry.name].trainable:
+        if arr.shape != param.data.shape:
+            raise ContractError(f"{path}: tensor {entry.name!r} has shape {arr.shape}, the model's is {param.data.shape}")
+        if not np.isfinite(arr).all():
+            raise ContractError(f"{path}: tensor {entry.name!r} holds a non-finite value")
+        param.assign(arr)
+        if entry.trainable != param.trainable:
             raise ContractError(f"{path}: tensor {entry.name!r} trainable={entry.trainable} disagrees with stage {manifest.stage}")
         seen.add(entry.name)
     missing = set(params) - seen

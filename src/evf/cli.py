@@ -65,10 +65,6 @@ class GradCheckSection:
     batch_sequences: int = 1
     text_len: int = 4
     stability_margin: float = 1e-3
-    # Partition the trainable scalars across the instances: instance k
-    # checks scalars with flat index congruent to k mod instances, so a
-    # full run still covers every scalar exactly once.
-    partition_scalars: bool = True
     corrupt_gradient: bool = False
 
     def __post_init__(self) -> None:
@@ -200,13 +196,14 @@ def cmd_grad_check(run: RunConfig, model: MicroModel, out: Path) -> int:
         probe = compute_loss(model, batch, alloc_key, run.train.aux_weight)
         if min((p.margin for p in probe.forward.plans), default=np.inf) < gc.stability_margin:
             continue
-        subset = (len(reports), gc.instances) if gc.partition_scalars else None
         try:
             report = grad_check(
                 loss_fn,
                 named,
                 epsilon=gc.epsilon,
-                subset=subset,
+                # instance k checks the scalars whose flat index is k mod instances,
+                # so a full run covers every scalar exactly once
+                subset=(len(reports), gc.instances),
                 _corrupt_first_gradient=1e-2 if gc.corrupt_gradient else 0.0,
             )
         except UnstableInstanceError:
@@ -234,8 +231,8 @@ def cmd_grad_check(run: RunConfig, model: MicroModel, out: Path) -> int:
     return 0 if doc["passed"] else 3
 
 
-def _parse_fixture(path: str, capacity: CapacityConfig) -> tuple[CapacityConfig, list[bool], np.ndarray]:
-    """The fixture's capacity fields overlaid on ``capacity``, its is-image flags and its logits."""
+def _parse_fixture(path: str, capacity: CapacityConfig) -> tuple[CapacityConfig, int, list[bool], np.ndarray]:
+    """The fixture's capacity fields overlaid on ``capacity``, its seed (default 0), is-image flags and logits."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.loads(fh.read())
@@ -243,11 +240,14 @@ def _parse_fixture(path: str, capacity: CapacityConfig) -> tuple[CapacityConfig,
         raise FixtureError(f"{path}: parse error: {exc}") from exc
     if not isinstance(doc, dict):
         raise FixtureError(f"{path}: fixture root must be an object")
-    overlay = {key: doc[key] for key in ("capacity_factor", "redistribution_fraction", "seed") if key in doc}
+    overlay = {key: doc[key] for key in ("capacity_factor", "redistribution_fraction") if key in doc}
     try:
         capacity = decode(CapacityConfig, {**asdict(capacity), **overlay}, "")
     except ConfigError as exc:
         raise FixtureError(f"{path}: {exc}") from exc
+    seed = doc.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise FixtureError(f"{path}: seed must be a non-negative integer, got {seed!r}")
     tokens = doc.get("tokens")
     if not isinstance(tokens, list) or not tokens:
         raise FixtureError(f"{path}: field 'tokens' must be a non-empty list")
@@ -269,7 +269,7 @@ def _parse_fixture(path: str, capacity: CapacityConfig) -> tuple[CapacityConfig,
             raise FixtureError(f"{path}: tokens[{i}].logits must be a [language, vision] pair of finite numbers")
         is_image.append(modality == "image")
         logits.append([float(pair[0]), float(pair[1])])
-    return capacity, is_image, np.asarray(logits, dtype=np.float64)
+    return capacity, seed, is_image, np.asarray(logits, dtype=np.float64)
 
 
 def _plan_record(plan: AllocationPlan) -> dict:
@@ -291,15 +291,15 @@ def _plan_record(plan: AllocationPlan) -> dict:
     }
 
 
-def cmd_allocate_trace(run: RunConfig, fixture: tuple[CapacityConfig, list[bool], np.ndarray], out: Path) -> int:
-    capacity_cfg, is_image, logits = fixture
+def cmd_allocate_trace(run: RunConfig, fixture: tuple[CapacityConfig, int, list[bool], np.ndarray], out: Path) -> int:
+    capacity_cfg, seed, is_image, logits = fixture
     tags = ModalityTags(is_image)
     decision = decision_from_logits(T.Tensor(logits))
 
     per_strategy = {}
     for strategy in run.allocate_trace.strategies:
         scores = priority_scores(decision, tags, strategy)
-        plan = allocate(decision, scores, tags, capacity_cfg, strategy)
+        plan = allocate(decision, scores, tags, capacity_cfg, strategy, rng=RngKey(seed))
         stats = allocation_stats(plan, tags)
         per_strategy[strategy.value] = {
             "plan": _plan_record(plan),
@@ -310,7 +310,7 @@ def cmd_allocate_trace(run: RunConfig, fixture: tuple[CapacityConfig, list[bool]
         "n_tokens": int(logits.shape[0]),
         "capacity_factor": capacity_cfg.capacity_factor,
         "redistribution_fraction": capacity_cfg.redistribution_fraction,
-        "seed": capacity_cfg.seed,
+        "seed": seed,
         "strategies": per_strategy,
     }
     _write_json(out / "allocate_trace.json", trace)

@@ -58,9 +58,9 @@ def _decision(probabilities: np.ndarray) -> RoutingDecision:
     return RoutingDecision(logits, T.Tensor(p))
 
 
-def _run_strategy(decision, tags, strategy, cfg, redistribution=None):
+def _run_strategy(decision, tags, strategy, cfg, rng, redistribution=None):
     scores = priority_scores(decision, tags, strategy)
-    return allocate(decision, scores, tags, cfg, strategy, redistribution=redistribution)
+    return allocate(decision, scores, tags, cfg, strategy, rng=rng, redistribution=redistribution)
 
 
 @pytest.fixture(scope="module")
@@ -115,14 +115,10 @@ def test_a2_capacity_and_conservation_hold_under_fuzz(verdict):
         switch = (None, True, False)[int(gen.integers(3))]
         p_vision = gen.uniform(0.0, 1.0, n)
         tags = ModalityTags(gen.uniform(size=n) < 0.5)
-        cfg = CapacityConfig(
-            capacity_factor=factor,
-            redistribution_fraction=fraction,
-            seed=int(gen.integers(1 << 30)),
-        )
+        cfg = CapacityConfig(capacity_factor=factor, redistribution_fraction=fraction)
         plan = _run_strategy(
             _decision(np.stack([1.0 - p_vision, p_vision], axis=1)),
-            tags, strategy, cfg, redistribution=switch,
+            tags, strategy, cfg, RngKey(int(gen.integers(1 << 30))), redistribution=switch,
         )
         language = [int(i) for i in plan.accepted[LANGUAGE_FFN]]
         vision = [int(i) for i in plan.accepted[VISION_FFN]]
@@ -162,11 +158,9 @@ def test_a3_plans_match_the_independent_reimplementation(verdict):
         p_vision = gen.uniform(0.001, 0.999, n)
         probabilities = np.stack([1.0 - p_vision, p_vision], axis=1)
         is_image = gen.uniform(size=n) < 0.5
-        cfg = CapacityConfig(
-            capacity_factor=factor, redistribution_fraction=fraction, seed=seed
-        )
+        cfg = CapacityConfig(capacity_factor=factor, redistribution_fraction=fraction)
         plan = _run_strategy(
-            _decision(probabilities), ModalityTags(is_image), strategy, cfg,
+            _decision(probabilities), ModalityTags(is_image), strategy, cfg, RngKey(seed),
             redistribution=switch,
         )
         want = oracles.allocation_oracle(
@@ -205,8 +199,8 @@ def test_a4_modality_aware_allocation_drops_least_under_skew(verdict):
             decision = _decision(np.stack([1.0 - p_vision, p_vision], axis=1))
             dropped = {}
             for strategy in Strategy:
-                cfg = CapacityConfig(capacity_factor=1.0, seed=seed)
-                plan = _run_strategy(decision, tags, strategy, cfg)
+                cfg = CapacityConfig(capacity_factor=1.0)
+                plan = _run_strategy(decision, tags, strategy, cfg, RngKey(seed))
                 dropped[strategy] = allocation_stats(plan, tags).dropped
                 rates[strategy].append(dropped[strategy] / n)
             # selection changes which tokens drop, never how many
@@ -233,8 +227,8 @@ def test_a4_modality_aware_allocation_drops_least_under_skew(verdict):
     for seed in range(seeds):
         p_vision = np.full(n, 0.97)
         decision = _decision(np.stack([1.0 - p_vision, p_vision], axis=1))
-        cfg = CapacityConfig(capacity_factor=1.5, seed=seed)
-        plan = _run_strategy(decision, tags, Strategy.RANDOM, cfg)
+        cfg = CapacityConfig(capacity_factor=1.5)
+        plan = _run_strategy(decision, tags, Strategy.RANDOM, cfg, RngKey(seed))
         collapse_rates.append(allocation_stats(plan, tags).dropped / n)
     collapse = float(np.median(collapse_rates))
 

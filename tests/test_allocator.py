@@ -14,6 +14,7 @@ from evf import tensor as T
 from evf.allocator import (
     CapacityConfig,
     ModalityTags,
+    PriorityScores,
     Strategy,
     allocate,
     allocation_stats,
@@ -44,9 +45,9 @@ def tags_of(pattern):
     return ModalityTags(np.array([c == "i" for c in pattern], dtype=bool))
 
 
-def run_full(decision, tags, strategy, cfg, redistribution=None):
+def run_full(decision, tags, strategy, cfg, redistribution=None, rng=RngKey(0)):
     scores = priority_scores(decision, tags, strategy)
-    return allocate(decision, scores, tags, cfg, strategy, redistribution=redistribution)
+    return allocate(decision, scores, tags, cfg, strategy, rng=rng, redistribution=redistribution)
 
 
 def assert_plan_matches_oracle(plan, want):
@@ -91,12 +92,7 @@ def test_capacity_config_validation():
     with pytest.raises(ConfigError):
         CapacityConfig(capacity_factor=0.0)
     with pytest.raises(ConfigError):
-        CapacityConfig(num_ffns=4)
-    with pytest.raises(ConfigError):
         CapacityConfig(redistribution_fraction=1.5)
-    for seed in (-1, 1.0, "3", True):
-        with pytest.raises(ConfigError, match="seed"):
-            CapacityConfig(seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +136,16 @@ def test_priority_scores_rejects_tag_mismatch():
         priority_scores(decision, tags_of("it"), Strategy.GBPR)
 
 
+def test_allocate_names_the_mismatched_count():
+    decision = make_decision([[0.5, 0.5]] * 4)
+    scores = priority_scores(decision, tags_of("tttt"), Strategy.GBPR)
+    with pytest.raises(ContractError, match="allocate: 3 tags for 4 tokens"):
+        allocate(decision, scores, tags_of("ttt"), CapacityConfig(), Strategy.GBPR, rng=RngKey(0))
+    short = PriorityScores(scores.values[:3])
+    with pytest.raises(ContractError, match="allocate: 3 score rows for 4 tokens"):
+        allocate(decision, short, tags_of("tttt"), CapacityConfig(), Strategy.GBPR, rng=RngKey(0))
+
+
 # ---------------------------------------------------------------------------
 # selection per strategy
 
@@ -170,8 +176,8 @@ def test_random_selection_matches_seeded_oracle():
     rng = np.random.default_rng(11)
     decision = random_decision(rng, 64)
     tags = ModalityTags(rng.integers(2, size=64).astype(bool))
-    cfg = CapacityConfig(capacity_factor=0.75, seed=123)
-    plan = run_full(decision, tags, Strategy.RANDOM, cfg)
+    cfg = CapacityConfig(capacity_factor=0.75)
+    plan = run_full(decision, tags, Strategy.RANDOM, cfg, rng=RngKey(123))
     want = oracles.allocation_oracle(
         decision.probabilities.data, tags.is_image, "random", capacity_factor=0.75, seed=123
     )
@@ -181,7 +187,7 @@ def test_random_selection_matches_seeded_oracle():
 def test_random_respects_explicit_rng_key():
     decision = random_decision(np.random.default_rng(2), 30)
     tags = tags_of("t" * 30)
-    cfg = CapacityConfig(capacity_factor=0.5, seed=0)
+    cfg = CapacityConfig(capacity_factor=0.5)
     scores = priority_scores(decision, tags, Strategy.RANDOM)
     a = allocate(decision, scores, tags, cfg, Strategy.RANDOM, rng=RngKey(77))
     b = allocate(decision, scores, tags, cfg, Strategy.RANDOM, rng=RngKey(77))
@@ -233,8 +239,8 @@ def test_partial_fraction_rounds_half_up():
     p = np.tile([[0.5, 0.5]], (9, 1))
     decision = make_decision(p)
     tags = tags_of("iiiiiiiii")
-    cfg = CapacityConfig(capacity_factor=0.8, redistribution_fraction=0.5, seed=9)
-    plan = run_full(decision, tags, Strategy.IMG_GBPR, cfg)
+    cfg = CapacityConfig(capacity_factor=0.8, redistribution_fraction=0.5)
+    plan = run_full(decision, tags, Strategy.IMG_GBPR, cfg, rng=RngKey(9))
     # vision keeps 4 of its 9 candidates: 5 rejects
     assert plan.capacity == 4 and plan.loads[VISION_FFN] == 4
     # 3 of 5 offered, language side has capacity 4, all 3 land there
@@ -262,10 +268,10 @@ def test_full_fraction_redistribution_never_drops_more_than_without():
         n = int(rng.integers(2, 40))
         decision = random_decision(rng, n)
         tags = ModalityTags(rng.integers(2, size=n).astype(bool))
-        cfg_on = CapacityConfig(capacity_factor=0.6, redistribution_fraction=1.0, seed=trial)
-        cfg_off = CapacityConfig(capacity_factor=0.6, redistribution_fraction=0.0, seed=trial)
-        dropped_on = run_full(decision, tags, Strategy.IMG_GBPR, cfg_on).dropped.size
-        dropped_off = run_full(decision, tags, Strategy.IMG_GBPR, cfg_off).dropped.size
+        cfg_on = CapacityConfig(capacity_factor=0.6, redistribution_fraction=1.0)
+        cfg_off = CapacityConfig(capacity_factor=0.6, redistribution_fraction=0.0)
+        dropped_on = run_full(decision, tags, Strategy.IMG_GBPR, cfg_on, rng=RngKey(trial)).dropped.size
+        dropped_off = run_full(decision, tags, Strategy.IMG_GBPR, cfg_off, rng=RngKey(trial)).dropped.size
         assert dropped_on <= dropped_off
 
 
@@ -285,8 +291,8 @@ def test_plan_equals_straight_line_oracle(n, seed, factor, fraction, strategy):
     rng = np.random.default_rng(seed)
     decision = random_decision(rng, n)
     tags = ModalityTags(rng.integers(2, size=n).astype(bool))
-    cfg = CapacityConfig(capacity_factor=factor, redistribution_fraction=fraction, seed=seed)
-    plan = run_full(decision, tags, strategy, cfg)
+    cfg = CapacityConfig(capacity_factor=factor, redistribution_fraction=fraction)
+    plan = run_full(decision, tags, strategy, cfg, rng=RngKey(seed))
     want = oracles.allocation_oracle(
         decision.probabilities.data,
         tags.is_image,
@@ -311,8 +317,8 @@ def test_plan_invariants(n, seed, factor, strategy):
     rng = np.random.default_rng(seed)
     decision = random_decision(rng, n)
     tags = ModalityTags(rng.integers(2, size=n).astype(bool))
-    cfg = CapacityConfig(capacity_factor=factor, seed=seed)
-    plan = run_full(decision, tags, strategy, cfg)
+    cfg = CapacityConfig(capacity_factor=factor)
+    plan = run_full(decision, tags, strategy, cfg, rng=RngKey(seed))
 
     assert plan.loads[0] <= plan.capacity and plan.loads[1] <= plan.capacity
     buckets = np.concatenate([plan.accepted[0], plan.accepted[1], plan.dropped])
@@ -321,7 +327,7 @@ def test_plan_invariants(n, seed, factor, strategy):
     for arr in (*plan.accepted, plan.dropped):
         assert np.all(np.diff(arr) > 0) or arr.size <= 1
 
-    again = run_full(decision, tags, strategy, cfg)
+    again = run_full(decision, tags, strategy, cfg, rng=RngKey(seed))
     assert again.signature() == plan.signature()
 
 
@@ -363,8 +369,8 @@ def test_plan_margin_equals_straight_line_reference(n, seed, factor, fraction, s
     rng = np.random.default_rng(seed)
     decision = random_decision(rng, n)
     tags = ModalityTags(rng.integers(2, size=n).astype(bool))
-    cfg = CapacityConfig(capacity_factor=factor, redistribution_fraction=fraction, seed=seed)
-    plan = run_full(decision, tags, strategy, cfg)
+    cfg = CapacityConfig(capacity_factor=factor, redistribution_fraction=fraction)
+    plan = run_full(decision, tags, strategy, cfg, rng=RngKey(seed))
     want = reference_margin(decision.probabilities.data, tags.is_image, strategy, plan.capacity)
     assert plan.margin == want
 
@@ -386,8 +392,8 @@ def test_tie_heavy_plan_and_margin_equal_the_references(n, seed, levels, factor,
     vision = np.asarray(levels)[rng.integers(len(levels), size=n)]
     decision = make_decision(np.column_stack([1.0 - vision, vision]))
     tags = ModalityTags(rng.random(n) < rng.random())
-    cfg = CapacityConfig(capacity_factor=factor, redistribution_fraction=fraction, seed=seed)
-    plan = run_full(decision, tags, strategy, cfg)
+    cfg = CapacityConfig(capacity_factor=factor, redistribution_fraction=fraction)
+    plan = run_full(decision, tags, strategy, cfg, rng=RngKey(seed))
     want = oracles.allocation_oracle(
         decision.probabilities.data,
         tags.is_image,

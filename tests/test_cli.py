@@ -243,6 +243,9 @@ def test_allocate_trace_reports_parse_errors_with_line_numbers(tmp_path, capsys)
         ({"seed": "x"}, []),
         ({"redistribution_fraction": None}, []),
         ({"seed": -1, "capacity_factor": 0.5}, []),
+        ({"seed": 1.0}, []),
+        ({"seed": "3"}, []),
+        ({"seed": True}, []),
         ({"capacity_factor": 0.5}, ["--set", "model.capacity.seed=-1"]),
     ],
 )
@@ -379,6 +382,19 @@ def test_config_validation_failures_exit_2(tmp_path, capsys):
     assert main(["train", "--set", "nonsense", "--out", str(tmp_path / "c")]) == 2
     assert main(["train", *TINY_MODEL, "--set", "optimizer.learning_rate=-1", "--out", str(tmp_path / "d")]) == 2
     assert main(["train", *TINY_MODEL, "--set", "model.strategy=\"greedy\"", "--out", str(tmp_path / "e")]) == 2
+
+    # Settings no run could vary are gone, and naming one is an error.
+    capsys.readouterr()
+    for command, override, message in (
+        ("train", "model.capacity.num_ffns=2", "model.capacity: unknown key(s) ['num_ffns']"),
+        ("train", "model.capacity.seed=0", "model.capacity: unknown key(s) ['seed']"),
+        ("grad-check", "grad_check.partition_scalars=true", "grad_check: unknown key(s) ['partition_scalars']"),
+    ):
+        assert main([command, *TINY_MODEL, "--set", override, "--out", str(tmp_path / "f")]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert message in err
+        assert not (tmp_path / "f").exists()
 
 
 def assert_one_error_line(err):
@@ -577,55 +593,74 @@ def _with_header(raw, header):
     return raw[:4] + struct.pack("<I", len(header)) + header + raw[8 + old_len:]
 
 
+def _with_manifest(raw, edit):
+    """raw with its manifest passed through ``edit``, which changes it in place."""
+    (old_len,) = struct.unpack("<I", raw[4:8])
+    manifest = json.loads(raw[8 : 8 + old_len])
+    edit(manifest)
+    return _with_header(raw, json.dumps(manifest).encode())
+
+
 def _with_tensor_entry(raw, index, key, delta):
-    (old_len,) = struct.unpack("<I", raw[4:8])
-    manifest = json.loads(raw[8 : 8 + old_len])
-    manifest["tensors"][index][key] += delta
-    return _with_header(raw, json.dumps(manifest).encode())
+    def edit(manifest):
+        manifest["tensors"][index][key] += delta
+
+    return _with_manifest(raw, edit)
 
 
-def _with_embed_tokens_twice(raw):
-    (old_len,) = struct.unpack("<I", raw[4:8])
-    manifest = json.loads(raw[8 : 8 + old_len])
-    manifest["tensors"].append(next(e for e in manifest["tensors"] if e["name"] == "embed.tokens"))
-    return _with_header(raw, json.dumps(manifest).encode())
+def _embed_tokens(manifest):
+    return next(e for e in manifest["tensors"] if e["name"] == "embed.tokens")
+
+
+def _with_first_embed_token_weight(raw, value):
+    (header_len,) = struct.unpack("<I", raw[4:8])
+    start = 8 + header_len + _embed_tokens(json.loads(raw[8 : 8 + header_len]))["offset"]
+    return raw[:start] + struct.pack("<d", value) + raw[start + 8 :]
 
 
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt, message",
     [
-        lambda raw: raw[:6],
-        lambda raw: raw[:40],
-        lambda raw: raw[:4] + struct.pack("<I", 0x7FFFFFFF) + raw[8:],
-        lambda raw: raw[:-16],
-        lambda raw: _with_header(raw, b"[]"),
-        lambda raw: _with_header(raw, b'{"format_version":1}'),
-        lambda raw: _with_tensor_entry(raw, 0, "nbytes", 8),
-        lambda raw: _with_tensor_entry(raw, -1, "offset", 8),
-        _with_embed_tokens_twice,
+        (lambda raw: raw[:6], "not a checkpoint file"),
+        (lambda raw: raw[:8], "runs past the end of the 8-byte file"),
+        (lambda raw: raw[:40], "runs past the end of the 40-byte file"),
+        (lambda raw: raw[:4] + struct.pack("<I", 0x7FFFFFFF) + raw[8:], "manifest length 2147483647 runs past"),
+        (lambda raw: raw[:-16], "tensor 'head.bias' does not match its shape or the"),
+        (lambda raw: _with_header(raw, b"[]"), "manifest must be a JSON object"),
+        (lambda raw: _with_header(raw, b'{"format_version":1}'), "manifest: missing key(s)"),
+        (lambda raw: _with_tensor_entry(raw, 0, "nbytes", 8), "tensor 'embed.tokens' does not match its shape"),
+        (lambda raw: _with_tensor_entry(raw, -1, "offset", 8), "tensor 'head.bias' does not match its shape"),
+        (lambda raw: _with_manifest(raw, lambda m: m["tensors"].append(_embed_tokens(m))),
+         "tensor 'embed.tokens' appears twice"),
+        # the same 96 values as one row: the layout fits, the model's (12, 8) does not
+        (lambda raw: _with_manifest(raw, lambda m: _embed_tokens(m).update(shape=[96])),
+         "tensor 'embed.tokens' has shape (96,), the model's is (12, 8)"),
+        (lambda raw: _with_manifest(raw, lambda m: _embed_tokens(m).update(shape=[0, 8], nbytes=0)),
+         "tensor 'embed.tokens' has shape (0, 8), the model's is (12, 8)"),
+        (lambda raw: _with_first_embed_token_weight(raw, math.nan), "tensor 'embed.tokens' holds a non-finite value"),
+        # a checkpoint written while the capacity section had two more keys
+        (lambda raw: _with_manifest(raw, lambda m: m["config"]["capacity"].update(num_ffns=2, seed=0)),
+         "manifest.config.capacity: unknown key(s) ['num_ffns', 'seed']"),
     ],
-    ids=["6-bytes", "40-bytes", "huge-header-length", "last-16-bytes-cut", "array-manifest",
-         "manifest-without-keys", "wrong-nbytes", "offset-past-end", "tensor-named-twice"],
+    ids=["6-bytes", "8-bytes", "40-bytes", "huge-header-length", "last-16-bytes-cut", "array-manifest",
+         "manifest-without-keys", "wrong-nbytes", "offset-past-end", "tensor-named-twice",
+         "shape-differs-from-the-model", "empty-shape-differs-from-the-model", "nan-weight", "removed-capacity-keys"],
 )
-def test_corrupt_checkpoint_exits_2(tmp_path, capsys, tiny_checkpoint, corrupt):
+def test_corrupt_checkpoint_exits_2(tmp_path, capsys, tiny_checkpoint, corrupt, message):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(corrupt(tiny_checkpoint))
     rc = main(["train", *TINY_MODEL, "--set", f'train.init_checkpoint="{bad}"', "--out", str(tmp_path / "run")])
     assert rc == 2
-    assert_one_error_line(capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert err.startswith(f"error: {bad}: ") and message in err
     assert not (tmp_path / "run").exists()
 
 
 def test_checkpoint_with_an_overflowing_weight_exits_3(tmp_path, capsys, tiny_checkpoint):
     """A finite weight of 1e300 loads, then overflows in the first forward."""
-    raw = bytearray(tiny_checkpoint)
-    (header_len,) = struct.unpack("<I", raw[4:8])
-    manifest = json.loads(raw[8 : 8 + header_len])
-    entry = next(e for e in manifest["tensors"] if e["name"] == "embed.tokens")
-    start = 8 + header_len + entry["offset"]
-    raw[start : start + 8] = struct.pack("<d", 1e300)
     bad = tmp_path / "big.ckpt"
-    bad.write_bytes(bytes(raw))
+    bad.write_bytes(_with_first_embed_token_weight(tiny_checkpoint, 1e300))
     rc = main(["train", *TINY_MODEL, "--set", "train.steps=0", "--set", f'train.init_checkpoint="{bad}"',
                "--out", str(tmp_path / "run")])
     assert rc == 3
@@ -633,7 +668,7 @@ def test_checkpoint_with_an_overflowing_weight_exits_3(tmp_path, capsys, tiny_ch
 
 
 def _set_embed_tokens_trainable(manifest):
-    entry = next(e for e in manifest["tensors"] if e["name"] == "embed.tokens")
+    entry = _embed_tokens(manifest)
     assert manifest["stage"] == 3 and entry["trainable"] is False
     entry["trainable"] = True
 
@@ -648,11 +683,8 @@ def _set_embed_tokens_trainable(manifest):
 )
 def test_checkpoint_stage_decides_the_freeze_flags(tmp_path, capsys, tiny_checkpoint, edit, message):
     """The manifest's stage alone sets the freeze flags; a tensor entry cannot override it."""
-    (header_len,) = struct.unpack("<I", tiny_checkpoint[4:8])
-    manifest = json.loads(tiny_checkpoint[8 : 8 + header_len])
-    edit(manifest)
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(_with_header(tiny_checkpoint, json.dumps(manifest).encode()))
+    bad.write_bytes(_with_manifest(tiny_checkpoint, edit))
     rc = main(["train", *TINY_MODEL, "--set", f'train.init_checkpoint="{bad}"', "--out", str(tmp_path / "run")])
     assert rc == 2
     err = capsys.readouterr().err

@@ -112,7 +112,7 @@ def test_layer_output_matches_token_by_token_oracle(strategy):
     x = rng.normal(size=(12, WIDTH))
     is_image = rng.integers(2, size=12).astype(bool)
     out, decision, plan = elastic_forward(layer, T.Tensor(x), ModalityTags(is_image),
-                                          CapacityConfig(capacity_factor=0.75, seed=31), strategy, RngKey(31))
+                                          CapacityConfig(capacity_factor=0.75), strategy, RngKey(31))
 
     oracle_plan = oracles.allocation_oracle(
         decision.probabilities.data, is_image, strategy.value,

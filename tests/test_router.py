@@ -15,6 +15,7 @@ from evf import tensor as T
 from evf.allocator import CapacityConfig, ModalityTags, Strategy, allocate, priority_scores
 from evf.errors import ShapeError
 from evf.router import LANGUAGE_FFN, VISION_FFN, RouterParams, route
+from evf.seeds import RngKey
 
 
 def make_router(weight):
@@ -27,7 +28,7 @@ def candidate_ffn(decision):
     assigned = []
     for strategy in (Strategy.RANDOM, Strategy.GBPR):
         scores = priority_scores(decision, tags, strategy)
-        plan = allocate(decision, scores, tags, CapacityConfig(capacity_factor=2.0), strategy)
+        plan = allocate(decision, scores, tags, CapacityConfig(capacity_factor=2.0), strategy, rng=RngKey(0))
         assert plan.dropped.size == 0
         ffn = np.empty(decision.n, dtype=np.int64)
         for expert, rows in enumerate(plan.accepted):

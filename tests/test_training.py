@@ -35,7 +35,7 @@ def plan_for(decision, pattern, factor=1.5, strategy=Strategy.GBPR):
     tags = ModalityTags(np.array([c == "i" for c in pattern], dtype=bool))
     scores = priority_scores(decision, tags, strategy)
     return allocate(decision, scores, tags, CapacityConfig(capacity_factor=factor), strategy,
-                    redistribution=False)
+                    rng=RngKey(0), redistribution=False)
 
 
 # ---------------------------------------------------------------------------
