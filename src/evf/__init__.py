@@ -54,7 +54,6 @@ from .model import (
     STAGE_GROUPS,
     MicroModel,
     ModelConfig,
-    SequenceSample,
     SyntheticTask,
     TokenBatch,
     TrainConfig,

@@ -127,8 +127,8 @@ class AllocationPlan:
         """Hashable assignment identity, used to detect allocation flips."""
         return (
             self.strategy.value,
+            self.n_tokens,  # the language list is the rest of range(n_tokens)
             self.capacity,
-            tuple(self.accepted[0].tolist()),
             tuple(self.accepted[1].tolist()),
             tuple(self.dropped.tolist()),
             self.redistributed,

@@ -31,6 +31,7 @@ from .errors import ConfigError, ContractError, NumericError
 from .layer import EvfLayerParams, FfnParams, ffn_forward, forward_language_only, init_stage3_from_dense, route_and_allocate, run_expert
 from .router import LANGUAGE_FFN, VISION_FFN, RoutingDecision
 from .seeds import RngKey
+from .tensor import _frozen_copy
 from .training import AdamW, LayerLoadStats, OptimizerConfig, aux_loss, layer_aux, learning_rate_at
 
 MULTIMODAL = "multimodal"
@@ -138,51 +139,62 @@ def check_batch(cfg: ModelConfig, sequences: int, text_len: int) -> None:
         raise ConfigError(f"a batch of {sequences} sequences would have {tokens} tokens, more than {_MAX_BATCH_TOKENS}")
 
 
-@dataclass(eq=False)
-class SequenceSample:
-    """One sequence: optional image feature rows, then text token ids."""
-
-    text_ids: np.ndarray
-    image_features: np.ndarray | None = None
-    targets: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        ids = np.asarray(self.text_ids, dtype=np.int64)
-        if ids.ndim != 1 or ids.size < 1:
-            raise ContractError(f"sequence needs a 1-d, non-empty text_ids array, got shape {ids.shape}")
-        self.text_ids = ids
-        if self.image_features is not None:
-            feats = np.ascontiguousarray(self.image_features, dtype=np.float64)
-            if feats.ndim != 2:
-                raise ContractError(f"image_features must be 2-d, got shape {feats.shape}")
-            self.image_features = feats if feats.shape[0] > 0 else None
-        if self.targets is not None:
-            tgt = np.asarray(self.targets, dtype=np.int64)
-            if tgt.shape != self.text_ids.shape:
-                raise ContractError(f"targets shape {tgt.shape} does not match text_ids {self.text_ids.shape}")
-            self.targets = tgt
-
-    @property
-    def image_count(self) -> int:
-        return 0 if self.image_features is None else int(self.image_features.shape[0])
-
-    @property
-    def length(self) -> int:
-        return self.image_count + int(self.text_ids.size)
-
-
-@dataclass(eq=False)
 class TokenBatch:
-    sequences: list[SequenceSample]
-    _memo: list = field(default_factory=list, init=False, repr=False)  # the last forward's key and stages, see forward
+    """A packed batch: sequence i is ``image_counts[i]`` rows of ``features``, then its ``text_counts[i]`` text ids.
 
-    def __post_init__(self) -> None:
-        if not self.sequences:
-            raise ContractError("batch must contain at least one sequence")
+    ``features`` is None when the batch has no image rows and ``targets``
+    (one per text id) is None for a text-only batch. The inputs are checked
+    once and stored as read-only copies, with the layout every forward
+    embeds by, so a batch never changes.
+    """
 
-    @property
-    def has_images(self) -> bool:
-        return any(s.image_count > 0 for s in self.sequences)
+    def __init__(self, text_ids, text_counts, features=None, image_counts=None, targets=None):
+        self.text_ids = _frozen_copy(text_ids, np.int64)
+        self.text_counts = _frozen_copy(text_counts, np.int64)
+        if image_counts is None:
+            image_counts = np.zeros_like(self.text_counts)
+        self.image_counts = _frozen_copy(image_counts, np.int64)
+        if self.text_ids.ndim != 1:
+            raise ContractError(f"text_ids must be 1-d, got shape {self.text_ids.shape}")
+        if self.text_counts.ndim != 1 or self.text_counts.size < 1:
+            raise ContractError(f"batch must contain at least one sequence, got text counts of shape "
+                                f"{self.text_counts.shape}")
+        if self.image_counts.shape != self.text_counts.shape:
+            raise ContractError(f"image counts of shape {self.image_counts.shape} for {self.text_counts.size} "
+                                "sequences")
+        if (short := np.flatnonzero((self.text_counts < 1) | (self.image_counts < 0))).size:
+            si = short[0]
+            raise ContractError(f"sequence {si} has {self.text_counts[si]} text tokens and {self.image_counts[si]} "
+                                "image rows, where at least 1 and 0 are needed")
+        if self.text_ids.size != (count := self.text_counts.sum()):
+            raise ContractError(f"{self.text_ids.size} text ids for text counts that sum to {count}")
+        self.features = None if features is None else _frozen_copy(features)
+        if self.features is not None and self.features.ndim != 2:
+            raise ContractError(f"image features must be 2-d, got shape {self.features.shape}")
+        if (images := 0 if self.features is None else len(self.features)) != (count := self.image_counts.sum()):
+            raise ContractError(f"{images} image rows for image counts that sum to {count}")
+        if images == 0:
+            self.features = None
+        self.targets = None if targets is None else _frozen_copy(targets, np.int64)
+        if self.targets is not None and self.targets.shape != self.text_ids.shape:
+            raise ContractError(f"targets shape {self.targets.shape} does not match text_ids {self.text_ids.shape}")
+
+        lengths = self.text_counts + self.image_counts
+        self.lengths = tuple(lengths.tolist())
+        starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+        self.positions = _frozen_copy(np.arange(lengths.sum()) - starts, np.int64)
+        self.tags = ModalityTags(_frozen_copy(self.positions < np.repeat(self.image_counts, lengths), bool))
+        self.text_rows = _frozen_copy(np.flatnonzero(~self.tags.is_image), np.int64)
+        # One gather embeds the whole batch: image rows are projected together and
+        # stacked above the token table, so row j of the table is image row j and
+        # row n_img + t is token t.
+        rows = self.text_ids
+        if self.features is not None:
+            rows = np.empty(self.positions.size, dtype=np.int64)
+            rows[self.tags.is_image] = np.arange(len(self.features))
+            rows[self.text_rows] = self.text_ids + len(self.features)
+        self.rows = _frozen_copy(rows, np.int64)
+        self._memo: list = []  # the last forward's key and stages, see forward
 
 
 @dataclass(eq=False)
@@ -360,8 +372,8 @@ class ForwardResult:
         return tuple(plan.signature() for plan in self.plans)
 
 
-def _resume(memo: list, index: int, params: tuple[T.Parameter, ...], run: Callable, state):
-    """``run(state)``, or the last forward's result if stage ``index`` and all before it are unchanged.
+def _resume(memo: list, index: int, params: tuple[T.Parameter, ...], run: Callable, state, *inputs):
+    """``run(state, *inputs)``, or the last forward's result if stage ``index`` and all before it are unchanged.
 
     A stage is unchanged when it reads the very same value arrays, with the
     same freeze flags. Values are immutable and the entry holds the arrays it
@@ -373,7 +385,7 @@ def _resume(memo: list, index: int, params: tuple[T.Parameter, ...], run: Callab
         if held[1] == flags and all(map(operator.is_, held[0], arrays)):
             return held[2]
         del memo[index:]
-    out = run(state)
+    out = run(state, *inputs)
     memo.append((arrays, flags, out))
     return out
 
@@ -387,46 +399,31 @@ class _State(NamedTuple):
     decisions: tuple[RoutingDecision, ...]  # per elastic layer routed so far
     plans: tuple[AllocationPlan, ...]
     aux_terms: tuple[tuple[T.Tensor, LayerLoadStats], ...]
-    tags: ModalityTags
-    text_rows: np.ndarray
-    lengths: tuple[int, ...]
-    rng: RngKey
-    cfg: ModelConfig
 
 
 def forward_stages(model: MicroModel, mode: str) -> list[tuple[str, tuple[T.Parameter, ...], Callable]]:
-    """The forward in order, as (name, parameters read, state -> state) stages, built once per stage switch and mode.
+    """The forward in order, as (name, parameters read, (state, batch, rng, cfg) -> state) stages, built once per
+    stage switch and mode.
 
-    The functions hold parameter containers, never the model, and take every
-    per-forward value from the state that the embedding builds.
+    The functions hold parameter containers, never the model; the embedding
+    takes no state and builds the first.
     """
     if mode not in model._stages:
         embed = (model.embed_tokens, model.embed_positions, model.adapter_weight, model.adapter_bias)
-        stages = [("embed", embed, lambda inputs: _embed(*embed, *inputs))]
+        stages = [("embed", embed, lambda state, batch, *_: _embed(*embed, batch))]
         for block in model.blocks:
             stages += _block_stages(block, mode)
         model._stages[mode] = stages
     return model._stages[mode]
 
 
-def _embed(tokens: T.Parameter, positions_table: T.Parameter, adapter_weight: T.Parameter, adapter_bias: T.Parameter,
-           text_ids: np.ndarray, features: np.ndarray | None, lengths: tuple[int, ...], image_counts: tuple[int, ...],
-           rng: RngKey, cfg: ModelConfig) -> _State:
-    positions = np.arange(sum(lengths)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    tags = ModalityTags(positions < np.repeat(image_counts, lengths))
-    text_rows = np.flatnonzero(~tags.is_image)
-    # One gather embeds the whole batch: image rows are projected together and
-    # stacked above the token table, so row j of the table is image row j and
-    # row n_img + t is token t.
-    table, rows = tokens, text_ids
-    if features is not None:
-        images = T.linear(T.Tensor(features), adapter_weight, adapter_bias)
-        table = T.concat_rows([images, tokens])
-        rows = np.empty(positions.size, dtype=np.int64)
-        rows[tags.is_image] = np.arange(len(features))
-        rows[text_rows] = text_ids + len(features)
-    x = T.take_rows(table, rows) + T.take_rows(positions_table, positions)
-    return _State(x, None, None, (), (), (), tags, text_rows, lengths, rng, cfg)
+def _embed(tokens: T.Parameter, positions_table: T.Parameter, adapter_weight: T.Parameter,
+           adapter_bias: T.Parameter, batch: TokenBatch) -> _State:
+    table = tokens
+    if batch.features is not None:
+        table = T.concat_rows([T.linear(T.Tensor(batch.features), adapter_weight, adapter_bias), tokens])
+    x = T.take_rows(table, batch.rows) + T.take_rows(positions_table, batch.positions)
+    return _State(x, None, None, (), (), ())
 
 
 def _block_stages(block: Block, mode: str) -> list:
@@ -437,33 +434,33 @@ def _block_stages(block: Block, mode: str) -> list:
     def values(group) -> tuple[T.Parameter, ...]:
         return tuple(p for _, p in group.parameters())
 
-    def attention(s: _State) -> _State:
+    def attention(s: _State, batch: TokenBatch, rng: RngKey, cfg: ModelConfig) -> _State:
         normed = T.layer_norm(s.x, ln_attn.gain, ln_attn.bias)
         q, k, v = (T.linear(normed, w, b) for w, b in ((attn.wq, attn.bq), (attn.wk, attn.bk), (attn.wv, attn.bv)))
-        x = s.x + T.linear(T.attention(q, k, v, s.lengths, s.cfg.heads), attn.wo, attn.bo)
+        x = s.x + T.linear(T.attention(q, k, v, batch.lengths, cfg.heads), attn.wo, attn.bo)
         return s._replace(x=x, normed=T.layer_norm(x, ln_ffn.gain, ln_ffn.bias))
 
-    def route(s: _State) -> _State:
-        decision, plan = route_and_allocate(evf, s.normed, s.tags, s.cfg.capacity, s.cfg.strategy,
-                                            s.rng.child(block.index))
+    def route(s: _State, batch: TokenBatch, rng: RngKey, cfg: ModelConfig) -> _State:
+        decision, plan = route_and_allocate(evf, s.normed, batch.tags, cfg.capacity, cfg.strategy,
+                                            rng.child(block.index))
         return s._replace(decisions=(*s.decisions, decision), plans=(*s.plans, plan),
                           aux_terms=(*s.aux_terms, layer_aux(plan, decision)))
 
-    def vision(s: _State) -> _State:
+    def vision(s: _State, *_) -> _State:
         outputs = [s.language, run_expert(evf, VISION_FFN, s.normed, s.plans[-1])]
         return s._replace(x=s.x + T.combine(s.decisions[-1].probabilities, outputs, s.plans[-1].accepted))
 
     stages = [(f"{prefix}.attn", (ln_attn.gain, ln_attn.bias, *values(attn), ln_ffn.gain, ln_ffn.bias), attention)]
     if evf is None:
         ffn = block.ffn
-        return stages + [(f"{prefix}.ffn", values(ffn), lambda s: s._replace(x=s.x + ffn_forward(ffn, s.normed)))]
+        return stages + [(f"{prefix}.ffn", values(ffn), lambda s, *_: s._replace(x=s.x + ffn_forward(ffn, s.normed)))]
     if mode == LANGUAGE_ONLY:
         return stages + [(f"{prefix}.ffn", values(evf.language_ffn),
-                          lambda s: s._replace(x=s.x + forward_language_only(evf, s.normed)))]
+                          lambda s, *_: s._replace(x=s.x + forward_language_only(evf, s.normed)))]
     return stages + [
         (f"{prefix}.route", (evf.router.weight,), route),
         (f"{prefix}.language_ffn", values(evf.language_ffn),
-         lambda s: s._replace(language=run_expert(evf, LANGUAGE_FFN, s.normed, s.plans[-1]))),
+         lambda s, *_: s._replace(language=run_expert(evf, LANGUAGE_FFN, s.normed, s.plans[-1]))),
         (f"{prefix}.vision_ffn", values(evf.vision_ffn), vision),
     ]
 
@@ -478,47 +475,40 @@ def forward(model: MicroModel, batch: TokenBatch, mode: str = MULTIMODAL, rng: R
     Stages of the last forward on this batch are reused up to the first whose
     parameter values or flags differ; any other change to the key below
     recomputes them all, so a forward that needs a graph never resumes a
-    stage built without.
+    stage built without. The batch cannot change, so it is no part of the key.
     """
     if mode not in (MULTIMODAL, LANGUAGE_ONLY):
         raise ContractError(f"unknown mode {mode!r}")
-    if mode == LANGUAGE_ONLY and batch.has_images:
+    if mode == LANGUAGE_ONLY and batch.features is not None:
         raise ContractError("language_only forward received image features")
     if rng is None:
         rng = RngKey(model.cfg.seed).child(_EVAL_DOMAIN)
 
     cfg = model.cfg
-    seqs = batch.sequences
-    for si, seq in enumerate(seqs):
-        if seq.length > cfg.max_seq_len:
-            raise ContractError(f"sequence {si} has {seq.length} tokens, max_seq_len is {cfg.max_seq_len}")
-        if seq.image_count and seq.image_features.shape[1] != cfg.image_feature_dim:
-            raise ContractError(
-                f"sequence {si} image feature dim {seq.image_features.shape[1]} "
-                f"does not match adapter dim {cfg.image_feature_dim}"
-            )
-    text_ids = np.concatenate([seq.text_ids for seq in seqs])
-    if text_ids.min() < 0 or text_ids.max() >= cfg.vocab:
-        si = next(si for si, seq in enumerate(seqs) if seq.text_ids.min() < 0 or seq.text_ids.max() >= cfg.vocab)
+    if (too_long := np.flatnonzero(batch.text_counts + batch.image_counts > cfg.max_seq_len)).size:
+        si = too_long[0]
+        raise ContractError(f"sequence {si} has {batch.lengths[si]} tokens, max_seq_len is {cfg.max_seq_len}")
+    if batch.features is not None and batch.features.shape[1] != cfg.image_feature_dim:
+        raise ContractError(f"sequence {np.flatnonzero(batch.image_counts)[0]} image feature dim "
+                            f"{batch.features.shape[1]} does not match adapter dim {cfg.image_feature_dim}")
+    ids = batch.text_ids
+    if ids.min() < 0 or ids.max() >= cfg.vocab:
+        first = np.flatnonzero((ids < 0) | (ids >= cfg.vocab))[0]
+        si = np.searchsorted(np.cumsum(batch.text_counts), first, side="right")
         raise ContractError(f"sequence {si} has token ids outside [0, {cfg.vocab})")
 
-    lengths = tuple(seq.length for seq in seqs)
-    image_counts = tuple(seq.image_count for seq in seqs)
-    features = np.concatenate([s.image_features for s in seqs if s.image_count]) if any(image_counts) else None
     memo = batch._memo
-    key = (cfg, lengths, image_counts, text_ids.tobytes(), None if features is None else features.tobytes(), mode, rng,
-           T._recording)
-    if memo[:1] != [key]:  # every setting and input of the forward: a change recomputes every stage
+    key = (cfg, mode, rng, T._recording)
+    if memo[:1] != [key]:  # every setting of the forward: a change recomputes every stage
         memo[:] = [key]
-    state = (text_ids, features, lengths, image_counts, rng, cfg)
+    state = None
     for index, (_, reads, run) in enumerate(forward_stages(model, mode), 1):
-        state = _resume(memo, index, reads, run, state)
+        state = _resume(memo, index, reads, run, state, batch, rng, cfg)
 
     final = T.layer_norm(state.x, model.ln_final.gain, model.ln_final.bias)
     logits = T.linear(final, model.head_weight, model.head_bias)
-    targets = [seq.targets for seq in seqs]
-    return ForwardResult(logits, list(state.plans), list(state.decisions), list(state.aux_terms), state.tags,
-                         state.text_rows, None if any(t is None for t in targets) else np.concatenate(targets))
+    return ForwardResult(logits, list(state.plans), list(state.decisions), list(state.aux_terms), batch.tags,
+                         batch.text_rows, batch.targets)
 
 
 @dataclass(eq=False)
@@ -567,24 +557,15 @@ class SyntheticTask:
         n_seq = cfg.batch_sequences if sequences is None else sequences
         length = cfg.text_len if text_len is None else text_len
         gen = key.generator()
-        out = []
+        ids, features, targets = [], [], []
         for _ in range(n_seq):
             k = int(gen.integers(cfg.num_keys))
             noise = cfg.image_noise * gen.normal(size=(cfg.image_tokens, cfg.image_feature_dim))
-            feats = self.key_vectors[k] + noise
-            ids = gen.integers(cfg.vocab, size=length)
-            out.append(SequenceSample(text_ids=ids, image_features=feats, targets=self.permutations[k][ids]))
-        return TokenBatch(out)
-
-    def sample_text_batch(self, key: RngKey, sequences: int | None = None, text_len: int | None = None) -> TokenBatch:
-        """Text-only batch (no image rows, no targets) for language-only eval."""
-        cfg = self.cfg
-        n_seq = cfg.batch_sequences if sequences is None else sequences
-        length = cfg.text_len if text_len is None else text_len
-        gen = key.generator()
-        return TokenBatch(
-            [SequenceSample(text_ids=gen.integers(cfg.vocab, size=length)) for _ in range(n_seq)]
-        )
+            features.append(self.key_vectors[k] + noise)
+            ids.append(gen.integers(cfg.vocab, size=length))
+            targets.append(self.permutations[k][ids[-1]])
+        return TokenBatch(np.concatenate(ids), np.full(n_seq, length), np.concatenate(features),
+                          np.full(n_seq, cfg.image_tokens), np.concatenate(targets))
 
 
 @dataclass(frozen=True)

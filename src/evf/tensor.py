@@ -69,8 +69,8 @@ def _as_float64(values) -> Array:
     return np.ascontiguousarray(values, dtype=np.float64)
 
 
-def _frozen_copy(values) -> Array:
-    arr = np.array(values, dtype=np.float64, order="C")
+def _frozen_copy(values, dtype=np.float64) -> Array:
+    arr = np.array(values, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
 

@@ -1,8 +1,10 @@
 """Shared fixtures."""
 
+import numpy as np
 import pytest
 
 from evf.allocator import AllocationPlan
+from evf.model import TokenBatch
 from evf.router import RoutingDecision
 from evf.tensor import Tensor
 
@@ -44,3 +46,22 @@ def tensor_ops_built(monkeypatch):
 
     monkeypatch.setattr(Tensor, "_from_op", staticmethod(counting))
     return counts
+
+
+@pytest.fixture
+def text_batch():
+    """Builds text-only batches (no image rows, no targets) for language-only forwards.
+
+    ``make(cfg, key, sequences=None, text_len=None)`` draws each sequence's
+    ids as ``gen.integers(cfg.vocab, size=text_len)`` from ``key``'s generator,
+    with cfg.batch_sequences and cfg.text_len as the defaults.
+    """
+
+    def make(cfg, key, sequences=None, text_len=None):
+        sequences = cfg.batch_sequences if sequences is None else sequences
+        text_len = cfg.text_len if text_len is None else text_len
+        gen = key.generator()
+        ids = [gen.integers(cfg.vocab, size=text_len) for _ in range(sequences)]
+        return TokenBatch(np.concatenate(ids), np.full(sequences, text_len))
+
+    return make

@@ -82,14 +82,13 @@ def stage3_run(tmp_path_factory):
     }
 
 
-def test_a1_language_only_path_is_bit_exact_after_training(stage3_run, verdict, routing_objects_built):
+def test_a1_language_only_path_is_bit_exact_after_training(stage3_run, verdict, routing_objects_built, text_batch):
     cfg = stage3_run["cfg"]
-    task = SyntheticTask(cfg)
     built_before = dict(routing_objects_built)
     matched = 0
     batches = 1000
     for i in range(batches):
-        batch = task.sample_text_batch(RngKey(1234, (i,)))
+        batch = text_batch(cfg, RngKey(1234, (i,)))
         before = forward(stage3_run["baseline"], batch, LANGUAGE_ONLY).logits.data
         after = forward(stage3_run["trained"], batch, LANGUAGE_ONLY).logits.data
         matched += before.tobytes() == after.tobytes()

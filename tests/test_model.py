@@ -5,6 +5,7 @@ synthetic task, training loop artifacts, and the checkpoint container."""
 import gc
 import json
 import os
+import re
 import tracemalloc
 import weakref
 from dataclasses import asdict, fields, replace
@@ -23,7 +24,6 @@ from evf.model import (
     MULTIMODAL,
     MicroModel,
     ModelConfig,
-    SequenceSample,
     SyntheticTask,
     TokenBatch,
     TrainConfig,
@@ -63,9 +63,19 @@ def weight_map(model):
 
 
 def batch_arrays(batch):
-    ids = [seq.text_ids for seq in batch.sequences]
-    feats = [seq.image_features for seq in batch.sequences]
-    return ids, feats
+    """Per-sequence text ids and image feature rows (None when a sequence has none) of a packed batch."""
+    ids = np.split(batch.text_ids, np.cumsum(batch.text_counts)[:-1])
+    feats = [None] * len(ids)
+    if batch.features is not None:
+        feats = np.split(batch.features, np.cumsum(batch.image_counts)[:-1])
+    return ids, [f if len(f) else None for f in feats]
+
+
+def packed(*sequences):
+    """A batch of (text ids, image feature rows or None) sequences, packed in order."""
+    feats = [np.asarray(f) for _, f in sequences if f is not None]
+    return TokenBatch(np.concatenate([np.asarray(ids) for ids, _ in sequences]), [len(ids) for ids, _ in sequences],
+                      np.concatenate(feats) if feats else None, [0 if f is None else len(f) for _, f in sequences])
 
 
 # ---------------------------------------------------------------------------
@@ -179,17 +189,15 @@ def test_each_sequence_attends_only_to_itself():
     cfg = tiny_cfg()
     model = build_model(cfg)
     gen = np.random.default_rng(4)
-    sequences = [
-        SequenceSample(text_ids=[1, 2, 3, 4], image_features=gen.normal(size=(2, cfg.image_feature_dim))),
-        SequenceSample(text_ids=[5, 6, 7]),
-        SequenceSample(text_ids=[8]),
-    ]
-    logits = forward(model, TokenBatch(sequences)).logits.data
+    sequences = [([1, 2, 3, 4], gen.normal(size=(2, cfg.image_feature_dim))), ([5, 6, 7], None), ([8], None)]
+    batch = packed(*sequences)
+    assert batch.lengths == (6, 3, 1)
+    logits = forward(model, batch).logits.data
     start = 0
-    for seq in sequences:
-        alone = forward(model, TokenBatch([seq])).logits.data
-        np.testing.assert_allclose(logits[start:start + seq.length], alone, rtol=0, atol=1e-12)
-        start += seq.length
+    for seq, length in zip(sequences, batch.lengths):
+        alone = forward(model, packed(seq)).logits.data
+        np.testing.assert_allclose(logits[start:start + length], alone, rtol=0, atol=1e-12)
+        start += length
     assert start == logits.shape[0]
 
 
@@ -212,11 +220,10 @@ def test_stage3_with_slack_capacity_equals_half_gated_dense_reference():
     np.testing.assert_allclose(result.logits.data, want, rtol=1e-10, atol=1e-10)
 
 
-def test_language_only_is_bitwise_identical_before_and_is_dense(routing_objects_built):
+def test_language_only_is_bitwise_identical_before_and_is_dense(routing_objects_built, text_batch):
     cfg = tiny_cfg()
     dense = build_model(cfg)
-    task = SyntheticTask(cfg)
-    batch = task.sample_text_batch(RngKey(5), sequences=3)
+    batch = text_batch(cfg, RngKey(5), sequences=3)
     dense_logits = forward(dense, batch, MULTIMODAL).logits.data
 
     elastic = build_model(cfg)
@@ -306,9 +313,9 @@ def test_multimodal_without_images_routes_all_text_to_language():
     cfg = tiny_cfg(capacity=CapacityConfig(capacity_factor=2.0))
     model = build_model(cfg)
     enter_stage3(model)
-    batch = TokenBatch([SequenceSample(text_ids=np.arange(4)) for _ in range(2)])
+    batch = TokenBatch(np.tile(np.arange(4), 2), [4, 4])
     result = forward(model, batch, MULTIMODAL)
-    assert not batch.has_images
+    assert batch.features is None
     for plan in result.plans:
         assert plan.loads == (8, 0)
         assert plan.dropped.size == 0
@@ -318,20 +325,65 @@ def test_forward_validation_errors():
     cfg = tiny_cfg()
     model = build_model(cfg)
     with pytest.raises(ContractError, match="mode"):
-        forward(model, TokenBatch([SequenceSample(text_ids=[0])]), "both")
-    too_long = TokenBatch([SequenceSample(text_ids=np.zeros(30, dtype=int))])
+        forward(model, packed(([0], None)), "both")
+    too_long = packed((np.zeros(30, dtype=int), None))
     with pytest.raises(ContractError, match="max_seq_len"):
         forward(model, too_long)
+    too_long_with_images = packed(([0], None), (np.zeros(15, dtype=int), np.zeros((2, cfg.image_feature_dim))))
+    with pytest.raises(ContractError, match="sequence 1 has 17 tokens, max_seq_len is 16"):
+        forward(model, too_long_with_images)
     with pytest.raises(ContractError, match="token ids"):
-        forward(model, TokenBatch([SequenceSample(text_ids=[99])]))
+        forward(model, packed(([99], None)))
     with pytest.raises(ContractError, match="sequence 1 has token ids"):
-        forward(model, TokenBatch([SequenceSample(text_ids=[0]), SequenceSample(text_ids=[1, -1])]))
-    bad_feats = TokenBatch([SequenceSample(text_ids=[1], image_features=np.zeros((1, 3)))])
+        forward(model, packed(([0], None), ([1, -1], None)))
+    bad_feats = packed(([1], np.zeros((1, 3))))
     with pytest.raises(ContractError, match="feature dim"):
         forward(model, bad_feats)
-    with_images = TokenBatch([SequenceSample(text_ids=[1], image_features=np.zeros((1, cfg.image_feature_dim)))])
+    with pytest.raises(ContractError, match="sequence 1 image feature dim 3 does not match adapter dim 5"):
+        forward(model, packed(([1], None), ([2], np.zeros((1, 3)))))
+    with_images = packed(([1], np.zeros((1, cfg.image_feature_dim))))
     with pytest.raises(ContractError, match="image"):
         forward(model, with_images, LANGUAGE_ONLY)
+
+
+@pytest.mark.parametrize("args, message", [
+    (([], []), "batch must contain at least one sequence, got text counts of shape (0,)"),
+    (([1, 2], [[1, 1]]), "batch must contain at least one sequence, got text counts of shape (1, 2)"),
+    (([1], [1], None, [0, 0]), "image counts of shape (2,) for 1 sequences"),
+    (([1], [1, 0]), "sequence 1 has 0 text tokens and 0 image rows, where at least 1 and 0 are needed"),
+    (([1], [1, 0], np.zeros((1, 5)), [0, 1]), "sequence 1 has 0 text tokens and 1 image rows"),
+    (([1, 2], [1, 1], np.zeros((1, 5)), [2, -1]), "sequence 1 has 1 text tokens and -1 image rows"),
+    (([1, 2], [1, 2]), "2 text ids for text counts that sum to 3"),
+    (([1, 2, 3], [1, 1]), "3 text ids for text counts that sum to 2"),
+    (([1, 2], [1, 1], np.zeros((3, 5)), [1, 1]), "3 image rows for image counts that sum to 2"),
+    (([1, 2], [1, 1], None, [1, 0]), "0 image rows for image counts that sum to 1"),
+    (([1, 2], [1, 1], np.zeros(2), [1, 1]), "image features must be 2-d, got shape (2,)"),
+    (([1, 2], [1, 1], None, None, [1, 2, 3]), "targets shape (3,) does not match text_ids (2,)"),
+    (([[1, 2]], [2]), "text_ids must be 1-d, got shape (1, 2)"),
+])
+def test_a_token_batch_refuses_malformed_input(args, message):
+    with pytest.raises(ContractError, match=re.escape(message)):
+        TokenBatch(*args)
+
+
+def test_a_token_batch_holds_read_only_copies_and_its_layout():
+    ids, feats, targets = np.array([3, 1, 4]), np.ones((2, 5)), np.array([1, 5, 9])
+    batch = TokenBatch(ids, [1, 2], feats, [2, 0], targets)
+    ids[0], feats[0, 0], targets[0] = 0, 0.0, 0  # the caller's arrays stay the caller's
+    assert (batch.text_ids.tolist(), batch.features[0, 0], batch.targets.tolist()) == ([3, 1, 4], 1.0, [1, 5, 9])
+    assert batch.lengths == (3, 2)
+    assert batch.positions.tolist() == [0, 1, 2, 0, 1]
+    assert batch.tags.is_image.tolist() == [True, True, False, False, False]
+    assert batch.text_rows.tolist() == [2, 3, 4]
+    assert batch.rows.tolist() == [0, 1, 3 + 2, 1 + 2, 4 + 2]  # image rows sit above the token table
+    for name in ("text_ids", "text_counts", "features", "image_counts", "targets", "positions", "text_rows", "rows"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(batch, name)[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        batch.tags.is_image[0] = False
+    text = TokenBatch([7, 8], [1, 1], np.zeros((0, 5)), [0, 0])
+    assert text.features is None and text.targets is None
+    assert text.rows.tolist() == [7, 8] and text.positions.tolist() == [0, 0]
 
 
 def test_forward_allocation_is_deterministic_per_rng_key():
@@ -361,9 +413,10 @@ def grad_check_setup():
     return model, batch
 
 
-def fresh(batch):
-    """The same sequences in a batch that has no cached stages."""
-    return TokenBatch(batch.sequences)
+def fresh(batch, text_ids=None):
+    """The same sequences in a batch that has no cached stages, with other text ids if given."""
+    ids = batch.text_ids if text_ids is None else text_ids
+    return TokenBatch(ids, batch.text_counts, batch.features, batch.image_counts, batch.targets)
 
 
 def perturbed(p, delta=1e-5, index=0):
@@ -497,7 +550,7 @@ def test_a_newly_trainable_tensor_gets_its_gradient_on_the_same_batch():
     assert grads[0].tobytes() == grads[1].tobytes()
 
 
-def test_a_changed_rng_mode_model_or_token_recomputes_from_the_embedding(tensor_ops_built):
+def test_a_changed_rng_mode_model_or_token_recomputes_from_the_embedding(tensor_ops_built, text_batch):
     model, batch = grad_check_setup()
 
     def ops(run):
@@ -513,13 +566,16 @@ def test_a_changed_rng_mode_model_or_token_recomputes_from_the_embedding(tensor_
     apply_stage(twin, 3)
     assert ops(lambda: forward(twin, batch, MULTIMODAL, RngKey(2)))[0] == full
 
-    ids = batch.sequences[0].text_ids
+    with pytest.raises(ValueError, match="read-only"):  # a batch's tokens cannot change under its memo
+        batch.text_ids[0] = (batch.text_ids[0] + 1) % model.cfg.vocab
+    ids = batch.text_ids.copy()
     ids[0] = (ids[0] + 1) % model.cfg.vocab
-    count, edited = ops(lambda: forward(twin, batch, MULTIMODAL, RngKey(2)))
+    rebuilt = fresh(batch, ids)
+    count, edited = ops(lambda: forward(twin, rebuilt, MULTIMODAL, RngKey(2)))
     assert count == full
-    assert edited.logits.data.tobytes() == forward(twin, fresh(batch), MULTIMODAL, RngKey(2)).logits.data.tobytes()
+    assert edited.logits.data.tobytes() == forward(twin, fresh(rebuilt), MULTIMODAL, RngKey(2)).logits.data.tobytes()
 
-    text = SyntheticTask(model.cfg).sample_text_batch(RngKey(3))
+    text = text_batch(model.cfg, RngKey(3))
     multimodal, _ = ops(lambda: forward(model, text, MULTIMODAL))
     language, _ = ops(lambda: forward(model, fresh(text), LANGUAGE_ONLY))
     assert ops(lambda: forward(model, text, LANGUAGE_ONLY))[0] == language
@@ -545,6 +601,21 @@ def test_the_cached_graph_is_freed_with_the_batch():
     assert node() is not None  # held by the batch ...
     del batch
     assert node() is None  # ... and by nothing else
+
+
+def test_reference_counting_frees_a_batch_while_its_loss_lives():
+    # The batch owns its memo: a stage state or a result that held the batch
+    # would make a cycle, and keep every stage output alive into backward.
+    model, batch = grad_check_setup()
+    result = compute_loss(model, batch, RngKey(8))
+    alive = weakref.ref(batch)
+    gc.disable()
+    try:
+        del batch
+        assert alive() is None
+    finally:
+        gc.enable()
+    assert result.total.requires_grad
 
 
 def test_a_block2_probe_builds_fewer_ops_than_a_fresh_loss(tensor_ops_built):
@@ -598,43 +669,43 @@ def test_task_targets_follow_a_single_key_permutation():
     cfg = tiny_cfg()
     task = SyntheticTask(cfg)
     batch = task.sample_batch(RngKey(2), sequences=6)
-    for seq in batch.sequences:
+    ids, feats = batch_arrays(batch)
+    for text_ids, targets, image_features in zip(ids, np.split(batch.targets, 6), feats):
         matches = [
             k for k in range(cfg.num_keys)
-            if np.array_equal(task.permutations[k][seq.text_ids], seq.targets)
+            if np.array_equal(task.permutations[k][text_ids], targets)
         ]
         assert matches, "targets must come from one of the key permutations"
-        assert seq.image_features.shape == (cfg.image_tokens, cfg.image_feature_dim)
+        assert image_features.shape == (cfg.image_tokens, cfg.image_feature_dim)
 
 
 def test_task_image_features_identify_the_key():
     cfg = tiny_cfg(image_noise=0.01)
     task = SyntheticTask(cfg)
     batch = task.sample_batch(RngKey(4), sequences=8)
-    for seq in batch.sequences:
+    ids, feats = batch_arrays(batch)
+    for text_ids, targets, image_features in zip(ids, np.split(batch.targets, 8), feats):
         true_k = [
             k for k in range(cfg.num_keys)
-            if np.array_equal(task.permutations[k][seq.text_ids], seq.targets)
+            if np.array_equal(task.permutations[k][text_ids], targets)
         ][0]
         dists = [
-            float(np.linalg.norm(seq.image_features[0] - task.key_vectors[k]))
+            float(np.linalg.norm(image_features[0] - task.key_vectors[k]))
             for k in range(cfg.num_keys)
         ]
         assert int(np.argmin(dists)) == true_k
 
 
-def test_task_sampling_is_deterministic_and_text_batches_are_bare():
+def test_task_sampling_is_deterministic_and_text_batches_are_bare(text_batch):
     task = SyntheticTask(tiny_cfg())
     a = task.sample_batch(RngKey(9))
     b = task.sample_batch(RngKey(9))
-    for x, y in zip(a.sequences, b.sequences):
-        assert np.array_equal(x.text_ids, y.text_ids)
-        assert np.array_equal(x.image_features, y.image_features)
-        assert np.array_equal(x.targets, y.targets)
-    text = task.sample_text_batch(RngKey(9), sequences=4, text_len=3)
-    assert not text.has_images
-    assert all(seq.targets is None for seq in text.sequences)
-    assert sum(seq.length for seq in text.sequences) == 12
+    for name in ("text_ids", "text_counts", "features", "image_counts", "targets"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    text = text_batch(task.cfg, RngKey(9), sequences=4, text_len=3)
+    assert text.features is None
+    assert text.targets is None
+    assert sum(text.lengths) == 12
 
 
 # ---------------------------------------------------------------------------
