@@ -36,7 +36,6 @@ from .layer import (
     EvfLayerParams,
     FfnParams,
     ffn_forward,
-    forward_language_only,
     init_stage3_from_dense,
 )
 from .training import (

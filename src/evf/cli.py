@@ -194,7 +194,7 @@ def cmd_grad_check(run: RunConfig, model: MicroModel, out: Path) -> int:
         # Skip instances a finite-difference step could flip: random subsets
         # are pinned by the seed, so only score gaps count (AllocationPlan.margin).
         probe = compute_loss(model, batch, alloc_key, run.train.aux_weight)
-        if min((p.margin for p in probe.forward.plans), default=np.inf) < gc.stability_margin:
+        if min((layer.plan.margin for layer in probe.forward.layers), default=np.inf) < gc.stability_margin:
             continue
         try:
             report = grad_check(

@@ -2,15 +2,16 @@
 
 An EVF layer holds a frozen language FFN, a trainable vision FFN and a
 router. ``model.forward`` runs a multimodal batch through it in three
-stages: :func:`route_and_allocate`, :func:`run_expert` for each FFN, and
-``tensor.combine``, which scales each row by its FFN's routing probability
-(so the router gets a gradient although the assignment is discrete). Tokens
-the allocation dropped contribute an exact zero row, so a residual
-connection around the layer passes them through unchanged.
+stages: ``router.route`` with ``allocator.priority_scores`` and
+``allocator.allocate``; :func:`ffn_forward` of each FFN on the rows the plan
+accepted for it; and ``tensor.combine``, which scales each row by its FFN's
+routing probability (so the router gets a gradient although the assignment
+is discrete). Tokens the allocation dropped contribute an exact zero row, so
+a residual connection around the layer passes them through unchanged.
 
-Language-only batches skip routing entirely and run the language FFN alone,
-which makes that path bit-identical to the dense layer it was initialized
-from.
+Language-only batches skip routing entirely: the block runs its language
+FFN as a dense block runs its FFN, which makes that path bit-identical to
+the dense layer it was initialized from.
 """
 
 from __future__ import annotations
@@ -18,10 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import tensor as T
-from .allocator import AllocationPlan, CapacityConfig, ModalityTags, Strategy, allocate, priority_scores
 from .errors import ShapeError
-from .router import VISION_FFN, RouterParams, RoutingDecision, route
-from .seeds import RngKey
+from .router import RouterParams
 
 
 @dataclass(eq=False)
@@ -90,22 +89,3 @@ def init_stage3_from_dense(dense: FfnParams) -> EvfLayerParams:
         language_ffn=dense.copy(),
         vision_ffn=dense.copy(),
     )
-
-
-def route_and_allocate(layer: EvfLayerParams, tokens: T.Tensor, tags: ModalityTags, capacity: CapacityConfig,
-                       strategy: Strategy, rng: RngKey) -> tuple[RoutingDecision, AllocationPlan]:
-    """Route one flattened batch and allocate its tokens to the FFN pair under capacity."""
-    decision = route(layer.router, tokens)
-    scores = priority_scores(decision, tags, strategy)
-    return decision, allocate(decision, scores, tags, capacity, strategy, rng=rng)
-
-
-def run_expert(layer: EvfLayerParams, expert: int, tokens: T.Tensor, plan: AllocationPlan) -> T.Tensor:
-    """One FFN of the pair on the tokens the plan accepted for it; none gives a (0, width) input."""
-    ffn = layer.vision_ffn if expert == VISION_FFN else layer.language_ffn
-    return ffn_forward(ffn, T.take_rows(tokens, plan.accepted[expert]))
-
-
-def forward_language_only(layer: EvfLayerParams, tokens: T.Tensor) -> T.Tensor:
-    """Dense language path: no routing, no allocation, no gating."""
-    return ffn_forward(layer.language_ffn, tokens)

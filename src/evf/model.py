@@ -26,10 +26,10 @@ from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from . import tensor as T
-from .allocator import AllocationPlan, CapacityConfig, ModalityTags, Strategy, allocation_stats
+from .allocator import AllocationPlan, CapacityConfig, ModalityTags, Strategy, allocate, allocation_stats, priority_scores
 from .errors import ConfigError, ContractError, NumericError
-from .layer import EvfLayerParams, FfnParams, ffn_forward, forward_language_only, init_stage3_from_dense, route_and_allocate, run_expert
-from .router import LANGUAGE_FFN, VISION_FFN, RoutingDecision
+from .layer import EvfLayerParams, FfnParams, ffn_forward, init_stage3_from_dense
+from .router import LANGUAGE_FFN, VISION_FFN, RoutingDecision, route
 from .seeds import RngKey
 from .tensor import _frozen_copy
 from .training import AdamW, LayerLoadStats, OptimizerConfig, aux_loss, layer_aux, learning_rate_at
@@ -139,6 +139,13 @@ def check_batch(cfg: ModelConfig, sequences: int, text_len: int) -> None:
         raise ConfigError(f"a batch of {sequences} sequences would have {tokens} tokens, more than {_MAX_BATCH_TOKENS}")
 
 
+def _integers(name: str, values) -> np.ndarray:
+    """A read-only int64 copy of ``values``, refusing floats and bools, which the cast would truncate."""
+    if (arr := np.asarray(values)).size and not np.issubdtype(arr.dtype, np.integer):  # [] reads as float64
+        raise ContractError(f"{name} must be integers, got dtype {arr.dtype}")
+    return _frozen_copy(arr, np.int64)
+
+
 class TokenBatch:
     """A packed batch: sequence i is ``image_counts[i]`` rows of ``features``, then its ``text_counts[i]`` text ids.
 
@@ -149,11 +156,11 @@ class TokenBatch:
     """
 
     def __init__(self, text_ids, text_counts, features=None, image_counts=None, targets=None):
-        self.text_ids = _frozen_copy(text_ids, np.int64)
-        self.text_counts = _frozen_copy(text_counts, np.int64)
+        self.text_ids = _integers("text_ids", text_ids)
+        self.text_counts = _integers("text_counts", text_counts)
         if image_counts is None:
             image_counts = np.zeros_like(self.text_counts)
-        self.image_counts = _frozen_copy(image_counts, np.int64)
+        self.image_counts = _integers("image_counts", image_counts)
         if self.text_ids.ndim != 1:
             raise ContractError(f"text_ids must be 1-d, got shape {self.text_ids.shape}")
         if self.text_counts.ndim != 1 or self.text_counts.size < 1:
@@ -175,7 +182,7 @@ class TokenBatch:
             raise ContractError(f"{images} image rows for image counts that sum to {count}")
         if images == 0:
             self.features = None
-        self.targets = None if targets is None else _frozen_copy(targets, np.int64)
+        self.targets = None if targets is None else _integers("targets", targets)
         if self.targets is not None and self.targets.shape != self.text_ids.shape:
             raise ContractError(f"targets shape {self.targets.shape} does not match text_ids {self.text_ids.shape}")
 
@@ -358,18 +365,23 @@ def enter_stage3(model: MicroModel) -> MicroModel:
     return model
 
 
+class LayerRouting(NamedTuple):
+    """What one elastic layer's route stage decided: the routing, the capacity-limited plan and the balance term."""
+
+    decision: RoutingDecision
+    plan: AllocationPlan
+    aux: T.Tensor  # see training.layer_aux
+    loads: LayerLoadStats
+
+
 @dataclass(eq=False)
 class ForwardResult:
     logits: T.Tensor
-    plans: list[AllocationPlan]
-    decisions: list[RoutingDecision]
-    aux_terms: list[tuple[T.Tensor, LayerLoadStats]]  # per elastic layer, see training.layer_aux
+    layers: tuple[LayerRouting, ...]  # per elastic layer, in depth order
     tags: ModalityTags
-    text_rows: np.ndarray
-    targets: np.ndarray | None
 
     def allocation_signature(self) -> tuple:
-        return tuple(plan.signature() for plan in self.plans)
+        return tuple(layer.plan.signature() for layer in self.layers)
 
 
 def _resume(memo: list, index: int, params: tuple[T.Parameter, ...], run: Callable, state, *inputs):
@@ -396,9 +408,7 @@ class _State(NamedTuple):
     x: T.Tensor  # the residual stream
     normed: T.Tensor | None  # the block's ln_ffn output, which its FFN stages read
     language: T.Tensor | None  # the elastic block's language expert output, which its vision stage combines
-    decisions: tuple[RoutingDecision, ...]  # per elastic layer routed so far
-    plans: tuple[AllocationPlan, ...]
-    aux_terms: tuple[tuple[T.Tensor, LayerLoadStats], ...]
+    layers: tuple[LayerRouting, ...]  # per elastic layer routed so far
 
 
 def forward_stages(model: MicroModel, mode: str) -> list[tuple[str, tuple[T.Parameter, ...], Callable]]:
@@ -423,12 +433,12 @@ def _embed(tokens: T.Parameter, positions_table: T.Parameter, adapter_weight: T.
     if batch.features is not None:
         table = T.concat_rows([T.linear(T.Tensor(batch.features), adapter_weight, adapter_bias), tokens])
     x = T.take_rows(table, batch.rows) + T.take_rows(positions_table, batch.positions)
-    return _State(x, None, None, (), (), ())
+    return _State(x, None, None, ())
 
 
 def _block_stages(block: Block, mode: str) -> list:
     """attn, then ffn for a dense block or the language-only path, or else route, language_ffn and vision_ffn, so
-    that a vision-FFN probe reuses the routing, the allocation, the balance term and the language expert."""
+    that a vision-FFN probe reuses the layer's routing record and its language expert."""
     prefix, ln_attn, attn, ln_ffn, evf = f"blocks.{block.index}", block.ln_attn, block.attn, block.ln_ffn, block.evf
 
     def values(group) -> tuple[T.Parameter, ...]:
@@ -440,27 +450,25 @@ def _block_stages(block: Block, mode: str) -> list:
         x = s.x + T.linear(T.attention(q, k, v, batch.lengths, cfg.heads), attn.wo, attn.bo)
         return s._replace(x=x, normed=T.layer_norm(x, ln_ffn.gain, ln_ffn.bias))
 
-    def route(s: _State, batch: TokenBatch, rng: RngKey, cfg: ModelConfig) -> _State:
-        decision, plan = route_and_allocate(evf, s.normed, batch.tags, cfg.capacity, cfg.strategy,
-                                            rng.child(block.index))
-        return s._replace(decisions=(*s.decisions, decision), plans=(*s.plans, plan),
-                          aux_terms=(*s.aux_terms, layer_aux(plan, decision)))
+    def routing(s: _State, batch: TokenBatch, rng: RngKey, cfg: ModelConfig) -> _State:
+        decision = route(evf.router, s.normed)
+        scores = priority_scores(decision, batch.tags, cfg.strategy)
+        plan = allocate(decision, scores, batch.tags, cfg.capacity, cfg.strategy, rng=rng.child(block.index))
+        return s._replace(layers=(*s.layers, LayerRouting(decision, plan, *layer_aux(plan, decision))))
 
     def vision(s: _State, *_) -> _State:
-        outputs = [s.language, run_expert(evf, VISION_FFN, s.normed, s.plans[-1])]
-        return s._replace(x=s.x + T.combine(s.decisions[-1].probabilities, outputs, s.plans[-1].accepted))
+        layer = s.layers[-1]
+        outputs = [s.language, ffn_forward(evf.vision_ffn, T.take_rows(s.normed, layer.plan.accepted[VISION_FFN]))]
+        return s._replace(x=s.x + T.combine(layer.decision.probabilities, outputs, layer.plan.accepted))
 
     stages = [(f"{prefix}.attn", (ln_attn.gain, ln_attn.bias, *values(attn), ln_ffn.gain, ln_ffn.bias), attention)]
-    if evf is None:
-        ffn = block.ffn
+    if evf is None or mode == LANGUAGE_ONLY:  # the language-only path is the dense block it was copied from
+        ffn = block.ffn if evf is None else evf.language_ffn
         return stages + [(f"{prefix}.ffn", values(ffn), lambda s, *_: s._replace(x=s.x + ffn_forward(ffn, s.normed)))]
-    if mode == LANGUAGE_ONLY:
-        return stages + [(f"{prefix}.ffn", values(evf.language_ffn),
-                          lambda s, *_: s._replace(x=s.x + forward_language_only(evf, s.normed)))]
     return stages + [
-        (f"{prefix}.route", (evf.router.weight,), route),
-        (f"{prefix}.language_ffn", values(evf.language_ffn),
-         lambda s, *_: s._replace(language=run_expert(evf, LANGUAGE_FFN, s.normed, s.plans[-1]))),
+        (f"{prefix}.route", (evf.router.weight,), routing),
+        (f"{prefix}.language_ffn", values(evf.language_ffn), lambda s, *_: s._replace(
+            language=ffn_forward(evf.language_ffn, T.take_rows(s.normed, s.layers[-1].plan.accepted[LANGUAGE_FFN])))),
         (f"{prefix}.vision_ffn", values(evf.vision_ffn), vision),
     ]
 
@@ -507,8 +515,7 @@ def forward(model: MicroModel, batch: TokenBatch, mode: str = MULTIMODAL, rng: R
 
     final = T.layer_norm(state.x, model.ln_final.gain, model.ln_final.bias)
     logits = T.linear(final, model.head_weight, model.head_bias)
-    return ForwardResult(logits, list(state.plans), list(state.decisions), list(state.aux_terms), batch.tags,
-                         batch.text_rows, batch.targets)
+    return ForwardResult(logits, state.layers, batch.tags)
 
 
 @dataclass(eq=False)
@@ -518,7 +525,6 @@ class LossResult:
     total: T.Tensor
     regressive: float
     aux: float
-    per_layer: tuple[LayerLoadStats, ...]
     forward: ForwardResult
 
 
@@ -528,19 +534,19 @@ def compute_loss(model: MicroModel, batch: TokenBatch, rng: RngKey | None = None
 
     Raises :class:`NumericError` when any of the three values is not finite.
     """
-    fwd = forward(model, batch, MULTIMODAL, rng)
-    if fwd.targets is None:
+    if batch.targets is None:
         raise ContractError("compute_loss requires targets on every sequence")
-    reg = T.cross_entropy(T.take_rows(fwd.logits, fwd.text_rows), fwd.targets)
-    if fwd.plans:
-        aux, per_layer = aux_loss(fwd.aux_terms)
+    fwd = forward(model, batch, MULTIMODAL, rng)
+    reg = T.cross_entropy(T.take_rows(fwd.logits, batch.text_rows), batch.targets)
+    if fwd.layers:
+        aux = aux_loss([layer.aux for layer in fwd.layers])
         total, aux_value = reg + T.scale(aux, aux_weight), aux.item()
     else:
-        total, aux_value, per_layer = reg, 0.0, ()
+        total, aux_value = reg, 0.0
     values = (reg.item(), aux_value, total.item())
     if not all(math.isfinite(v) for v in values):
         raise NumericError(f"compute_loss: non-finite (regressive, aux, total) {values}")
-    return LossResult(total, reg.item(), aux_value, per_layer, fwd)
+    return LossResult(total, reg.item(), aux_value, fwd)
 
 
 class SyntheticTask:
@@ -599,13 +605,13 @@ def _metrics_row(cfg: ModelConfig, step: int, lr: float, result: LossResult) -> 
     """One metrics row: the loss values and one telemetry record per elastic layer."""
     fwd = result.forward
     layers = []
-    for index, plan, decision, loads in zip(cfg.evf_layer_indices, fwd.plans, fwd.decisions, result.per_layer):
+    for index, layer in zip(cfg.evf_layer_indices, fwd.layers):
         layers.append({
             "layer": index,
-            "strategy": plan.strategy.value,
-            "vision_probability_histogram": _probability_histogram(decision.probabilities.data[:, VISION_FFN]),
-            **vars(allocation_stats(plan, fwd.tags)),  # scalar fields: vars() is asdict() without the deep copy
-            **vars(loads),
+            "strategy": layer.plan.strategy.value,
+            "vision_probability_histogram": _probability_histogram(layer.decision.probabilities.data[:, VISION_FFN]),
+            **vars(allocation_stats(layer.plan, fwd.tags)),  # scalar fields: vars() is asdict() without the deep copy
+            **vars(layer.loads),
         })
     return {
         "step": step,

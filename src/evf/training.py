@@ -56,18 +56,15 @@ def layer_aux(plan: AllocationPlan, decision: RoutingDecision) -> tuple[T.Tensor
     return term, stats
 
 
-def aux_loss(layers: Sequence[tuple[T.Tensor, LayerLoadStats]]) -> tuple[T.Tensor, tuple[LayerLoadStats, ...]]:
+def aux_loss(terms: Sequence[T.Tensor]) -> T.Tensor:
     """Balance loss averaged over the elastic layers of one forward pass, from their
-    :func:`layer_aux` terms in layer order.
-
-    Returns the differentiable scalar plus per-layer F/G snapshots.
-    """
-    if not layers:
+    :func:`layer_aux` terms in layer order."""
+    if not terms:
         raise ContractError("aux_loss: at least one layer is required")
-    acc = layers[0][0]
-    for term, _ in layers[1:]:
+    acc = terms[0]
+    for term in terms[1:]:
         acc = acc + term
-    return T.scale(acc, 1.0 / len(layers)), tuple(stats for _, stats in layers)
+    return T.scale(acc, 1.0 / len(terms))
 
 
 @dataclass(frozen=True)

@@ -280,8 +280,8 @@ def test_a6_loss_arithmetic_and_balanced_auxiliary(stage3_run, verdict):
     result = compute_loss(model, SyntheticTask(cfg).sample_batch(RngKey(5)), RngKey(6))
     aux_gap = abs(result.aux - 0.5)
     mass_gap = max(
-        float(np.abs(d.probabilities.data.sum(axis=1) - 1.0).max())
-        for d in result.forward.decisions
+        float(np.abs(layer.decision.probabilities.data.sum(axis=1) - 1.0).max())
+        for layer in result.forward.layers
     )
 
     ok = worst < 1e-12 and aux_gap < 1e-12 and mass_gap < 1e-12

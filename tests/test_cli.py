@@ -119,7 +119,7 @@ def test_grad_check_from_a_trained_checkpoint_covers_dropped_and_moved_tokens(
     for instance in report["instances"]:
         key = RngKey(gc.seed).child(instance["instance_seed"])
         batch = task.sample_batch(key.child(0), sequences=gc.batch_sequences, text_len=gc.text_len)
-        plans = compute_loss(model, batch, key.child(1)).forward.plans
+        plans = [layer.plan for layer in compute_loss(model, batch, key.child(1)).forward.layers]
         dropped += sum(p.dropped.size for p in plans)
         moved += sum(len(p.redistributed) for p in plans)
     assert dropped + moved > 0

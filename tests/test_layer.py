@@ -6,19 +6,16 @@ import pytest
 
 import oracles
 from evf import tensor as T
-from evf.allocator import CapacityConfig, ModalityTags, Strategy, allocation_stats
+from evf.allocator import CapacityConfig, ModalityTags, Strategy, allocate, allocation_stats, priority_scores
 from evf.errors import ShapeError
 from evf.layer import (
     EvfLayerParams,
     FfnParams,
     ffn_forward,
-    forward_language_only,
     init_stage3_from_dense,
-    route_and_allocate,
-    run_expert,
 )
 from evf.model import ModelConfig, apply_stage, build_model
-from evf.router import LANGUAGE_FFN, VISION_FFN, RouterParams
+from evf.router import LANGUAGE_FFN, VISION_FFN, RouterParams, route
 from evf.seeds import RngKey
 
 WIDTH, HIDDEN = 6, 10
@@ -37,9 +34,12 @@ def tags_of(pattern):
 
 
 def elastic_forward(layer, tokens, tags, capacity, strategy, rng):
-    """The multimodal layer as model.forward composes it: route + allocate, both experts, combine."""
-    decision, plan = route_and_allocate(layer, tokens, tags, capacity, strategy, rng)
-    outputs = [run_expert(layer, expert, tokens, plan) for expert in (LANGUAGE_FFN, VISION_FFN)]
+    """The multimodal layer as model.forward composes it: route, scores and allocate, each FFN on its accepted
+    rows, combine."""
+    decision = route(layer.router, tokens)
+    plan = allocate(decision, priority_scores(decision, tags, strategy), tags, capacity, strategy, rng=rng)
+    outputs = [ffn_forward(ffn, T.take_rows(tokens, plan.accepted[expert]))
+               for expert, ffn in ((LANGUAGE_FFN, layer.language_ffn), (VISION_FFN, layer.vision_ffn))]
     return T.combine(decision.probabilities, outputs, plan.accepted), decision, plan
 
 
@@ -130,7 +130,7 @@ def test_language_only_path_is_bitwise_dense_and_builds_no_routing_objects(routi
     dense = dense_ffn(9)
     layer = init_stage3_from_dense(dense)
     x = np.random.default_rng(4).normal(size=(7, WIDTH))
-    out = forward_language_only(layer, T.Tensor(x))
+    out = ffn_forward(layer.language_ffn, T.Tensor(x))  # the language-only path of model.forward
     assert routing_objects_built == {"decisions": 0, "plans": 0}
     dense_out = ffn_forward(dense, T.Tensor(x)).data
     assert out.data.tobytes() == dense_out.tobytes()
@@ -144,7 +144,7 @@ def test_language_only_zero_input_gives_constant_rows():
     affine image of the biases; checked against the scalar oracle."""
     ffn = dense_ffn(12)
     layer = init_stage3_from_dense(ffn)
-    out = forward_language_only(layer, T.Tensor(np.zeros((3, WIDTH))))
+    out = ffn_forward(layer.language_ffn, T.Tensor(np.zeros((3, WIDTH))))
     want = oracles.ffn_scalar(np.zeros((3, WIDTH)), *ffn_arrays(ffn))
     np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-14)
     assert np.ptp(out.data, axis=0).max() == 0.0

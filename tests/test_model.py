@@ -4,8 +4,10 @@ synthetic task, training loop artifacts, and the checkpoint container."""
 
 import gc
 import json
+import math
 import os
 import re
+import sys
 import tracemalloc
 import weakref
 from dataclasses import asdict, fields, replace
@@ -109,6 +111,10 @@ def test_model_config_validation_and_round_trip():
         tiny_cfg(evf_layer_indices=(0, 0))
     with pytest.raises(ConfigError):
         tiny_cfg(evf_layer_indices=(5,))
+    assert tiny_cfg(depth=3, evf_layer_indices=(2, 0)).evf_layer_indices == (0, 2)  # entries 0 to depth - 1
+    for bad in (-1, 3):
+        with pytest.raises(ConfigError, match=re.escape(f"evf_layer_indices entry {bad} outside [0, 3)")):
+            tiny_cfg(depth=3, evf_layer_indices=(0, bad))
     with pytest.raises(ConfigError):
         decode(ModelConfig, {"depht": 4}, "model")
     with pytest.raises(ConfigError):
@@ -117,6 +123,67 @@ def test_model_config_validation_and_round_trip():
     assert cfg.strategy is Strategy.GBPR
     again = decode(ModelConfig, json.loads(json.dumps(asdict(cfg))), "model")
     assert again == cfg
+
+
+# Every size field at its lower bound, 1; no image tokens, so one text token fills max_seq_len.
+ONES = dict(depth=1, width=1, heads=1, hidden=1, vocab=1, image_feature_dim=1, image_tokens=0, num_keys=1,
+            text_len=1, batch_sequences=1, max_seq_len=1)
+
+
+def test_a_model_with_every_size_at_one_trains():
+    cfg = ModelConfig(**ONES)
+    result = train(build_model(cfg), SyntheticTask(cfg), TrainConfig(steps=1))
+    assert [row["step"] for row in result.metrics] == [0, 1]
+    assert all(math.isfinite(row["loss_total"]) for row in result.metrics)
+
+
+@pytest.mark.parametrize("name", [name for name, value in ONES.items() if value == 1])
+def test_a_size_of_zero_is_refused(name):
+    with pytest.raises(ConfigError, match=f"^{name} must be at least 1, got 0$"):
+        ModelConfig(**{**ONES, name: 0})
+
+
+def test_model_config_size_limits_are_inclusive():
+    """The documented limits, as literals: depth 1024, 2^25 parameters, 2^16 batch tokens, 2^22 task-table entries."""
+    ModelConfig(**{**ONES, "depth": 1024})
+    with pytest.raises(ConfigError, match="^depth must be at most 1024, got 1025$"):
+        ModelConfig(**{**ONES, "depth": 1025})
+
+    # Each position-table row holds `width` = 1 scalars, so max_seq_len steps the count by one.
+    spare = 2**25 - _parameter_count(ModelConfig(**ONES))
+    assert _parameter_count(ModelConfig(**{**ONES, "max_seq_len": 1 + spare})) == 2**25
+    with pytest.raises(ConfigError, match=f"^the model would have {2**25 + 1} parameters, more than {2**25}$"):
+        ModelConfig(**{**ONES, "max_seq_len": 2 + spare})
+
+    # Sequences of 2 image + 2 text tokens: a product and a sum, each checked.
+    four = {**ONES, "image_tokens": 2, "text_len": 2, "max_seq_len": 4}
+    ModelConfig(**{**four, "batch_sequences": 2**14})
+    with pytest.raises(ConfigError, match=f"^a batch of {2**14 + 1} sequences would have {2**16 + 4} tokens, more "
+                                          f"than {2**16}$"):
+        ModelConfig(**{**four, "batch_sequences": 2**14 + 1})
+
+    # Tables of num_keys x (vocab + image_feature_dim) = num_keys x 4 entries.
+    tables = {**ONES, "vocab": 3}
+    ModelConfig(**{**tables, "num_keys": 2**20})
+    with pytest.raises(ConfigError, match=f"^the task tables would have {2**22 + 4} entries, more than {2**22}$"):
+        ModelConfig(**{**tables, "num_keys": 2**20 + 1})
+
+
+def test_aux_weight_is_finite_and_non_negative():
+    assert TrainConfig(aux_weight=0.0).aux_weight == 0.0
+    assert TrainConfig(aux_weight=sys.float_info.max).aux_weight == sys.float_info.max
+    for bad in (-sys.float_info.min, math.inf, math.nan):
+        message = f"aux_weight must be finite and non-negative, got {bad}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            TrainConfig(aux_weight=bad)
+
+
+def test_a_one_step_run_schedules_over_one_step():
+    """The final row's rate is the schedule's at step 1 of 1: the peak, past a warmup of one step."""
+    cfg = tiny_cfg()
+    optimizer = OptimizerConfig(learning_rate=0.01, warmup_ratio=0.9)
+    result = train(build_model(cfg), SyntheticTask(cfg), TrainConfig(steps=1, optimizer=optimizer))
+    assert [row["lr"] for row in result.metrics] == [0.0, 0.01]
 
 
 @pytest.mark.parametrize("overrides", [{}, {"depth": 3, "evf_layer_indices": (1, 2)}, {"evf_layer_indices": ()}])
@@ -210,8 +277,8 @@ def test_stage3_with_slack_capacity_equals_half_gated_dense_reference():
     task = SyntheticTask(cfg)
     batch = task.sample_batch(RngKey(8))
     result = forward(model, batch, MULTIMODAL)
-    for plan in result.plans:
-        assert plan.dropped.size == 0
+    for layer in result.layers:
+        assert layer.plan.dropped.size == 0
     ids, feats = batch_arrays(batch)
     scales = [0.5 if i in cfg.evf_layer_indices else 1.0 for i in range(cfg.depth)]
     want = oracles.dense_forward_reference(
@@ -244,6 +311,16 @@ def test_default_stage3_loss_graph_size(tensor_ops_built):
     # everything before it at stage 3) are not graph nodes.
     assert tensor_ops_built["ops"] - before["ops"] == 83
     assert tensor_ops_built["graph_nodes"] - before["graph_nodes"] == 65
+
+
+def test_compute_loss_refuses_a_batch_without_targets_before_the_forward(tensor_ops_built, text_batch):
+    model = build_model(ModelConfig())
+    enter_stage3(model)
+    batch = text_batch(model.cfg, RngKey(0))
+    with pytest.raises(ContractError, match="compute_loss requires targets on every sequence"):
+        compute_loss(model, batch, RngKey(1))
+    assert tensor_ops_built == {"ops": 0, "graph_nodes": 0}
+    assert batch._memo == []  # no stage ran, so none was kept
 
 
 def test_compute_loss_builds_no_telemetry(monkeypatch):
@@ -316,9 +393,9 @@ def test_multimodal_without_images_routes_all_text_to_language():
     batch = TokenBatch(np.tile(np.arange(4), 2), [4, 4])
     result = forward(model, batch, MULTIMODAL)
     assert batch.features is None
-    for plan in result.plans:
-        assert plan.loads == (8, 0)
-        assert plan.dropped.size == 0
+    for layer in result.layers:
+        assert layer.plan.loads == (8, 0)
+        assert layer.plan.dropped.size == 0
 
 
 def test_forward_validation_errors():
@@ -360,6 +437,17 @@ def test_forward_validation_errors():
     (([1, 2], [1, 1], np.zeros(2), [1, 1]), "image features must be 2-d, got shape (2,)"),
     (([1, 2], [1, 1], None, None, [1, 2, 3]), "targets shape (3,) does not match text_ids (2,)"),
     (([[1, 2]], [2]), "text_ids must be 1-d, got shape (1, 2)"),
+    (([], [1]), "0 text ids for text counts that sum to 1"),  # an empty list reads as float64 and passes
+    (([1.7, 2.2], [1.9, 0.5]), "text_ids must be integers, got dtype float64"),
+    (([1.0, 2.0], [2]), "text_ids must be integers, got dtype float64"),
+    (([True, False], [2]), "text_ids must be integers, got dtype bool"),
+    (([1, 2], [1.9, 0.5]), "text_counts must be integers, got dtype float64"),
+    (([1, 2], [True, True]), "text_counts must be integers, got dtype bool"),
+    (([1, 2], [1, 1], np.zeros((2, 5)), [1.0, 1.0]), "image_counts must be integers, got dtype float64"),
+    (([1, 2], [1, 1], None, [False, False]), "image_counts must be integers, got dtype bool"),
+    (([1, 2], [2], None, None, [0.5, 1.0]), "targets must be integers, got dtype float64"),
+    (([1, 2], [2], None, None, [True, False]), "targets must be integers, got dtype bool"),
+    (([1, 2], [2], None, None, np.array([1, 2], dtype=object)), "targets must be integers, got dtype object"),
 ])
 def test_a_token_batch_refuses_malformed_input(args, message):
     with pytest.raises(ContractError, match=re.escape(message)):
@@ -587,7 +675,7 @@ def test_a_replaced_config_recomputes_from_the_embedding():
     forward(model, batch, MULTIMODAL, RngKey(1))
     model.cfg = replace(model.cfg, strategy=Strategy.GBPR)
     two_heads = forward(model, batch, MULTIMODAL, RngKey(1))
-    assert [plan.strategy for plan in two_heads.plans] == [Strategy.GBPR, Strategy.GBPR]
+    assert [layer.plan.strategy for layer in two_heads.layers] == [Strategy.GBPR, Strategy.GBPR]
     model.cfg = replace(model.cfg, heads=4)
     resumed, again = forward(model, batch, MULTIMODAL, RngKey(1)), forward(model, fresh(batch), MULTIMODAL, RngKey(1))
     assert resumed.logits.data.tobytes() == again.logits.data.tobytes() != two_heads.logits.data.tobytes()
@@ -596,7 +684,7 @@ def test_a_replaced_config_recomputes_from_the_embedding():
 def test_the_cached_graph_is_freed_with_the_batch():
     model, batch = grad_check_setup()
     result = compute_loss(model, batch, RngKey(8))
-    node = weakref.ref(result.forward.decisions[1].probabilities.data)  # a Tensor has no weakref slot
+    node = weakref.ref(result.forward.layers[1].decision.probabilities.data)  # a Tensor has no weakref slot
     del result
     assert node() is not None  # held by the batch ...
     del batch

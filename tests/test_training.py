@@ -43,8 +43,10 @@ def plan_for(decision, pattern, factor=1.5, strategy=Strategy.GBPR):
 
 
 def aux_of(plans, decisions):
-    """The balance loss of layers with these plans and decisions, folded as compute_loss folds it."""
-    return aux_loss([layer_aux(plan, decision) for plan, decision in zip(plans, decisions)])
+    """The balance loss of layers with these plans and decisions, folded as compute_loss folds it, and each
+    layer's F/G snapshot."""
+    terms, stats = zip(*(layer_aux(plan, decision) for plan, decision in zip(plans, decisions)))
+    return aux_loss(terms), stats
 
 
 def test_aux_all_tokens_on_one_ffn_equals_that_column_mean():
@@ -145,6 +147,15 @@ def test_learning_rate_schedule_endpoints():
     assert 0.0 < mid < 0.1
 
 
+def test_learning_rate_schedule_hands_over_at_the_peak_and_ends_at_zero():
+    # 3 warmup steps of 10: the cosine starts at exactly the peak, where the warmup line
+    # would give 0.1 * 3 / 3 = 0.10000000000000002
+    assert learning_rate_at(OptimizerConfig(learning_rate=0.1, warmup_ratio=0.3), 3, 10) == 0.1
+    # a 2-step run, 1 of warmup: the decay spans the one step left and ends at zero
+    assert [learning_rate_at(OptimizerConfig(learning_rate=0.1, warmup_ratio=0.0), step, 2)
+            for step in range(3)] == [0.0, 0.1, 0.0]
+
+
 def test_learning_rate_matches_reference_everywhere():
     cfg = OptimizerConfig(learning_rate=3e-3, warmup_ratio=0.03)
     for step in range(0, 501, 7):
@@ -215,6 +226,11 @@ def test_optimizer_config_validation():
             OptimizerConfig(epsilon=epsilon)
     with pytest.raises(ContractError):
         learning_rate_at(OptimizerConfig(), 0, 0)
+    with pytest.raises(ContractError, match="AdamW: total_steps must be positive, got 0"):
+        AdamW([], OptimizerConfig(), total_steps=0)
+    # the lower bounds are inclusive
+    cfg = OptimizerConfig(beta1=0.0, beta2=0.0, weight_decay=0.0, warmup_ratio=0.0)
+    assert (cfg.beta1, cfg.beta2, cfg.weight_decay, cfg.warmup_ratio) == (0.0, 0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +285,8 @@ def test_grad_check_flags_a_corrupted_gradient():
     report = grad_check(quadratic_loss_fn(p), [("p", p)], _corrupt_first_gradient=1e-2)
     assert report.max_rel_err > 1e-4
     assert report.worst == "p[0]"
+    # the hook adds to the analytic 1.4, and the error is relative to the larger magnitude
+    assert report.max_rel_err == pytest.approx(1e-2 / 1.41, rel=1e-6)
 
 
 def test_grad_check_subset_partitions_cover_everything():
@@ -279,6 +297,25 @@ def test_grad_check_subset_partitions_cover_everything():
     assert max(r.max_rel_err for r in pieces) == pytest.approx(full.max_rel_err, rel=1e-9)
     with pytest.raises(ContractError):
         grad_check(quadratic_loss_fn(p), [("p", p)], subset=(4, 4))
+    assert grad_check(quadratic_loss_fn(p), [("p", p)], subset=(0, 1)).checked == 9
+
+
+def test_grad_check_subset_counts_flat_indices_across_tensors():
+    """Instance k of 3 probes the scalars whose flat index, counted over both tensors in order, is k mod 3."""
+    a, b = T.Parameter(np.array([0.3, -0.4])), T.Parameter(np.array([[0.5, 0.6, -0.7]]))
+    base = {"a": a.data, "b": b.data}
+    probed = set()
+
+    def loss_fn():
+        for name, p in (("a", a), ("b", b)):
+            if p.data is not base[name]:
+                probed.add((name, int(np.flatnonzero(p.data != base[name])[0])))
+        return T.sum_all(T.mul(a, a)) + T.sum_all(T.mul(b, b)), ()
+
+    for k, want in enumerate([{("a", 0), ("b", 1)}, {("a", 1), ("b", 2)}, {("b", 0)}]):
+        probed.clear()
+        assert grad_check(loss_fn, [("a", a), ("b", b)], subset=(k, 3)).checked == len(want)
+        assert probed == want
 
 
 def test_grad_check_raises_on_signature_flip():
