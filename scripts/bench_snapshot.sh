@@ -64,7 +64,7 @@ class ClockedTask(SyntheticTask):
 
 
 cfg = ModelConfig(batch_sequences=int(sys.argv[1]))
-tcfg = TrainConfig()
+tcfg = TrainConfig(steps=500)
 train(build_model(cfg), ClockedTask(cfg), tcfg)
 steps_ms = [(b - a) / 1e6 for a, b in zip(stamps, stamps[1:])]
 if len(steps_ms) != tcfg.steps:

@@ -18,7 +18,7 @@ from .errors import (
     UnstableInstanceError,
 )
 from .seeds import RngKey
-from .tensor import Parameter, Tensor, backward, zero_grads
+from .tensor import Parameter, Tensor, backward
 from .router import LANGUAGE_FFN, VISION_FFN, RouterParams, RoutingDecision, route
 from .allocator import (
     AllocationPlan,

@@ -576,8 +576,8 @@ class SyntheticTask:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    steps: int
     stage: int = 3
-    steps: int = 500
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     aux_weight: float = 0.001
 
@@ -637,6 +637,7 @@ def train(model: MicroModel, task: SyntheticTask, tcfg: TrainConfig, out_dir: Pa
     apply_stage(model, tcfg.stage)
     base = RngKey(model.cfg.seed)
     optimizer = AdamW(model.trainable_parameters(), tcfg.optimizer, max(1, tcfg.steps))
+    grads: list = []
     rows: list[dict] = []
     with ExitStack() as stack:
         streams: list[TextIO] = []
@@ -661,9 +662,11 @@ def train(model: MicroModel, task: SyntheticTask, tcfg: TrainConfig, out_dir: Pa
             # The batch's forward memo is the only other owner of the stage outputs, and nothing
             # resumes on it: drop it, so backward runs with only what the graph's VJPs read.
             del batch
-            T.zero_grads(optimizer.params.values())
-            T.backward(result.total)
-            lr = optimizer.step(step)
+            # The last step's gradients die just before the next are made: freed right after the update,
+            # or after this backward, they move frees across the heap top and raise the minor faults a step.
+            del grads
+            grads = T.backward(result.total, optimizer.params.values())
+            lr = optimizer.step(step, grads)
             record(step, lr, result)
             del result  # the only owner of this step's graph, so the next step builds its own with no other alive
 

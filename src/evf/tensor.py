@@ -4,9 +4,10 @@ Deliberately small: row-major numpy storage, explicit shape checks, no
 implicit broadcasting. Each differentiable operation records a graph node:
 an edge to each input that requires a gradient and one vector-Jacobian
 closure per edge; :func:`backward` walks the nodes once in reverse
-topological order and accumulates gradients into leaves. The graph holds
-nodes and the arrays its closures read, never an op's output for its own
-sake: an output that no closure reads is freed with its tensor.
+topological order and returns the gradients of the parameters it is given.
+Gradients are returned, never stored, so nothing is zeroed between steps.
+The graph holds nodes and the arrays its closures read, never an op's
+output for its own sake: one that no closure reads is freed with its tensor.
 
 No op records a node inside ``with _no_graph():``, the graph-free mode for
 forwards that nothing differentiates (grad-check probes): its outputs need
@@ -17,8 +18,8 @@ exception included; it is private so that no caller takes it for an op.
 Gradient flow is cut per parameter (``set_trainable(False)``, called only by
 :func:`evf.model.apply_stage`): an op reads its inputs' flags when it runs
 and records no edge, and keeps no closure, for an input that needs no
-gradient. That is how frozen parameters are excluded from the walk; the
-optimizer refuses them.
+gradient. That is how frozen parameters, whose gradient is zeros, are
+excluded from the walk; the optimizer refuses them.
 
 Parameter values are immutable: a :class:`Parameter` owns a private,
 read-only copy of each value it is given (the optimizer and the gradient
@@ -28,8 +29,9 @@ closures write in place only into arrays they allocated themselves, never
 into an input's ``data`` and never into the incoming gradient ``g``: a
 closure may return ``g`` itself or a view of it (``add``, ``concat_rows``),
 so one array can be the gradient of several nodes, and :func:`backward`
-accumulates out of place. In-place steps keep the operation order of the
-plain expression they replace, so they give the same bits.
+accumulates out of place and returns each gradient read-only. In-place
+steps keep the operation order of the plain expression they replace, so
+they give the same bits.
 """
 
 from __future__ import annotations
@@ -89,14 +91,13 @@ class Tensor:
     enter a graph through inputs.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_node")
+    __slots__ = ("data", "requires_grad", "_node")
 
     def __init__(self, values):
         data = _as_float64(values)
         if not np.isfinite(data).all():
             raise NumericError("leaf tensor contains non-finite values")
         self.data = data
-        self.grad: Array | None = None
         self.requires_grad = False
         self._node: tuple | None = None
 
@@ -109,7 +110,6 @@ class Tensor:
     ) -> "Tensor":
         out = object.__new__(Tensor)
         out.data = data
-        out.grad = None
         if not _recording:
             out.requires_grad, out._node = False, None
             return out
@@ -132,13 +132,12 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A leaf tensor with persistent gradient storage.
+    """The only leaf that ever requires a gradient; it holds a value, never a gradient.
 
     Its one freeze flag is ``requires_grad``; every parameter starts
     trainable, ``trainable`` reads the flag and :meth:`set_trainable` writes
-    it. Frozen parameters are skipped by backward and refused by the
-    optimizer, so their bytes never change during training. Parameters are
-    the only leaves that ever require gradients.
+    it. A frozen parameter gets zeros from backward and is refused by the
+    optimizer, so its bytes never change during training.
     """
 
     __slots__ = ()
@@ -146,7 +145,6 @@ class Parameter(Tensor):
     def __init__(self, values):
         super().__init__(_frozen_copy(values))
         self.requires_grad = True
-        self.grad = np.zeros_like(self.data)
 
     @property
     def trainable(self) -> bool:
@@ -154,9 +152,6 @@ class Parameter(Tensor):
 
     def set_trainable(self, flag: bool) -> None:
         self.requires_grad = bool(flag)
-
-    def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.data)
 
     def assign(self, values) -> None:
         """Replace the stored value with a read-only copy; shape must be preserved."""
@@ -171,11 +166,6 @@ class Parameter(Tensor):
             raise NumericError("assign: non-finite parameter value")
         arr.setflags(write=False)
         self.data = arr
-
-
-def zero_grads(params: Iterable[Parameter]) -> None:
-    for p in params:
-        p.zero_grad()
 
 
 def _check_2d(op: str, *tensors: Tensor) -> None:
@@ -563,22 +553,22 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     return Tensor._from_op(data, (logits,), (vjp,))
 
 
-def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into every reachable trainable leaf.
+def backward(loss: Tensor, params: Iterable[Parameter]) -> list[Array]:
+    """d(loss)/d(p) for each parameter in ``params``, in order, as read-only arrays; two may share one.
 
     The loss must hold exactly one element. Each recorded node is visited
-    once, in reverse topological order; the graph has no edge into a branch
-    that does not require gradients, and a loss that needs none writes nothing.
+    once, in reverse topological order, and nothing is stored. The graph has
+    no edge into a branch that does not require gradients, so a parameter
+    the loss does not reach, a frozen one, or any under a loss that needs
+    none gets zeros.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    if not loss.requires_grad:
-        return
 
     root = loss._node or loss
     topo: list = []
     seen: set[int] = set()
-    stack: list[tuple[object, bool]] = [(root, False)]
+    stack: list[tuple[object, bool]] = [(root, False)] if loss.requires_grad else []  # else no graph
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -594,13 +584,18 @@ def backward(loss: Tensor) -> None:
                     stack.append((parent, False))
 
     grads: dict[int, Array] = {id(root): np.ones_like(loss.data)}
+    leaves: dict[int, Array] = {}
     for node in reversed(topo):
         g = grads.pop(id(node))
         if node.__class__ is not tuple:  # the other edge ends are trainable Parameters
-            node.grad = node.grad + g
+            leaves[id(node)] = g
             continue
         for parent, vjp in node:
             contrib = vjp(g)
             acc = grads.get(id(parent))
             # Out of place: contrib may be g itself or a view of it.
             grads[id(parent)] = contrib if acc is None else acc + contrib
+    out = [leaves[id(p)] if id(p) in leaves else np.zeros_like(p.data) for p in params]
+    for g in out:
+        g.setflags(write=False)
+    return out

@@ -128,13 +128,15 @@ class AdamW:
         self._m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
 
-    def step(self, step_index: int) -> float:
-        """Apply one update from the gradients currently stored; returns the rate used."""
+    def step(self, step_index: int, grads: Sequence[np.ndarray]) -> float:
+        """Apply one update from ``grads``, one per parameter in ``self.params`` order; returns the rate used."""
+        if len(grads) != len(self.params):
+            raise ContractError(f"AdamW.step: {len(grads)} gradients for {len(self.params)} parameters")
         lr = learning_rate_at(self.cfg, step_index, self.total_steps)
         t = step_index + 1
         b1, b2 = self.cfg.beta1, self.cfg.beta2
-        for name, p in self.params.items():
-            g, m, v = p.grad, self._m[name], self._v[name]
+        for (name, p), g in zip(self.params.items(), grads):
+            m, v = self._m[name], self._v[name]
             m *= b1
             m += (1.0 - b1) * g
             v *= b2
@@ -208,9 +210,7 @@ def grad_check(
         return GradCheckReport(checked=0, max_rel_err=0.0, worst="", per_param={})
 
     base_loss, base_signature = loss_fn()
-    T.zero_grads([p for _, p in trainable])
-    T.backward(base_loss)
-    analytic = {name: p.grad.copy() for name, p in trainable}
+    analytic = dict(zip([name for name, _ in trainable], T.backward(base_loss, [p for _, p in trainable])))
 
     selected: dict[str, np.ndarray] = {}
     global_index = 0
@@ -224,6 +224,7 @@ def grad_check(
     if _corrupt_first_gradient:
         for name, p in trainable:
             if selected[name].size:
+                analytic[name] = analytic[name].copy()  # backward's arrays are read-only
                 analytic[name].reshape(-1)[int(selected[name][0])] += _corrupt_first_gradient
                 break
 

@@ -170,12 +170,12 @@ def test_model_config_size_limits_are_inclusive():
 
 
 def test_aux_weight_is_finite_and_non_negative():
-    assert TrainConfig(aux_weight=0.0).aux_weight == 0.0
-    assert TrainConfig(aux_weight=sys.float_info.max).aux_weight == sys.float_info.max
+    assert TrainConfig(steps=1, aux_weight=0.0).aux_weight == 0.0
+    assert TrainConfig(steps=1, aux_weight=sys.float_info.max).aux_weight == sys.float_info.max
     for bad in (-sys.float_info.min, math.inf, math.nan):
         message = f"aux_weight must be finite and non-negative, got {bad}"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            TrainConfig(aux_weight=bad)
+            TrainConfig(steps=1, aux_weight=bad)
 
 
 def test_a_one_step_run_schedules_over_one_step():
@@ -489,6 +489,21 @@ def test_forward_allocation_is_deterministic_per_rng_key():
     assert a.logits.data.tobytes() == b.logits.data.tobytes()
 
 
+def test_an_rng_less_forward_allocates_with_the_evaluation_key():
+    """Without an rng the plan comes from domain 4 of the model's seed. Random allocation of an
+    over-capacity batch keeps the tokens its key draws, so the key shows in the signature."""
+    cfg = tiny_cfg(capacity=CapacityConfig(capacity_factor=0.5), strategy="random")
+    model = build_model(cfg)
+    enter_stage3(model)
+    batch = SyntheticTask(cfg).sample_batch(RngKey(11))
+    rngless = forward(model, batch)
+    evaluation = forward(model, fresh(batch), rng=RngKey(cfg.seed).child(4))
+    assert rngless.allocation_signature() == evaluation.allocation_signature()
+    assert rngless.logits.data.tobytes() == evaluation.logits.data.tobytes()
+    allocation = forward(model, fresh(batch), rng=RngKey(cfg.seed).child(3))
+    assert allocation.allocation_signature() != rngless.allocation_signature()
+
+
 # ---------------------------------------------------------------------------
 # resuming a forward from the batch's cached stages
 
@@ -602,9 +617,7 @@ def test_a_loss_after_grad_check_on_its_batch_gets_a_fresh_batchs_gradients():
     grad_check(loss_fn, model.trainable_parameters())
     grads = []
     for b in (batch, fresh(batch)):
-        T.zero_grads(trainable)
-        T.backward(compute_loss(model, b, rng).total)
-        grads.append([p.grad.tobytes() for p in trainable])
+        grads.append([g.tobytes() for g in T.backward(compute_loss(model, b, rng).total, trainable)])
     assert grads[0] == grads[1]
     assert any(np.frombuffer(g).any() for g in grads[0])
 
@@ -617,9 +630,7 @@ def test_backward_through_a_resumed_prefix_gives_the_same_gradients():
     p.assign(perturbed(p))
     grads = []
     for b in (batch, fresh(batch)):
-        T.zero_grads(trainable)
-        T.backward(compute_loss(model, b, rng).total)
-        grads.append([q.grad.tobytes() for q in trainable])
+        grads.append([g.tobytes() for g in T.backward(compute_loss(model, b, rng).total, trainable)])
     assert grads[0] == grads[1]
 
 
@@ -631,9 +642,7 @@ def test_a_newly_trainable_tensor_gets_its_gradient_on_the_same_batch():
     wq.set_trainable(True)
     grads = []
     for b in (batch, fresh(batch)):
-        wq.zero_grad()
-        T.backward(compute_loss(model, b, rng).total)
-        grads.append(wq.grad.copy())
+        grads.extend(T.backward(compute_loss(model, b, rng).total, [wq]))
     assert np.abs(grads[0]).max() > 0.0
     assert grads[0].tobytes() == grads[1].tobytes()
 
@@ -886,10 +895,10 @@ def test_train_releases_each_batch_before_backward(monkeypatch, sequences):
     cfg = tiny_cfg(batch_sequences=sequences)
     task, backward, calls = OneGraphTask(cfg), T.backward, []
 
-    def checked(loss):
+    def checked(loss, params):
         assert task.batches[-1]() is None, f"batch {len(task.batches) - 1} is alive at backward"
         calls.append(len(task.batches))
-        backward(loss)
+        return backward(loss, params)
 
     monkeypatch.setattr(T, "backward", checked)
     train(build_model(cfg), task, TrainConfig(steps=3))

@@ -97,13 +97,13 @@ def test_softmax_rows_sum_to_one_and_shift_invariant(rows, shift):
 
 def check_grads(build, arrays, eps=1e-6, tol=1e-6):
     params = [T.Parameter(a) for a in arrays]
-    T.backward(build(*params))
+    grads = T.backward(build(*params), params)
 
     def f(*values):
         return build(*[T.Parameter(v) for v in values]).item()
 
-    for p, fd in zip(params, oracles.finite_difference_grads(f, arrays, eps)):
-        np.testing.assert_allclose(p.grad, fd, rtol=tol, atol=tol)
+    for grad, fd in zip(grads, oracles.finite_difference_grads(f, arrays, eps)):
+        np.testing.assert_allclose(grad, fd, rtol=tol, atol=tol)
 
 
 def test_grad_matmul():
@@ -224,12 +224,12 @@ def test_attention_backward_twice_through_one_node():
     w1, w2 = rand(4, 4), rand(4, 4)
     q, k, v = (T.Parameter(rand(4, 4)) for _ in range(3))
     out = T.attention(q, k, v, [2, 2], 2)
-    T.backward(T.sum_all(T.mul(out, T.Tensor(w1))))
-    T.backward(T.sum_all(T.mul(out, T.Tensor(w2))))
+    first = T.backward(T.sum_all(T.mul(out, T.Tensor(w1))), [q, k, v])
+    second = T.backward(T.sum_all(T.mul(out, T.Tensor(w2))), [q, k, v])
     once = [T.Parameter(p.data) for p in (q, k, v)]
-    T.backward(T.sum_all(T.mul(T.attention(*once, [2, 2], 2), T.Tensor(w1 + w2))))
-    for got, want in zip((q, k, v), once):
-        np.testing.assert_allclose(got.grad, want.grad, rtol=1e-12, atol=1e-12)
+    want = T.backward(T.sum_all(T.mul(T.attention(*once, [2, 2], 2), T.Tensor(w1 + w2))), once)
+    for g1, g2, g in zip(first, second, want):
+        np.testing.assert_allclose(g1 + g2, g, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("k_in_graph", [True, False])
@@ -248,8 +248,8 @@ def test_attention_backward_releases_its_score_gradient(k_in_graph):
         return mine
 
     top = T.Tensor._from_op(out.data.copy(), (out,), (vjp,))
-    T.backward(T.sum_all(top))
-    assert len(incoming) == 1 and np.abs(q.grad).max() > 0.0
+    (grad,) = T.backward(T.sum_all(top), [q])
+    assert len(incoming) == 1 and np.abs(grad).max() > 0.0
     assert incoming[0]() is None, "the attention node still holds its incoming gradient"
 
 
@@ -372,10 +372,10 @@ def test_diamond_reuse_accumulates_correctly():
     # x feeds two branches whose vjps are identity maps; a shared gradient
     # buffer between siblings would double-count one of them.
     x, y, z = T.Parameter(rand(2, 2)), T.Parameter(rand(2, 2)), T.Parameter(rand(2, 2))
-    T.backward(T.sum_all((x + y) + (x + z)))
-    np.testing.assert_array_equal(x.grad, np.full((2, 2), 2.0))
-    np.testing.assert_array_equal(y.grad, np.ones((2, 2)))
-    np.testing.assert_array_equal(z.grad, np.ones((2, 2)))
+    gx, gy, gz = T.backward(T.sum_all((x + y) + (x + z)), [x, y, z])
+    np.testing.assert_array_equal(gx, np.full((2, 2), 2.0))
+    np.testing.assert_array_equal(gy, np.ones((2, 2)))
+    np.testing.assert_array_equal(gz, np.ones((2, 2)))
 
 
 def _aliasing_graph(x, gain, bias, w):
@@ -415,19 +415,44 @@ def test_backward_writes_no_upstream_array(monkeypatch):
     monkeypatch.setattr(T.Tensor, "_from_op", staticmethod(recording))
     params = [T.Parameter(a) for a in ALIASING_INPUTS]
     loss = _aliasing_graph(*params)
-    T.backward(loss)
+    T.backward(loss, params)
     assert len(grads) > 10
     for array, copy in values + grads + [(p.data, a) for p, a in zip(params, ALIASING_INPUTS)]:
         np.testing.assert_array_equal(array, copy)
 
 
-def test_backward_accumulates_across_calls():
-    x = T.Parameter(rand(3, 3))
-    T.backward(T.sum_all(x))
-    T.backward(T.sum_all(x))
-    np.testing.assert_array_equal(x.grad, np.full((3, 3), 2.0))
-    x.zero_grad()
-    np.testing.assert_array_equal(x.grad, np.zeros((3, 3)))
+def test_backward_twice_on_one_graph_gives_the_same_bytes():
+    # Nothing is stored between calls: no leaf accumulates, and no closure keeps state
+    # (attention's shared score gradient included) that a second walk could read.
+    params = [T.Parameter(a) for a in ALIASING_INPUTS]
+    loss = _aliasing_graph(*params)
+    first = [g.tobytes() for g in T.backward(loss, params)]
+    assert first == [g.tobytes() for g in T.backward(loss, params)]
+    assert all(np.frombuffer(g).any() for g in first)
+
+
+def test_unreached_frozen_and_gradient_free_parameters_get_exact_zeros():
+    live, frozen, unreached = (T.Parameter(rand(2, 2)) for _ in range(3))
+    frozen.set_trainable(False)
+    loss = T.sum_all(T.mul(live, frozen))
+    grads = T.backward(loss, [unreached, frozen, live])
+    live.set_trainable(False)  # the same product now needs no gradient at all
+    grads.extend(T.backward(T.sum_all(T.mul(live, frozen)), [live]))
+    zeros = np.zeros((2, 2)).tobytes()  # +0.0 bytes, so a -0.0 fails too
+    assert [g.tobytes() for g in grads] == [zeros, zeros, frozen.data.tobytes(), zeros]
+    for g in grads:
+        with pytest.raises(ValueError):
+            g[0, 0] = 1.0
+
+
+def test_parameters_that_share_one_gradient_array_each_get_it_read_only():
+    a, b = T.Parameter(rand(2, 2)), T.Parameter(rand(2, 2))
+    ga, gb = T.backward(T.sum_all(T.add(a, b)), [a, b])  # add hands both inputs the array it gets
+    assert np.shares_memory(ga, gb)
+    for g in (ga, gb):
+        with pytest.raises(ValueError):
+            g[0, 0] = 1.0
+    np.testing.assert_array_equal(ga, np.ones((2, 2)))
 
 
 def test_frozen_parameter_gets_no_gradient_and_prunes_graph():
@@ -435,9 +460,9 @@ def test_frozen_parameter_gets_no_gradient_and_prunes_graph():
     frozen.set_trainable(False)
     live = T.Parameter(rand(3, 3))
     out = T.mul(frozen, live)
-    T.backward(T.sum_all(out))
-    np.testing.assert_array_equal(frozen.grad, np.zeros((3, 3)))
-    np.testing.assert_allclose(live.grad, frozen.data)
+    g_frozen, g_live = T.backward(T.sum_all(out), [frozen, live])
+    np.testing.assert_array_equal(g_frozen, np.zeros((3, 3)))
+    np.testing.assert_allclose(g_live, frozen.data)
     # a graph with no differentiable inputs records nothing at all
     a, b = T.Tensor(rand(2, 2)), T.Tensor(rand(2, 2))
     assert (a + b)._node is None
@@ -454,17 +479,16 @@ def test_an_output_no_vjp_reads_is_freed_with_its_tensor():
     wb.set_trainable(False)
     grads = []
     for keep in (True, False):
-        T.zero_grads([p, b])
         h = T.linear(c, p, b)
         y = T.linear(h, w, wb)
         array, kept = weakref.ref(h.data), h if keep else None
         del h
         assert (array() is not None) == keep
-        T.backward(T.sum_all(y))
-        grads.append((p.grad.tobytes(), b.grad.tobytes()))
+        grad_p, grad_b = T.backward(T.sum_all(y), [p, b])
+        grads.append((grad_p.tobytes(), grad_b.tobytes()))
         del kept
     assert grads[0] == grads[1]
-    assert np.abs(p.grad).max() > 0.0
+    assert np.abs(grad_p).max() > 0.0
 
 
 def test_backward_on_a_loss_that_needs_no_gradient_writes_no_grad():
@@ -472,9 +496,9 @@ def test_backward_on_a_loss_that_needs_no_gradient_writes_no_grad():
     frozen.set_trainable(False)
     leaf = T.Tensor(rand(2, 2))
     loss = T.sum_all(T.mul(frozen, leaf))
-    T.backward(loss)
-    assert loss.grad is None and leaf.grad is None
-    np.testing.assert_array_equal(frozen.grad, np.zeros((2, 2)))
+    (grad,) = T.backward(loss, [frozen])
+    assert T.Tensor.__slots__ == ("data", "requires_grad", "_node")  # no tensor has a gradient slot
+    np.testing.assert_array_equal(grad, np.zeros((2, 2)))
 
 
 def test_trainable_is_a_read_only_view_of_requires_grad():
@@ -505,11 +529,11 @@ def test_set_trainable_toggles_gradient_flow():
     p = T.Parameter(rand(2, 2))
     p.set_trainable(False)
     assert not p.requires_grad
-    T.backward(T.sum_all(T.mul(p, p)))
-    np.testing.assert_array_equal(p.grad, np.zeros((2, 2)))
+    (grad,) = T.backward(T.sum_all(T.mul(p, p)), [p])
+    np.testing.assert_array_equal(grad, np.zeros((2, 2)))
     p.set_trainable(True)
-    T.backward(T.sum_all(T.mul(p, p)))
-    np.testing.assert_allclose(p.grad, 2 * p.data)
+    (grad,) = T.backward(T.sum_all(T.mul(p, p)), [p])
+    np.testing.assert_allclose(grad, 2 * p.data)
 
 
 def test_gradients_are_bit_reproducible():
@@ -517,8 +541,7 @@ def test_gradients_are_bit_reproducible():
 
     def run():
         a, b = T.Parameter(arrays[0]), T.Parameter(arrays[1])
-        T.backward(T.sum_all(T.softmax_rows(T.matmul(a, T.gelu(b)))))
-        return a.grad.copy(), b.grad.copy()
+        return T.backward(T.sum_all(T.softmax_rows(T.matmul(a, T.gelu(b)))), [a, b])
 
     first = run()
     second = run()
@@ -532,7 +555,7 @@ def test_gradients_are_bit_reproducible():
 
 def test_backward_rejects_non_scalar_loss():
     with pytest.raises(ContractError):
-        T.backward(T.Tensor(rand(2, 2)))
+        T.backward(T.Tensor(rand(2, 2)), [])
 
 
 def test_shape_errors_name_both_shapes():
@@ -544,6 +567,8 @@ def test_shape_errors_name_both_shapes():
         T.linear(T.Tensor(rand(2, 3)), T.Tensor(rand(2, 4)), T.Tensor(rand(4)))
     with pytest.raises(ShapeError, match=r"\(3,\).*\(3, 4\)"):
         T.linear(T.Tensor(rand(2, 3)), T.Tensor(rand(3, 4)), T.Tensor(rand(3)))
+    with pytest.raises(ShapeError, match=r"differ \(\(1, 4\) vs \(1, 3\)\)"):  # each part against the first
+        T.concat_rows([T.Tensor(rand(1, 3)), T.Tensor(rand(2, 3)), T.Tensor(rand(1, 4))])
     with pytest.raises(ShapeError, match=r"\(3, 2\) for 2 rows"):
         T.combine(T.Tensor(rand(4, 2)), [T.Tensor(rand(3, 2)), T.Tensor(rand(1, 2))], [[0, 1], [2]])
     q = T.Tensor(rand(3, 4))
@@ -557,10 +582,32 @@ def test_shape_errors_name_both_shapes():
         T.attention(q, q, q, [3], 3)
 
 
+def test_one_part_one_expert_and_one_row_are_legal():
+    x = rand(3, 2)
+    assert T.concat_rows([T.Tensor(x)]).data.tobytes() == x.tobytes()
+    np.testing.assert_array_equal(T.col_mean(T.Tensor(x[:1])).data, x[0])
+    with pytest.raises(ContractError, match="empty"):
+        T.col_mean(T.Tensor(np.zeros((0, 2))))
+    gates, y = rand(2, 1), rand(1, 4)
+    got = T.combine(T.Tensor(gates), [T.Tensor(y)], [[1]]).data
+    np.testing.assert_array_equal(got, [np.zeros(4), gates[1, 0] * y[0]])
+    with pytest.raises(ShapeError, match="for 0 outputs"):
+        T.combine(T.Tensor(np.zeros((2, 0))), [], [])
+
+
+def test_softmax_rows_subtracts_each_rows_maximum():
+    # exp(1000) overflows: only subtracting the row's own maximum keeps these rows finite.
+    np.testing.assert_array_equal(T.softmax_rows(T.Tensor([[1000.0, 0.0], [0.0, 1000.0]])).data, np.eye(2))
+    # The row sum starts from the identity, as numpy's does: two -0.0 sum to +0.0.
+    a = np.array([[-0.0, -0.0], [1.0, -0.0]])
+    assert T._row_reduce(np.add, a).tobytes() == np.add.reduce(a, axis=1).tobytes() == np.array([0.0, 1.0]).tobytes()
+
+
 def test_index_contracts():
     x = T.Tensor(rand(3, 2))
     with pytest.raises(ContractError):
         T.take_rows(x, [0, 3])
+    np.testing.assert_array_equal(T.take_rows(x, [2]).data, x.data[2:])  # rows bound the index, not columns
     gates, y = T.Tensor(rand(3, 2)), T.Tensor(rand(1, 2))
     for rows in ([[1], [1]], [[1, 1], []]):
         with pytest.raises(ContractError, match="more than one"):

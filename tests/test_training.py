@@ -95,8 +95,8 @@ def test_aux_gradient_reaches_router_through_column_means():
     decision = RoutingDecision(logits_param, probs)
     plan = plan_for(decision, "tttttt", factor=2.0)
     aux, _ = aux_of([plan], [decision])
-    T.backward(aux)
-    assert float(np.abs(logits_param.grad).max()) > 0.0
+    (grad,) = T.backward(aux, [logits_param])
+    assert float(np.abs(grad).max()) > 0.0
 
     def f(logits):
         pr = T.softmax_rows(T.Tensor(np.asarray(logits)))
@@ -105,7 +105,7 @@ def test_aux_gradient_reaches_router_through_column_means():
         return a.item()
 
     (fd,) = oracles.finite_difference_grads(f, [logits_param.data], eps=1e-6)
-    np.testing.assert_allclose(logits_param.grad, fd, rtol=1e-6, atol=1e-9)
+    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
 
 
 def test_aux_minimized_near_balanced_router():
@@ -170,9 +170,7 @@ def test_adamw_scalar_trajectory_matches_hand_recurrence():
     grads = [0.3, -0.2, 0.5, 0.1, -0.4, 0.25, 0.0, 0.6, -0.1, 0.05]
     got = []
     for step, g in enumerate(grads):
-        p.zero_grad()
-        p.grad[...] = g
-        opt.step(step)
+        opt.step(step, [np.array([[g]])])
         got.append(float(p.data[0, 0]))
     want = oracles.adamw_reference(1.5, grads, 0.05, 0.2, 10)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
@@ -185,8 +183,7 @@ def test_adamw_with_weight_decay_matches_reference():
     grads = [1.0, -1.0, 0.5, 0.2, -0.3]
     got = []
     for step, g in enumerate(grads):
-        p.grad = np.array([[g]])
-        opt.step(step)
+        opt.step(step, [np.array([[g]])])
         got.append(float(p.data[0, 0]))
     want = oracles.adamw_reference(2.0, grads, 0.01, 0.0, 5, weight_decay=0.1)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
@@ -201,11 +198,21 @@ def test_adamw_never_touches_frozen_parameters():
         AdamW([("frozen", frozen), ("live", live)], OptimizerConfig(), total_steps=1000)
     opt = AdamW([("live", live)], OptimizerConfig(), total_steps=1000)
     for step in range(1000):
-        frozen.grad = np.ones((4, 4))  # even a poisoned gradient must be ignored
-        live.grad = np.full((2, 2), 0.1)
-        opt.step(step)
+        opt.step(step, [np.full((2, 2), 0.1)])
     assert frozen.data.tobytes() == before
     assert float(np.abs(live.data).max()) > 0.0
+
+
+def test_adamw_step_takes_one_gradient_per_parameter_in_order():
+    a, b = T.Parameter(np.zeros((2, 2))), T.Parameter(np.ones(3))
+    opt = AdamW([("a", a), ("b", b)], OptimizerConfig(), total_steps=10)
+    before = a.data, b.data
+    for grads in ([np.ones((2, 2))], [np.ones((2, 2)), np.ones(3), np.ones(3)]):
+        with pytest.raises(ContractError, match=f"^AdamW.step: {len(grads)} gradients for 2 parameters$"):
+            opt.step(1, grads)
+    assert a.data is before[0] and b.data is before[1]  # a refused step updates nothing
+    opt.step(1, [np.ones((2, 2)), -np.ones(3)])
+    assert (a.data < 0.0).all() and (b.data > 1.0).all()
 
 
 def test_adamw_refuses_a_repeated_name():
@@ -287,6 +294,14 @@ def test_grad_check_flags_a_corrupted_gradient():
     assert report.worst == "p[0]"
     # the hook adds to the analytic 1.4, and the error is relative to the larger magnitude
     assert report.max_rel_err == pytest.approx(1e-2 / 1.41, rel=1e-6)
+
+
+def test_a_corrupted_grad_check_leaves_the_next_gradient_as_it_was():
+    p = T.Parameter(np.array([[0.7, -1.2]]))
+    loss_fn = quadratic_loss_fn(p)
+    assert grad_check(loss_fn, [("p", p)], _corrupt_first_gradient=1e-2).max_rel_err > 1e-4
+    (grad,) = T.backward(loss_fn()[0], [p])
+    np.testing.assert_array_equal(grad, [[1.4, -2.4]])
 
 
 def test_grad_check_subset_partitions_cover_everything():
