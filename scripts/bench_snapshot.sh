@@ -7,7 +7,11 @@
 # Runs `python3 evfbench/run.py --workload all --seed 1 --seconds 25 --trace 0`
 # from the root of this checkout, then the default stage-3 `train` (500 steps)
 # at 8, 2 and 32 sequences a batch, each in its own process with one BLAS
-# thread, then, in a separate process so that those step times stay untraced,
+# thread, and each a second time with MALLOC_TRIM_THRESHOLD_=268435456 in
+# that process's environment alone, so that glibc keeps the heap top between
+# steps and the faults of heap-top trimming fall away (the "pinned" runs;
+# the benchmark itself runs at the default allocator), then, in a separate
+# process so that those step times stay untraced,
 # a 20-step default stage-3 `train` at 2, 8 and 32 sequences under
 # `tracemalloc`, then the tier-1 suite with `--durations=0`. Merges the four
 # per-workload records the benchmark leaves in .evfbench_work/results/
@@ -15,7 +19,9 @@
 # time in ms, from one clock stamp per batch drawn, and the step count), a
 # "train_minflt_per_step" entry (the minor page faults of each untraced
 # train, from getrusage at its first batch and at its last, per step), a
-# "train_traced_peak_mb"
+# "train_step_ms" entry (the median step time of each untraced train), the
+# same two for the pinned runs as "train_minflt_per_step_pinned" and
+# "train_step_ms_pinned", a "train_traced_peak_mb"
 # entry (the traced peak of each of those trains in MiB, counted from after
 # the model and task are built: the part of the benchmark's peak_rss_mb that
 # the training loop controls) and a "tier1" entry (tests passed, suite wall
@@ -39,9 +45,11 @@ for w in $workloads; do  # no record from an earlier run may stand in for this o
 done
 python3 evfbench/run.py --workload all --seed 1 --seconds 25 --trace 0
 
-untraced_train() {  # untraced_train SEQUENCES: one JSON line with the step time and faults per step
-    OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python3 - "$1" <<'EOF'
+untraced_train() {  # untraced_train SEQUENCES [NAME=VALUE...]: one JSON line with the step time and faults per step
+    local sequences=$1
+    shift
+    env "$@" OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
+        python3 - "$sequences" <<'EOF'
 import json
 import resource
 import statistics
@@ -73,9 +81,13 @@ print(json.dumps({"step_ms_p50": round(statistics.median(steps_ms), 4), "steps":
                   "minflt_per_step": round((faults[-1] - faults[0]) / tcfg.steps, 1)}))
 EOF
 }
+pinned=MALLOC_TRIM_THRESHOLD_=268435456
 train_s8=$(untraced_train 8)
+train_s8_pinned=$(untraced_train 8 "$pinned")
 train_s2=$(untraced_train 2)
+train_s2_pinned=$(untraced_train 2 "$pinned")
 train_s32=$(untraced_train 32)
+train_s32_pinned=$(untraced_train 32 "$pinned")
 
 train_traced_peak_mb=$(OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
     python3 - <<'EOF'
@@ -106,13 +118,14 @@ if ! PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -m pytest -q --continue-o
     exit 1
 fi
 
-python3 - "BENCH_$label.json" "$tier1_log" "$train_s2" "$train_s8" "$train_s32" "$train_traced_peak_mb" $workloads <<'EOF'
+python3 - "BENCH_$label.json" "$tier1_log" "$train_s2" "$train_s8" "$train_s32" \
+    "$train_s2_pinned" "$train_s8_pinned" "$train_s32_pinned" "$train_traced_peak_mb" $workloads <<'EOF'
 import json
 import re
 import sys
 
-out, tier1_log, train_s2, train_s8, train_s32, train_traced_peak_mb = sys.argv[1:7]
-workloads = sys.argv[7:]
+out, tier1_log, *trains, train_traced_peak_mb = sys.argv[1:10]
+workloads = sys.argv[10:]
 snapshot = {}
 for name in workloads:
     with open(f".evfbench_work/results/{name}-seed1-trace0.json", encoding="utf-8") as fh:
@@ -129,10 +142,12 @@ def seconds(test):
     return round(sum(float(s) for s, node in durations if f"::test_{test}_" in node), 2)
 
 
-untraced = {"s2": json.loads(train_s2), "s8": json.loads(train_s8), "s32": json.loads(train_s32)}
+untraced = dict(zip(("s2", "s8", "s32"), map(json.loads, trains[:3])))
+pinned = dict(zip(("s2", "s8", "s32"), map(json.loads, trains[3:])))
 snapshot["train_s8"] = {key: untraced["s8"][key] for key in ("step_ms_p50", "steps")}
-snapshot["train_minflt_per_step"] = {**{s: run["minflt_per_step"] for s, run in untraced.items()},
-                                     "steps": untraced["s8"]["steps"]}
+for suffix, runs in (("", untraced), ("_pinned", pinned)):
+    for entry, key in (("train_minflt_per_step", "minflt_per_step"), ("train_step_ms", "step_ms_p50")):
+        snapshot[entry + suffix] = {**{s: run[key] for s, run in runs.items()}, "steps": runs["s8"]["steps"]}
 snapshot["train_traced_peak_mb"] = json.loads(train_traced_peak_mb)
 snapshot["tier1"] = {"passed": int(passed), "wall_s": float(wall), "a5_s": seconds("a5"), "a8_s": seconds("a8")}
 with open(out, "w", encoding="utf-8") as fh:

@@ -19,13 +19,12 @@ from .errors import (
 )
 from .seeds import RngKey
 from .tensor import Parameter, Tensor, backward
-from .router import LANGUAGE_FFN, VISION_FFN, RouterParams, RoutingDecision, route
+from .router import LANGUAGE_FFN, VISION_FFN, RouterParams, route
 from .allocator import (
     AllocationPlan,
     AllocationStats,
     CapacityConfig,
     ModalityTags,
-    PriorityScores,
     Strategy,
     allocate,
     allocation_stats,

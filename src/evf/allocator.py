@@ -1,8 +1,10 @@
 """Capacity-constrained token allocation for a two-FFN layer.
 
-Given a routing decision over n tokens, each of the two FFNs may accept at
-most ``capacity = ceil(capacity_factor * n / 2)`` of them. Three selection
-strategies decide which candidates survive when a side is over capacity:
+Given the (n, 2) routing probabilities of n tokens, each of the two FFNs
+may accept at most ``capacity = ceil(capacity_factor * n / 2)`` of them.
+The probabilities become the priority scores, a plain (n, 2) array, and
+three selection strategies decide from those scores which candidates
+survive when a side is over capacity:
 
 * ``random``   - a seeded uniform subset of the candidates;
 * ``gbpr``     - keep the highest routing scores (global batch priority);
@@ -42,7 +44,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .router import LANGUAGE_FFN, VISION_FFN, RoutingDecision
+from . import tensor as T
+from .router import LANGUAGE_FFN, VISION_FFN
 from .seeds import RngKey
 
 _SELECTION_DOMAIN = 0
@@ -86,19 +89,6 @@ class ModalityTags:
     @property
     def n(self) -> int:
         return int(self.is_image.shape[0])
-
-
-@dataclass(frozen=True, eq=False)
-class PriorityScores:
-    """Per-token, per-FFN selection scores; float64 array of shape (n, 2)."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.values, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ContractError(f"priority scores must have shape (n, 2), got {arr.shape}")
-        object.__setattr__(self, "values", arr)
 
 
 @dataclass(eq=False)
@@ -167,8 +157,8 @@ def compute_capacity(n: int, cfg: CapacityConfig) -> int:
     return max(1, int(math.ceil(raw - 1e-9)))
 
 
-def priority_scores(decision: RoutingDecision, tags: ModalityTags, strategy: Strategy) -> PriorityScores:
-    """Selection scores per token and FFN.
+def priority_scores(probabilities: T.Tensor, tags: ModalityTags, strategy: Strategy) -> np.ndarray:
+    """Selection scores per token and FFN: a private (n, 2) float64 array.
 
     gbpr and random take the routing probabilities unchanged: gbpr ranks
     by them, and random only groups the candidates by them (its selection
@@ -176,13 +166,13 @@ def priority_scores(decision: RoutingDecision, tags: ModalityTags, strategy: Str
     every image token above every text token in the vision column and vice
     versa.
     """
-    if tags.n != decision.n:
-        raise ContractError(f"priority_scores: {tags.n} tags for {decision.n} tokens")
-    values = decision.probabilities.data.copy()
+    values = probabilities.data.copy()
+    if tags.n != len(values):
+        raise ContractError(f"priority_scores: {tags.n} tags for {len(values)} tokens")
     if strategy is Strategy.IMG_GBPR:  # the fixed prior: image (0, 1), text (1, 0)
         values[:, VISION_FFN] += tags.is_image
         values[:, LANGUAGE_FFN] += ~tags.is_image
-    return PriorityScores(values)
+    return values
 
 
 def _top(pool: np.ndarray, values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -202,8 +192,8 @@ def _top(pool: np.ndarray, values: np.ndarray, k: int) -> tuple[np.ndarray, np.n
 
 
 def allocate(
-    decision: RoutingDecision,
-    scores: PriorityScores,
+    probabilities: T.Tensor,
+    scores: np.ndarray,
     tags: ModalityTags,
     cfg: CapacityConfig,
     strategy: Strategy,
@@ -213,24 +203,24 @@ def allocate(
 ) -> AllocationPlan:
     """Assign each token to one FFN's accepted list, or drop it.
 
-    Each token is a candidate for the FFN its scores prefer, ties to
-    language. An over-capacity side keeps a subset drawn from ``rng``
-    (random) or its top scores (gbpr, img_gbpr). With ``redistribution``
-    the rejects are then offered to the opposite FFN (see
-    :func:`_redistribute`); left at None it is on only for img_gbpr.
+    Only the row count of ``probabilities`` is read; ``scores`` are the
+    (n, 2) :func:`priority_scores`. Each token is a candidate for the FFN
+    its scores prefer, ties to language. An over-capacity side keeps a
+    subset drawn from ``rng`` (random) or its top scores (gbpr, img_gbpr).
+    With ``redistribution`` the rejects are then offered to the opposite
+    FFN (see :func:`_redistribute`); left at None it is on only for img_gbpr.
     """
-    n = decision.n
+    n = len(probabilities.data)
     if tags.n != n:
         raise ContractError(f"allocate: {tags.n} tags for {n} tokens")
-    if scores.values.shape[0] != n:
-        raise ContractError(f"allocate: {scores.values.shape[0]} score rows for {n} tokens")
+    if scores.shape != (n, 2):
+        raise ContractError(f"allocate: {len(scores)} score rows for {n} tokens: shape {scores.shape}, not ({n}, 2)")
     capacity = compute_capacity(n, cfg)
     if redistribution is None:
         redistribution = strategy is Strategy.IMG_GBPR
 
-    s = scores.values
-    candidates = np.where(s[:, VISION_FFN] > s[:, LANGUAGE_FFN], VISION_FFN, LANGUAGE_FFN)
-    margin = float(np.abs(s[:, VISION_FFN] - s[:, LANGUAGE_FFN]).min())
+    candidates = np.where(scores[:, VISION_FFN] > scores[:, LANGUAGE_FFN], VISION_FFN, LANGUAGE_FFN)
+    margin = float(np.abs(scores[:, VISION_FFN] - scores[:, LANGUAGE_FFN]).min())
     accepted: list[np.ndarray] = []
     rejected: list[np.ndarray] = []
     for ffn in (LANGUAGE_FFN, VISION_FFN):
@@ -243,7 +233,7 @@ def allocate(
             drawn[gen.choice(pool, size=capacity, replace=False)] = True
             kept, rest = pool[drawn[pool]], pool[~drawn[pool]]
         else:
-            kept, rest, gap = _top(pool, s[pool, ffn], capacity)
+            kept, rest, gap = _top(pool, scores[pool, ffn], capacity)
             margin = min(margin, gap)
         accepted.append(kept)
         rejected.append(rest)
@@ -268,7 +258,7 @@ def allocate(
 def _redistribute(
     accepted: list[np.ndarray],
     rejected: list[np.ndarray],
-    scores: PriorityScores,
+    scores: np.ndarray,
     capacity: int,
     fraction: float,
     rng: RngKey,
@@ -298,7 +288,7 @@ def _redistribute(
         offers = offers_from[1 - receiver]
         slots = capacity - accepted[receiver].size
         if offers.size and slots > 0:
-            placed = offers if offers.size <= slots else _top(offers, scores.values[offers, receiver], slots)[0]
+            placed = offers if offers.size <= slots else _top(offers, scores[offers, receiver], slots)[0]
             accepted[receiver] = np.sort(np.concatenate([accepted[receiver], placed]))
             moves += [(token, 1 - receiver, receiver) for token in placed.tolist()]
     return tuple(sorted(moves))

@@ -36,7 +36,7 @@ from .checkpoint import load_model
 from .config import decode
 from .errors import ConfigError, ContractError, EvfError, FixtureError, NumericError, UnstableInstanceError
 from .model import MicroModel, ModelConfig, SyntheticTask, TrainConfig, apply_stage, build_model, check_batch, compute_loss, train
-from .router import FFN_NAMES, LANGUAGE_FFN, VISION_FFN, decision_from_logits
+from .router import FFN_NAMES, LANGUAGE_FFN, VISION_FFN
 from .seeds import RngKey
 from .training import OptimizerConfig, grad_check
 
@@ -77,6 +77,8 @@ class GradCheckSection:
             raise ConfigError(f"tolerance must be positive, got {self.tolerance}")
         if not self.stability_margin >= 0:
             raise ConfigError(f"stability_margin must be non-negative, got {self.stability_margin}")
+        if self.max_tries < self.instances:
+            raise ConfigError(f"max_tries must be at least instances ({self.instances}), got {self.max_tries}")
 
 
 @dataclass(frozen=True)
@@ -294,12 +296,12 @@ def _plan_record(plan: AllocationPlan) -> dict:
 def cmd_allocate_trace(run: RunConfig, fixture: tuple[CapacityConfig, int, list[bool], np.ndarray], out: Path) -> int:
     capacity_cfg, seed, is_image, logits = fixture
     tags = ModalityTags(is_image)
-    decision = decision_from_logits(T.Tensor(logits))
+    probabilities = T.softmax_rows(T.Tensor(logits))
 
     per_strategy = {}
     for strategy in run.allocate_trace.strategies:
-        scores = priority_scores(decision, tags, strategy)
-        plan = allocate(decision, scores, tags, capacity_cfg, strategy, rng=RngKey(seed))
+        scores = priority_scores(probabilities, tags, strategy)
+        plan = allocate(probabilities, scores, tags, capacity_cfg, strategy, rng=RngKey(seed))
         stats = allocation_stats(plan, tags)
         per_strategy[strategy.value] = {
             "plan": _plan_record(plan),

@@ -2,12 +2,13 @@
 
 An EVF layer holds a frozen language FFN, a trainable vision FFN and a
 router. ``model.forward`` runs a multimodal batch through it in three
-stages: ``router.route`` with ``allocator.priority_scores`` and
-``allocator.allocate``; :func:`ffn_forward` of each FFN on the rows the plan
-accepted for it; and ``tensor.combine``, which scales each row by its FFN's
-routing probability (so the router gets a gradient although the assignment
-is discrete). Tokens the allocation dropped contribute an exact zero row, so
-a residual connection around the layer passes them through unchanged.
+stages: ``router.route``, which gives the (n, 2) routing probabilities,
+with ``allocator.priority_scores`` and ``allocator.allocate``;
+:func:`ffn_forward` of each FFN on the rows the plan accepted for it; and
+``tensor.combine``, which scales each row by its FFN's routing probability
+(so the router gets a gradient although the assignment is discrete).
+Tokens the allocation dropped contribute an exact zero row, so a residual
+connection around the layer passes them through unchanged.
 
 Language-only batches skip routing entirely: the block runs its language
 FFN as a dense block runs its FFN, which makes that path bit-identical to

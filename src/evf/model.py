@@ -29,10 +29,10 @@ from . import tensor as T
 from .allocator import AllocationPlan, CapacityConfig, ModalityTags, Strategy, allocate, allocation_stats, priority_scores
 from .errors import ConfigError, ContractError, NumericError
 from .layer import EvfLayerParams, FfnParams, ffn_forward, init_stage3_from_dense
-from .router import LANGUAGE_FFN, VISION_FFN, RoutingDecision, route
+from .router import LANGUAGE_FFN, VISION_FFN, route
 from .seeds import RngKey
 from .tensor import _frozen_copy
-from .training import AdamW, LayerLoadStats, OptimizerConfig, aux_loss, layer_aux, learning_rate_at
+from .training import AdamW, OptimizerConfig, aux_loss, layer_aux, learning_rate_at
 
 MULTIMODAL = "multimodal"
 LANGUAGE_ONLY = "language_only"
@@ -366,12 +366,11 @@ def enter_stage3(model: MicroModel) -> MicroModel:
 
 
 class LayerRouting(NamedTuple):
-    """What one elastic layer's route stage decided: the routing, the capacity-limited plan and the balance term."""
+    """One elastic layer's route stage: the routing probabilities, the capacity-limited plan and the balance term."""
 
-    decision: RoutingDecision
+    probabilities: T.Tensor  # (n, 2), attached to the compute graph
     plan: AllocationPlan
     aux: T.Tensor  # see training.layer_aux
-    loads: LayerLoadStats
 
 
 @dataclass(eq=False)
@@ -451,15 +450,15 @@ def _block_stages(block: Block, mode: str) -> list:
         return s._replace(x=x, normed=T.layer_norm(x, ln_ffn.gain, ln_ffn.bias))
 
     def routing(s: _State, batch: TokenBatch, rng: RngKey, cfg: ModelConfig) -> _State:
-        decision = route(evf.router, s.normed)
-        scores = priority_scores(decision, batch.tags, cfg.strategy)
-        plan = allocate(decision, scores, batch.tags, cfg.capacity, cfg.strategy, rng=rng.child(block.index))
-        return s._replace(layers=(*s.layers, LayerRouting(decision, plan, *layer_aux(plan, decision))))
+        probabilities = route(evf.router, s.normed)
+        scores = priority_scores(probabilities, batch.tags, cfg.strategy)
+        plan = allocate(probabilities, scores, batch.tags, cfg.capacity, cfg.strategy, rng=rng.child(block.index))
+        return s._replace(layers=(*s.layers, LayerRouting(probabilities, plan, layer_aux(plan, probabilities))))
 
     def vision(s: _State, *_) -> _State:
         layer = s.layers[-1]
         outputs = [s.language, ffn_forward(evf.vision_ffn, T.take_rows(s.normed, layer.plan.accepted[VISION_FFN]))]
-        return s._replace(x=s.x + T.combine(layer.decision.probabilities, outputs, layer.plan.accepted))
+        return s._replace(x=s.x + T.combine(layer.probabilities, outputs, layer.plan.accepted))
 
     stages = [(f"{prefix}.attn", (ln_attn.gain, ln_attn.bias, *values(attn), ln_ffn.gain, ln_ffn.bias), attention)]
     if evf is None or mode == LANGUAGE_ONLY:  # the language-only path is the dense block it was copied from
@@ -602,16 +601,23 @@ def _probability_histogram(p: np.ndarray) -> list[int]:
 
 
 def _metrics_row(cfg: ModelConfig, step: int, lr: float, result: LossResult) -> dict:
-    """One metrics row: the loss values and one telemetry record per elastic layer."""
+    """One metrics row: the loss values and one telemetry record per elastic layer, which holds the two factors of
+    the layer's balance term: F, each FFN's accepted share, and G, the probability column means as T.col_mean."""
     fwd = result.forward
     layers = []
     for index, layer in zip(cfg.evf_layer_indices, fwd.layers):
+        p, (language, vision) = layer.probabilities.data, layer.plan.loads
+        g = np.add.reduce(p, axis=0) / len(p)
         layers.append({
             "layer": index,
             "strategy": layer.plan.strategy.value,
-            "vision_probability_histogram": _probability_histogram(layer.decision.probabilities.data[:, VISION_FFN]),
+            "vision_probability_histogram": _probability_histogram(p[:, VISION_FFN]),
             **vars(allocation_stats(layer.plan, fwd.tags)),  # scalar fields: vars() is asdict() without the deep copy
-            **vars(layer.loads),
+            "f_language": language / layer.plan.n_tokens,
+            "f_vision": vision / layer.plan.n_tokens,
+            "g_language": float(g[LANGUAGE_FFN]),
+            "g_vision": float(g[VISION_FFN]),
+            "aux": layer.aux.item(),
         })
     return {
         "step": step,

@@ -37,29 +37,13 @@ class RouterParams:
         return cls(T.Parameter(np.zeros((width, 2))))
 
 
-@dataclass(eq=False)
-class RoutingDecision:
-    """Logits and probabilities for one batch; probabilities stays attached to the compute graph."""
-
-    logits: T.Tensor
-    probabilities: T.Tensor
-
-    @property
-    def n(self) -> int:
-        return self.logits.data.shape[0]
-
-
-def route(router: RouterParams, tokens: T.Tensor) -> RoutingDecision:
-    """Route a batch of token embeddings (n, width) through the router."""
+def route(router: RouterParams, tokens: T.Tensor) -> T.Tensor:
+    """Route a batch of token embeddings (n, width) through the router: its (n, 2) routing probabilities,
+    attached to the compute graph."""
     if tokens.data.ndim != 2:
         raise ShapeError(f"route: tokens must be 2-d, got shape {tokens.data.shape}")
     if tokens.data.shape[1] != router.width:
         raise ShapeError(
             f"route: token width {tokens.data.shape[1]} does not match router width {router.width}"
         )
-    return decision_from_logits(T.matmul(tokens, router.weight))
-
-
-def decision_from_logits(logits: T.Tensor) -> RoutingDecision:
-    """Softmax (n, 2) logits into their routing probabilities."""
-    return RoutingDecision(logits, T.softmax_rows(logits))
+    return T.softmax_rows(T.matmul(tokens, router.weight))

@@ -21,39 +21,16 @@ import numpy as np
 from . import tensor as T
 from .allocator import AllocationPlan
 from .errors import ConfigError, ContractError, UnstableInstanceError
-from .router import LANGUAGE_FFN, VISION_FFN, RoutingDecision
 
 _REL_FLOOR = 1e-5
 
 
-@dataclass(frozen=True)
-class LayerLoadStats:
-    """Per-layer balance terms feeding the auxiliary loss."""
-
-    f_vision: float
-    f_language: float
-    g_vision: float
-    g_language: float
-    aux: float
-
-
-def layer_aux(plan: AllocationPlan, decision: RoutingDecision) -> tuple[T.Tensor, LayerLoadStats]:
-    """One elastic layer's balance term ``F_lang * G_lang + F_vis * G_vis`` and its F/G snapshot."""
-    if plan.n_tokens != decision.n:
-        raise ContractError(f"layer_aux: plan covers {plan.n_tokens} tokens, decision {decision.n}")
-    n = plan.n_tokens
-    f_lang = plan.loads[LANGUAGE_FFN] / n
-    f_vis = plan.loads[VISION_FFN] / n
-    g = T.col_mean(decision.probabilities)
-    term = T.sum_all(T.mul(g, T.Tensor(np.array([f_lang, f_vis]))))
-    stats = LayerLoadStats(
-        f_vision=f_vis,
-        f_language=f_lang,
-        g_vision=float(g.data[VISION_FFN]),
-        g_language=float(g.data[LANGUAGE_FFN]),
-        aux=term.item(),
-    )
-    return term, stats
+def layer_aux(plan: AllocationPlan, probabilities: T.Tensor) -> T.Tensor:
+    """One elastic layer's balance term ``F_lang * G_lang + F_vis * G_vis``."""
+    if plan.n_tokens != len(probabilities.data):
+        raise ContractError(f"layer_aux: plan covers {plan.n_tokens} tokens, probabilities {len(probabilities.data)}")
+    f = np.array(plan.loads) / plan.n_tokens
+    return T.sum_all(T.mul(T.col_mean(probabilities), T.Tensor(f)))
 
 
 def aux_loss(terms: Sequence[T.Tensor]) -> T.Tensor:

@@ -3,28 +3,36 @@
 import numpy as np
 import pytest
 
+import evf.model
+import evf.router
 from evf.allocator import AllocationPlan
 from evf.model import TokenBatch
-from evf.router import RoutingDecision
 from evf.tensor import Tensor
 
 
 @pytest.fixture
 def routing_objects_built(monkeypatch):
-    """Live counts of RoutingDecision and AllocationPlan constructions.
+    """Live counts of routing decisions (``route`` calls) and AllocationPlan constructions.
 
-    Both constructors are wrapped for the duration of one test, so a
-    language-only path can assert that it built neither.
+    ``route`` is wrapped in ``evf.router`` and in ``evf.model``, which binds
+    it, and the plan constructor on its class, for the duration of one test,
+    so a language-only path can assert that it built neither. A caller that
+    bound ``route`` by name before the test is not seen.
     """
     counts = {"decisions": 0, "plans": 0}
-    for key, cls in (("decisions", RoutingDecision), ("plans", AllocationPlan)):
-        original = cls.__init__
+    route, init = evf.router.route, AllocationPlan.__init__
 
-        def counting(self, *args, _key=key, _original=original, **kwargs):
-            counts[_key] += 1
-            _original(self, *args, **kwargs)
+    def counting_route(*args, **kwargs):
+        counts["decisions"] += 1
+        return route(*args, **kwargs)
 
-        monkeypatch.setattr(cls, "__init__", counting)
+    def counting_init(self, *args, **kwargs):
+        counts["plans"] += 1
+        init(self, *args, **kwargs)
+
+    for module in (evf.router, evf.model):
+        monkeypatch.setattr(module, "route", counting_route)
+    monkeypatch.setattr(AllocationPlan, "__init__", counting_init)
     return counts
 
 

@@ -34,7 +34,7 @@ from evf.model import (
     forward,
     train,
 )
-from evf.router import LANGUAGE_FFN, VISION_FFN, RoutingDecision
+from evf.router import LANGUAGE_FFN, VISION_FFN
 from evf.seeds import RngKey
 from evf.training import parameter_digests
 
@@ -52,10 +52,8 @@ def verdict(capsys):
     return emit
 
 
-def _decision(probabilities: np.ndarray) -> RoutingDecision:
-    p = np.asarray(probabilities, dtype=np.float64)
-    logits = T.Tensor(np.log(np.maximum(p, 1e-300)))
-    return RoutingDecision(logits, T.Tensor(p))
+def _decision(probabilities: np.ndarray) -> T.Tensor:
+    return T.Tensor(np.asarray(probabilities, dtype=np.float64))
 
 
 def _run_strategy(decision, tags, strategy, cfg, rng, redistribution=None):
@@ -280,7 +278,7 @@ def test_a6_loss_arithmetic_and_balanced_auxiliary(stage3_run, verdict):
     result = compute_loss(model, SyntheticTask(cfg).sample_batch(RngKey(5)), RngKey(6))
     aux_gap = abs(result.aux - 0.5)
     mass_gap = max(
-        float(np.abs(layer.decision.probabilities.data.sum(axis=1) - 1.0).max())
+        float(np.abs(layer.probabilities.data.sum(axis=1) - 1.0).max())
         for layer in result.forward.layers
     )
 

@@ -14,7 +14,6 @@ from evf import tensor as T
 from evf.allocator import (
     CapacityConfig,
     ModalityTags,
-    PriorityScores,
     Strategy,
     allocate,
     allocation_stats,
@@ -23,15 +22,13 @@ from evf.allocator import (
 )
 from evf.cli import _plan_record
 from evf.errors import ConfigError, ContractError
-from evf.router import LANGUAGE_FFN, VISION_FFN, RoutingDecision
+from evf.router import LANGUAGE_FFN, VISION_FFN
 from evf.seeds import RngKey
 
 
 def make_decision(probabilities):
-    """Build a decision from explicit probabilities (rows must sum to 1)."""
-    p = np.asarray(probabilities, dtype=np.float64)
-    logits = T.Tensor(np.log(np.maximum(p, 1e-300)))
-    return RoutingDecision(logits, T.Tensor(p))
+    """A routing decision, as ``route`` returns it, from explicit probabilities (rows must sum to 1)."""
+    return T.Tensor(np.asarray(probabilities, dtype=np.float64))
 
 
 def random_decision(rng, n):
@@ -103,16 +100,16 @@ def test_gbpr_scores_are_exactly_the_probabilities():
     decision = random_decision(np.random.default_rng(0), 8)
     tags = tags_of("iiiitttt")
     scores = priority_scores(decision, tags, Strategy.GBPR)
-    np.testing.assert_array_equal(scores.values, decision.probabilities.data)
+    np.testing.assert_array_equal(scores, decision.data)
     # and a private copy: mutating the scores must not touch the decision
-    scores.values[0, 0] = 99.0
-    assert decision.probabilities.data[0, 0] != 99.0
+    scores[0, 0] = 99.0
+    assert decision.data[0, 0] != 99.0
 
 
 def test_img_gbpr_scores_add_the_fixed_modality_prior():
     decision = make_decision([[0.3, 0.7], [0.8, 0.2]])
     scores = priority_scores(decision, tags_of("it"), Strategy.IMG_GBPR)
-    np.testing.assert_allclose(scores.values, [[0.3, 1.7], [1.8, 0.2]], rtol=0, atol=0)
+    np.testing.assert_allclose(scores, [[0.3, 1.7], [1.8, 0.2]], rtol=0, atol=0)
 
 
 @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
@@ -123,7 +120,7 @@ def test_img_gbpr_prior_separates_modalities(n, seed):
     decision = random_decision(rng, n)
     is_image = rng.integers(2, size=n).astype(bool)
     tags = ModalityTags(is_image)
-    s = priority_scores(decision, tags, Strategy.IMG_GBPR).values
+    s = priority_scores(decision, tags, Strategy.IMG_GBPR)
     if is_image.any() and (~is_image).any():
         assert s[is_image, VISION_FFN].min() > s[~is_image, VISION_FFN].max()
         assert s[~is_image, LANGUAGE_FFN].min() > s[is_image, LANGUAGE_FFN].max()
@@ -141,9 +138,11 @@ def test_allocate_names_the_mismatched_count():
     scores = priority_scores(decision, tags_of("tttt"), Strategy.GBPR)
     with pytest.raises(ContractError, match="allocate: 3 tags for 4 tokens"):
         allocate(decision, scores, tags_of("ttt"), CapacityConfig(), Strategy.GBPR, rng=RngKey(0))
-    short = PriorityScores(scores.values[:3])
     with pytest.raises(ContractError, match="allocate: 3 score rows for 4 tokens"):
-        allocate(decision, short, tags_of("tttt"), CapacityConfig(), Strategy.GBPR, rng=RngKey(0))
+        allocate(decision, scores[:3], tags_of("tttt"), CapacityConfig(), Strategy.GBPR, rng=RngKey(0))
+    wide = np.column_stack([scores, scores[:, 0]])
+    with pytest.raises(ContractError, match=r"allocate: 4 score rows for 4 tokens: shape \(4, 3\), not \(4, 2\)"):
+        allocate(decision, wide, tags_of("tttt"), CapacityConfig(), Strategy.GBPR, rng=RngKey(0))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +178,7 @@ def test_random_selection_matches_seeded_oracle():
     cfg = CapacityConfig(capacity_factor=0.75)
     plan = run_full(decision, tags, Strategy.RANDOM, cfg, rng=RngKey(123))
     want = oracles.allocation_oracle(
-        decision.probabilities.data, tags.is_image, "random", capacity_factor=0.75, seed=123
+        decision.data, tags.is_image, "random", capacity_factor=0.75, seed=123
     )
     assert_plan_matches_oracle(plan, want)
 
@@ -248,6 +247,21 @@ def test_partial_fraction_rounds_half_up():
     assert plan.dropped.size == 2
 
 
+@pytest.mark.parametrize("pattern, factor, fraction, loads", [
+    ("iiiiiiii", 0.5, 1 / 6, (1, 2)),  # 6 rejects at w=1/6 -> floor(1 + 0.5) = 1 offer, picked by the seeded draw
+    ("iiiiiitt", 0.75, 1.0, (3, 3)),  # 3 offers for the one free language slot
+])
+def test_a_single_offer_or_free_slot_moves_one_reject(pattern, factor, fraction, loads):
+    decision = make_decision(np.tile([[0.5, 0.5]], (8, 1)))
+    tags = tags_of(pattern)
+    cfg = CapacityConfig(capacity_factor=factor, redistribution_fraction=fraction)
+    plan = run_full(decision, tags, Strategy.IMG_GBPR, cfg, rng=RngKey(4))
+    assert plan.loads == loads and len(plan.redistributed) == 1
+    want = oracles.allocation_oracle(decision.data, tags.is_image, "img_gbpr", capacity_factor=factor,
+                                     redistribution_fraction=fraction, seed=4)
+    assert_plan_matches_oracle(plan, want)
+
+
 def test_redistribution_switch_overrides_strategy_default():
     rng = np.random.default_rng(14)
     decision = random_decision(rng, 16)
@@ -294,7 +308,7 @@ def test_plan_equals_straight_line_oracle(n, seed, factor, fraction, strategy):
     cfg = CapacityConfig(capacity_factor=factor, redistribution_fraction=fraction)
     plan = run_full(decision, tags, strategy, cfg, rng=RngKey(seed))
     want = oracles.allocation_oracle(
-        decision.probabilities.data,
+        decision.data,
         tags.is_image,
         strategy.value,
         capacity_factor=factor,
@@ -371,7 +385,7 @@ def test_plan_margin_equals_straight_line_reference(n, seed, factor, fraction, s
     tags = ModalityTags(rng.integers(2, size=n).astype(bool))
     cfg = CapacityConfig(capacity_factor=factor, redistribution_fraction=fraction)
     plan = run_full(decision, tags, strategy, cfg, rng=RngKey(seed))
-    want = reference_margin(decision.probabilities.data, tags.is_image, strategy, plan.capacity)
+    want = reference_margin(decision.data, tags.is_image, strategy, plan.capacity)
     assert plan.margin == want
 
 
@@ -395,7 +409,7 @@ def test_tie_heavy_plan_and_margin_equal_the_references(n, seed, levels, factor,
     cfg = CapacityConfig(capacity_factor=factor, redistribution_fraction=fraction)
     plan = run_full(decision, tags, strategy, cfg, rng=RngKey(seed))
     want = oracles.allocation_oracle(
-        decision.probabilities.data,
+        decision.data,
         tags.is_image,
         strategy.value,
         capacity_factor=factor,
@@ -403,7 +417,7 @@ def test_tie_heavy_plan_and_margin_equal_the_references(n, seed, levels, factor,
         seed=seed,
     )
     assert_plan_matches_oracle(plan, want)
-    assert plan.margin == reference_margin(decision.probabilities.data, tags.is_image, strategy, plan.capacity)
+    assert plan.margin == reference_margin(decision.data, tags.is_image, strategy, plan.capacity)
 
 
 def test_margin_reads_the_capacity_boundary_gap():

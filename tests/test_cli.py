@@ -9,12 +9,13 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from evf.errors import ConfigError
 from evf.model import SyntheticTask, compute_loss
 from evf.seeds import RngKey
 from evf.training import grad_check
+from fingerprint import machine_fingerprint
 
 TINY_MODEL = [
     "--set", "model.depth=2",
@@ -327,7 +329,9 @@ BYTE_CONTRACT_RUNS = [
 def test_artifacts_keep_their_committed_bytes(tmp_path, capsys):
     # The same seeds give the same bytes, from one revision to the next. A
     # deliberate bit change replaces tests/artifact_sha256.json with the
-    # digests this test prints, in the same diff, and says why.
+    # table this test prints, in the same diff, and says why. The table
+    # names the machine fingerprint its digests were made on, since float
+    # kernels that round differently move bits without any code change.
     got = {}
     for run, args, files in BYTE_CONTRACT_RUNS:
         assert main([*args, "--out", str(tmp_path / run)]) == 0, run
@@ -335,14 +339,39 @@ def test_artifacts_keep_their_committed_bytes(tmp_path, capsys):
             got[f"{run}/{name}"] = hashlib.sha256((tmp_path / run / name).read_bytes()).hexdigest()
     capsys.readouterr()
     expected = json.loads(ARTIFACT_SHA256.read_text())
+    recorded = expected.pop("fingerprint")
     if got != expected:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        here = machine_fingerprint()
         differ = sorted(k for k in got.keys() | expected.keys() if got.get(k) != expected.get(k))
+        parts = sorted(k for k in recorded.keys() | here.keys() if recorded.get(k) != here.get(k))
         pytest.fail(
-            f"artifact digests differ from {ARTIFACT_SHA256.name} for {differ} "
-            f"(numpy {np.__version__}, BLAS {blas['name']} {blas['version']}); digests written:\n"
-            + json.dumps(got, indent=2, sort_keys=True)
+            f"artifact digests differ from {ARTIFACT_SHA256.name} for {differ}\n"
+            f"recorded on {json.dumps(recorded, sort_keys=True)}\n"
+            f"running on  {json.dumps(here, sort_keys=True)}\n"
+            + (f"the fingerprints differ in {parts}, whose kernels may round differently"
+               if parts else "the fingerprints are the same, so the code moved the bits")
+            + "; table written:\n" + json.dumps({**got, "fingerprint": here}, indent=2, sort_keys=True)
         )
+
+
+def fingerprint_under(**env):
+    """The machine fingerprint of a fresh interpreter whose environment sets ``env`` and no other kernel switch."""
+    base = {k: v for k, v in os.environ.items() if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
+    out = subprocess.run([sys.executable, str(TESTS_DIR / "fingerprint.py")], env={**base, **env},
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    return json.loads(out)
+
+
+def test_the_fingerprint_changes_with_the_kernel_switches_known_to_move_bits():
+    """numpy without AVX-512 and OpenBLAS on its Haswell core each move digests of the byte contract on this
+    AVX-512 host; the fingerprint tells each apart from the default and names what changed."""
+    default = fingerprint_under()
+    no_avx512 = fingerprint_under(NPY_DISABLE_CPU_FEATURES="X86_V4,AVX512_ICL,AVX512_SPR")
+    haswell = fingerprint_under(OPENBLAS_CORETYPE="Haswell")
+    assert no_avx512 != default and haswell != default
+    assert no_avx512["cpu_dispatch"] == [t for t in default["cpu_dispatch"] if t not in ("X86_V4", "AVX512_ICL", "AVX512_SPR")]
+    assert " Haswell " in haswell["openblas"]
+    assert (no_avx512["openblas"], haswell["cpu_dispatch"]) == (default["openblas"], default["cpu_dispatch"])
 
 
 def test_train_resumes_from_checkpoint(tmp_path):
@@ -445,6 +474,10 @@ def assert_one_error_line(err):
         ("grad-check", "grad_check.tolerance=0"),
         ("grad-check", "grad_check.stability_margin=NaN"),
         ("grad-check", "grad_check.stability_margin=-1"),
+        # Fewer tries than instances can never succeed.
+        ("grad-check", "grad_check.max_tries=0"),
+        ("grad-check", "grad_check.max_tries=-5"),
+        ("grad-check", 'grad_check={"instances": 2, "max_tries": 1}'),
         # Refused from the dimensions alone, before any array exists.
         ("train", f"model.width={2**62}"),
         ("train", f"model.vocab={2**62}"),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from evf import router as router_module
 from evf import tensor as T
 from evf.allocator import CapacityConfig, ModalityTags, Strategy, allocate, allocation_stats, priority_scores
 from evf.errors import ShapeError
@@ -15,7 +16,7 @@ from evf.layer import (
     init_stage3_from_dense,
 )
 from evf.model import ModelConfig, apply_stage, build_model
-from evf.router import LANGUAGE_FFN, VISION_FFN, RouterParams, route
+from evf.router import LANGUAGE_FFN, VISION_FFN, RouterParams
 from evf.seeds import RngKey
 
 WIDTH, HIDDEN = 6, 10
@@ -35,12 +36,12 @@ def tags_of(pattern):
 
 def elastic_forward(layer, tokens, tags, capacity, strategy, rng):
     """The multimodal layer as model.forward composes it: route, scores and allocate, each FFN on its accepted
-    rows, combine."""
-    decision = route(layer.router, tokens)
-    plan = allocate(decision, priority_scores(decision, tags, strategy), tags, capacity, strategy, rng=rng)
+    rows, combine. ``route`` is looked up on its module, so the ``routing_objects_built`` fixture sees the call."""
+    probabilities = router_module.route(layer.router, tokens)
+    plan = allocate(probabilities, priority_scores(probabilities, tags, strategy), tags, capacity, strategy, rng=rng)
     outputs = [ffn_forward(ffn, T.take_rows(tokens, plan.accepted[expert]))
                for expert, ffn in ((LANGUAGE_FFN, layer.language_ffn), (VISION_FFN, layer.vision_ffn))]
-    return T.combine(decision.probabilities, outputs, plan.accepted), decision, plan
+    return T.combine(probabilities, outputs, plan.accepted), probabilities, plan
 
 
 def ffn_arrays(ffn):
@@ -111,11 +112,11 @@ def test_layer_output_matches_token_by_token_oracle(strategy):
     )
     x = rng.normal(size=(12, WIDTH))
     is_image = rng.integers(2, size=12).astype(bool)
-    out, decision, plan = elastic_forward(layer, T.Tensor(x), ModalityTags(is_image),
-                                          CapacityConfig(capacity_factor=0.75), strategy, RngKey(31))
+    out, probabilities, plan = elastic_forward(layer, T.Tensor(x), ModalityTags(is_image),
+                                               CapacityConfig(capacity_factor=0.75), strategy, RngKey(31))
 
     oracle_plan = oracles.allocation_oracle(
-        decision.probabilities.data, is_image, strategy.value,
+        probabilities.data, is_image, strategy.value,
         capacity_factor=0.75, seed=31,
     )
     assert [int(i) for i in plan.accepted[0]] == oracle_plan["accepted"][0]

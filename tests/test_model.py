@@ -29,6 +29,7 @@ from evf.model import (
     SyntheticTask,
     TokenBatch,
     TrainConfig,
+    _metrics_row,
     _parameter_count,
     _probability_histogram,
     apply_stage,
@@ -39,6 +40,7 @@ from evf.model import (
     forward_stages,
     train,
 )
+from evf.router import LANGUAGE_FFN, VISION_FFN
 from evf.seeds import RngKey
 from evf.training import OptimizerConfig, combined_digest, grad_check, parameter_digests
 
@@ -693,7 +695,7 @@ def test_a_replaced_config_recomputes_from_the_embedding():
 def test_the_cached_graph_is_freed_with_the_batch():
     model, batch = grad_check_setup()
     result = compute_loss(model, batch, RngKey(8))
-    node = weakref.ref(result.forward.layers[1].decision.probabilities.data)  # a Tensor has no weakref slot
+    node = weakref.ref(result.forward.layers[1].probabilities.data)  # a Tensor has no weakref slot
     del result
     assert node() is not None  # held by the batch ...
     del batch
@@ -987,6 +989,31 @@ def test_telemetry_record_shape(tmp_path, strategy):
         assert max(row["accepted_language"], row["accepted_vision"]) <= row["capacity"]
         assert row["success_rate"] == (row["n_tokens"] - row["dropped"]) / row["n_tokens"]
     assert any(row["dropped"] > 0 for row in rows)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_telemetry_row_holds_each_layers_balance_factors(strategy):
+    """F is each FFN's accepted share of the batch, G the routing column means with the bits of ``T.col_mean``,
+    and aux the layer's balance term F . G."""
+    cfg = tiny_cfg(capacity=CapacityConfig(capacity_factor=0.6), strategy=strategy)
+    model = build_model(cfg)
+    apply_stage(model, 3)
+    gen = np.random.default_rng(3)
+    for i in cfg.evf_layer_indices:  # trained-looking routers, so that G is not (0.5, 0.5)
+        weight = model.blocks[i].evf.router.weight
+        weight.assign(gen.normal(0.0, 1.0, size=weight.data.shape))
+    result = compute_loss(model, SyntheticTask(cfg).sample_batch(RngKey(4)), RngKey(5))
+    rows = _metrics_row(cfg, 0, 0.0, result)["layers"]
+    assert len(rows) == len(result.forward.layers) == len(cfg.evf_layer_indices)
+    for row, layer in zip(rows, result.forward.layers):
+        assert row["f_language"] == row["accepted_language"] / row["n_tokens"]
+        assert row["f_vision"] == row["accepted_vision"] / row["n_tokens"]
+        g = T.col_mean(layer.probabilities).data[[LANGUAGE_FFN, VISION_FFN]]
+        assert np.array([row["g_language"], row["g_vision"]]).tobytes() == g.tobytes()
+        assert row["g_language"] != row["g_vision"]
+        assert row["g_language"] + row["g_vision"] == pytest.approx(1.0, abs=1e-12)
+        term = row["f_language"] * row["g_language"] + row["f_vision"] * row["g_vision"]
+        assert row["aux"] == layer.aux.item() == term
 
 
 def row_counts(out_dir):

@@ -11,7 +11,6 @@ from evf import tensor as T
 from evf.allocator import CapacityConfig, ModalityTags, Strategy, allocate, priority_scores
 from evf.errors import ConfigError, ContractError, UnstableInstanceError
 from evf.model import STAGE_GROUPS, ModelConfig, apply_stage, build_model
-from evf.router import RoutingDecision, LANGUAGE_FFN, VISION_FFN
 from evf.seeds import RngKey
 from evf.training import (
     AdamW,
@@ -27,8 +26,7 @@ from evf.training import (
 
 
 def decision_of(probabilities):
-    p = np.asarray(probabilities, dtype=np.float64)
-    return RoutingDecision(T.Tensor(np.log(np.maximum(p, 1e-300))), T.Tensor(p))
+    return T.Tensor(np.asarray(probabilities, dtype=np.float64))
 
 
 def plan_for(decision, pattern, factor=1.5, strategy=Strategy.GBPR):
@@ -43,10 +41,8 @@ def plan_for(decision, pattern, factor=1.5, strategy=Strategy.GBPR):
 
 
 def aux_of(plans, decisions):
-    """The balance loss of layers with these plans and decisions, folded as compute_loss folds it, and each
-    layer's F/G snapshot."""
-    terms, stats = zip(*(layer_aux(plan, decision) for plan, decision in zip(plans, decisions)))
-    return aux_loss(terms), stats
+    """The balance loss of layers with these plans and decisions, folded as compute_loss folds it."""
+    return aux_loss([layer_aux(plan, decision) for plan, decision in zip(plans, decisions)])
 
 
 def test_aux_all_tokens_on_one_ffn_equals_that_column_mean():
@@ -55,10 +51,8 @@ def test_aux_all_tokens_on_one_ffn_equals_that_column_mean():
     decision = decision_of(p)
     plan = plan_for(decision, "ttt", factor=2.0)
     assert plan.loads == (3, 0)
-    aux, stats = aux_of([plan], [decision])
+    aux = aux_of([plan], [decision])
     assert aux.item() == pytest.approx(p[:, 0].mean(), abs=1e-15)
-    assert stats[0].f_language == 1.0 and stats[0].f_vision == 0.0
-    assert stats[0].g_language + stats[0].g_vision == pytest.approx(1.0, abs=1e-12)
 
 
 def test_aux_balanced_split_gives_half():
@@ -66,7 +60,7 @@ def test_aux_balanced_split_gives_half():
     decision = decision_of(p)
     plan = plan_for(decision, "tttt", factor=1.0)
     assert plan.loads == (2, 2)
-    aux, _ = aux_of([plan], [decision])
+    aux = aux_of([plan], [decision])
     # F = (1/2, 1/2) and G_l + G_v = 1, so F.G = 1/2 exactly
     assert aux.item() == pytest.approx(0.5, abs=1e-12)
 
@@ -83,26 +77,21 @@ def test_aux_matches_recount_oracle_across_layers():
         decisions.append(d)
         raw_p.append(p)
         loads.append(plan.loads)
-    aux, stats = aux_of(plans, decisions)
+    aux = aux_of(plans, decisions)
     want = oracles.aux_loss_recount(raw_p, loads)
     assert aux.item() == pytest.approx(want, abs=1e-14)
-    assert len(stats) == 3
 
 
 def test_aux_gradient_reaches_router_through_column_means():
     logits_param = T.Parameter(np.random.default_rng(3).normal(size=(6, 2)))
-    probs = T.softmax_rows(logits_param)
-    decision = RoutingDecision(logits_param, probs)
+    decision = T.softmax_rows(logits_param)
     plan = plan_for(decision, "tttttt", factor=2.0)
-    aux, _ = aux_of([plan], [decision])
+    aux = aux_of([plan], [decision])
     (grad,) = T.backward(aux, [logits_param])
     assert float(np.abs(grad).max()) > 0.0
 
     def f(logits):
-        pr = T.softmax_rows(T.Tensor(np.asarray(logits)))
-        d = RoutingDecision(T.Tensor(np.asarray(logits)), pr)
-        a, _ = aux_of([plan], [d])
-        return a.item()
+        return aux_of([plan], [T.softmax_rows(T.Tensor(np.asarray(logits)))]).item()
 
     (fd,) = oracles.finite_difference_grads(f, [logits_param.data], eps=1e-6)
     np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
@@ -119,7 +108,7 @@ def test_aux_minimized_near_balanced_router():
         # jitter so the argmax is strict per token only when biased
         decision = decision_of(p)
         plan = plan_for(decision, "t" * n, factor=2.0)
-        aux, _ = aux_of([plan], [decision])
+        aux = aux_of([plan], [decision])
         values[round(float(bias), 3)] = aux.item()
     best = min(values, key=values.get)
     assert abs(best) < 0.3
@@ -130,7 +119,7 @@ def test_aux_contract_errors():
     with pytest.raises(ContractError):
         aux_loss([])
     plan = plan_for(decision_of([[0.5, 0.5]]), "t")
-    with pytest.raises(ContractError, match="1 tokens, decision 2"):
+    with pytest.raises(ContractError, match="1 tokens, probabilities 2"):
         layer_aux(plan, decision_of([[0.5, 0.5], [0.5, 0.5]]))
 
 
